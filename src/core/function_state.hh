@@ -83,11 +83,27 @@ struct Instance
     std::shared_ptr<sim::Gate> readyGate;
 
     /**
+     * Set when a teardown claims the instance, before its monitor
+     * shutdown handshake suspends; the instance is freed once the
+     * handshake completes, so nothing may start serving on it.
+     */
+    bool stopping = false;
+
+    /**
      * Orchestrator-unique id, never reused (unlike the instance's
      * address). Anything that re-identifies an instance across a
      * suspension point must match on this, not on the pointer.
      */
     std::uint64_t id = 0;
+
+    /** Idle, running and not being torn down: a warm invoke may claim
+     * it. */
+    bool
+    servable() const
+    {
+        return !busy && !stopping &&
+               vm->state() == vmm::VmState::Running;
+    }
 };
 
 /**

@@ -174,8 +174,7 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
 
     if (!opts.forceCold) {
         for (auto &inst : st.instances) {
-            if (!inst->busy && inst->vm->state() ==
-                                   vmm::VmState::Running) {
+            if (inst->servable()) {
                 // Warm path. The guest buddy allocator reuses the
                 // same guest-physical frames across invocations on a
                 // live instance (Sec. 4.4), so by default a warm
@@ -210,8 +209,7 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
                         break;
                     }
                 }
-                if (cand != nullptr && !cand->busy &&
-                    cand->vm->state() == vmm::VmState::Running) {
+                if (cand != nullptr && cand->servable()) {
                     std::int64_t input = opts.inputId >= 0
                                              ? opts.inputId
                                              : cand->lastInput;
@@ -356,7 +354,7 @@ Orchestrator::makeRoom(Bytes needed)
             auto &st = entry.second;
             for (size_t i = 0; i < st.instances.size(); ++i) {
                 Instance &inst = *st.instances[i];
-                if (inst.busy)
+                if (inst.busy || inst.stopping)
                     continue;
                 if (!found || inst.lastUsedAt < oldest) {
                     oldest = inst.lastUsedAt;
@@ -378,12 +376,21 @@ Orchestrator::stopInstance(FunctionState &st, size_t index)
 {
     VHIVE_ASSERT(index < st.instances.size());
     Instance &inst = *st.instances[index];
-    VHIVE_ASSERT(!inst.busy);
+    VHIVE_ASSERT(!inst.busy && !inst.stopping);
     if (inst.preWarmed)
         ++_wastedPreWarms;
     if (inst.uffd && inst.monitor) {
+        // Claim the instance before suspending: the warm paths skip a
+        // stopping instance, so no invocation can start serving on it
+        // during the handshake. Other instances may come and go
+        // meanwhile, so re-locate it by id afterwards.
+        inst.stopping = true;
+        std::uint64_t id = inst.id;
         inst.uffd->sendShutdown();
         co_await inst.monitor->doneGate().wait();
+        index = 0;
+        while (st.instances[index]->id != id)
+            ++index;
     }
     st.instances.erase(st.instances.begin() +
                        static_cast<std::ptrdiff_t>(index));
@@ -405,8 +412,16 @@ sim::Task<void>
 Orchestrator::stopAllInstances(const std::string &name)
 {
     FunctionState &st = state(name);
-    while (!st.instances.empty())
-        co_await stopInstance(st, st.instances.size() - 1);
+    while (true) {
+        // Newest first, leaving instances another path is already
+        // tearing down to that path.
+        size_t i = st.instances.size();
+        while (i > 0 && st.instances[i - 1]->stopping)
+            --i;
+        if (i == 0)
+            break;
+        co_await stopInstance(st, i - 1);
+    }
 }
 
 sim::Task<std::int64_t>
@@ -419,7 +434,7 @@ Orchestrator::stopIdleInstances(const std::string &name)
     // was made — it was just in use and must survive this round.
     std::vector<std::uint64_t> victims;
     for (size_t i = st.instances.size(); i-- > 0;) {
-        if (!st.instances[i]->busy)
+        if (!st.instances[i]->busy && !st.instances[i]->stopping)
             victims.push_back(st.instances[i]->id);
     }
     std::int64_t stopped = 0;
@@ -435,7 +450,8 @@ Orchestrator::stopIdleInstances(const std::string &name)
                 break;
             }
         }
-        if (idx == st.instances.size() || st.instances[idx]->busy)
+        if (idx == st.instances.size() || st.instances[idx]->busy ||
+            st.instances[idx]->stopping)
             continue;
         co_await stopInstance(st, idx);
         ++stopped;
@@ -658,9 +674,7 @@ Orchestrator::preWarm(const std::string &name, ColdStartMode mode)
 {
     FunctionState &st = state(name);
     for (const auto &inst : st.instances) {
-        if (inst->warming ||
-            (!inst->busy &&
-             inst->vm->state() == vmm::VmState::Running)) {
+        if (inst->warming || inst->servable()) {
             // Already warm (or getting there): nothing to do.
             co_return LatencyBreakdown{};
         }

@@ -636,6 +636,49 @@ TEST(Orchestrator, StopAllReclaimsManyInstances)
     });
 }
 
+TEST(Orchestrator, ScaleDownRacingWarmDispatchStartsCold)
+{
+    // A keep-alive scale-down has sent the monitor its shutdown and is
+    // waiting out the handshake when a warm dispatch for the same
+    // function arrives. The dispatch must not claim the stopping
+    // instance (it is freed once the handshake completes); it starts
+    // a fresh one instead, and the scale-down retires only its victim.
+    Simulation sim;
+    Worker w(sim);
+    std::int64_t stopped = -1;
+    LatencyBreakdown raced;
+    struct Racers {
+        static Task<void>
+        scaleDown(Orchestrator &orch, std::int64_t *out)
+        {
+            *out = co_await orch.stopIdleInstances("helloworld");
+        }
+        static Task<void>
+        dispatch(Orchestrator &orch, LatencyBreakdown *out)
+        {
+            Opts keep;
+            keep.keepWarm = true;
+            *out = co_await orch.invoke("helloworld", ColdStartMode::Reap,
+                                        keep);
+        }
+    };
+    runScenario(w, sim, [&](Orchestrator &orch) -> Task<void> {
+        orch.registerFunction(func::profileByName("helloworld"));
+        co_await orch.prepareSnapshot("helloworld");
+        Opts keep;
+        keep.keepWarm = true;
+        (void)co_await orch.invoke("helloworld", ColdStartMode::Reap,
+                                   keep);
+        EXPECT_EQ(orch.instanceCount("helloworld"), 1);
+        sim.spawn(Racers::scaleDown(orch, &stopped));
+        sim.spawn(Racers::dispatch(orch, &raced));
+    });
+    EXPECT_EQ(stopped, 1);
+    EXPECT_TRUE(raced.cold);
+    EXPECT_EQ(w.orchestrator().instanceCount("helloworld"), 1);
+    EXPECT_EQ(w.orchestrator().idleInstanceCount("helloworld"), 1);
+}
+
 TEST(Orchestrator, OverlapAblationReducesLatency)
 {
     // Ablation: overlapping the WS fetch with VMM-state load shortens
