@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "core/loader/builtin_loaders.hh"
 #include "net/rpc.hh"
 #include "util/logging.hh"
 
@@ -43,13 +44,7 @@ Cluster::Cluster(sim::Simulation &sim, ClusterConfig config)
 {
     VHIVE_ASSERT(cfg.workers >= 1);
     if (cfg.sharedSnapshots) {
-        if (cfg.coldStartMode != core::ColdStartMode::TieredReap &&
-            cfg.coldStartMode != core::ColdStartMode::RemoteReap &&
-            cfg.coldStartMode != core::ColdStartMode::DedupReap) {
-            fatal("sharedSnapshots needs a remote-capable cold-start "
-                  "mode (TieredReap, RemoteReap or DedupReap), got %s",
-                  core::coldStartModeName(cfg.coldStartMode));
-        }
+        (void)core::loader::sharedStagingPreset(cfg.coldStartMode);
         VHIVE_ASSERT(cfg.sharedStoreShards >= 1);
         net::ShardedStoreParams sp;
         sp.shards = cfg.sharedStoreShards;
@@ -258,14 +253,15 @@ Cluster::invoke(const std::string &name)
             mergeTierRow(tele.tierHits, t);
         tele.wastedPrefetchPages += bd.wastedPrefetch;
         if (_registry) {
-            // RemoteReap GETs the artifacts on every cold start no
-            // matter what lives locally. Tiered chains report exactly
-            // which tier served the WS bytes; trust that over the
-            // pre-invoke snapshot (a concurrent cold start may have
-            // re-localized the artifacts while this one queued).
+            // A mode without local tiers GETs the artifacts on every
+            // cold start no matter what lives locally. Tiered chains
+            // report exactly which tier served the WS bytes; trust
+            // that over the pre-invoke snapshot (a concurrent cold
+            // start may have re-localized the artifacts while this one
+            // queued).
             bool fetched_remotely =
-                cfg.coldStartMode ==
-                    core::ColdStartMode::RemoteReap ||
+                core::loader::sharedStagingPreset(cfg.coldStartMode)
+                        .tiers == core::loader::TieredPreset::Tiers::None ||
                 !artifacts_were_local;
             for (const auto &t : bd.tierHits) {
                 if (t.tier == "remote")
@@ -456,20 +452,6 @@ Cluster::resetStats()
     _idleWarmInstanceSec = 0;
 }
 
-core::ColdStartMode
-Cluster::preWarmMode() const
-{
-    switch (cfg.coldStartMode) {
-      case core::ColdStartMode::TieredReap:
-      case core::ColdStartMode::RemoteReap:
-      case core::ColdStartMode::DedupReap:
-      case core::ColdStartMode::BackgroundWarm:
-        return core::ColdStartMode::BackgroundWarm;
-      default:
-        return cfg.coldStartMode;
-    }
-}
-
 sim::Task<void>
 Cluster::preWarmTask(std::string name, int widx)
 {
@@ -478,7 +460,8 @@ Cluster::preWarmTask(std::string name, int widx)
         co_return;
     auto &orch = workers[static_cast<size_t>(widx)]->orchestrator();
     core::LatencyBreakdown bd =
-        co_await orch.preWarm(name, preWarmMode());
+        co_await orch.preWarm(
+            name, core::loader::preWarmModeFor(cfg.coldStartMode));
     if (bd.total > 0 && !bd.crashed) {
         // The pre-warmed instance is autoscaler-sanctioned activity;
         // without this the very next sweep would reap it before the

@@ -321,14 +321,6 @@ class Cluster : private FleetView
     /** Keep-alive janitor loop. */
     sim::Task<void> janitor();
 
-    /**
-     * The ColdStartMode pre-warm actions load through: Sec. 6.3
-     * background working-set warming for the tiered/remote family
-     * (yield store streams to foreground colds), the configured mode
-     * itself otherwise (plain Reap must not gain tiered staging).
-     */
-    core::ColdStartMode preWarmMode() const;
-
     /** Detached pre-warm issued by a control action. */
     sim::Task<void> preWarmTask(std::string name, int widx);
 

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "core/loader/builtin_loaders.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -89,16 +90,8 @@ ParallelFleet::checkedConfig(ParallelFleetConfig config)
     if (config.sharedStoreShards < 1)
         fatal("ParallelFleet: sharedStoreShards must be >= 1 (got %d)",
               config.sharedStoreShards);
-    if (config.sharedSnapshots &&
-        config.coldStartMode != core::ColdStartMode::TieredReap &&
-        config.coldStartMode != core::ColdStartMode::RemoteReap &&
-        config.coldStartMode != core::ColdStartMode::DedupReap) {
-        fatal("ParallelFleet sharedSnapshots requires a "
-              "remote-capable cold-start mode (TieredReap, "
-              "RemoteReap or DedupReap); %s keeps all artifacts "
-              "local and has nothing to stage",
-              core::coldStartModeName(config.coldStartMode));
-    }
+    if (config.sharedSnapshots)
+        (void)core::loader::sharedStagingPreset(config.coldStartMode);
     return config;
 }
 
@@ -427,28 +420,26 @@ ParallelFleet::storeStage(StoreMsg msg)
 
     ++stagingBuilds;
     if (p.manifests) {
-        // Chunked staging, mirroring SnapshotRegistry::ensureStaged:
-        // upload only chunks no earlier function staged; duplicates
-        // are referenced in the fleet index and never cross the wire
-        // again. Every chunk's placement rides the Adopt broadcast so
-        // workers group future batches by the true owning shard.
+        // Chunked staging: upload only chunks no earlier function
+        // staged; duplicates are referenced in the fleet index and
+        // never cross the wire again.
+        core::ChunkStageTally tally = co_await core::stageChunks(
+            kernel.sim(storeDomain()), *p.manifests, fleetChunks,
+            *sharedStore, scope);
+        stagingStagedBytes += tally.uploadedBytes;
+        stagingChunksUploaded += tally.uploaded;
+        stagingDedupSaved += tally.savedBytes;
+        stagingChunksDeduped += tally.total - tally.uploaded;
+        // Every chunk's placement rides the Adopt broadcast so workers
+        // group future batches by the true owning shard. putChunk
+        // records a placement before it first suspends, so every
+        // chunk — uploaded here or by a concurrent pass — has its
+        // final placement by now.
         for (const storage::ChunkManifest *man :
-             {&p.manifests->vmmState, &p.manifests->ws}) {
-            for (const storage::ChunkRef &c : man->chunks) {
-                if (fleetChunks.addRef(
-                        c, kernel.sim(storeDomain()).now())) {
-                    co_await sharedStore->putChunk(c.storedBytes,
-                                                   {c.hash, scope});
-                    stagingStagedBytes += c.storedBytes;
-                    ++stagingChunksUploaded;
-                } else {
-                    stagingDedupSaved += c.storedBytes;
-                    ++stagingChunksDeduped;
-                }
+             {&p.manifests->vmmState, &p.manifests->ws})
+            for (const storage::ChunkRef &c : man->chunks)
                 adopt->placements.emplace_back(
                     c.hash, sharedStore->shardOf({c.hash, scope}));
-            }
-        }
     } else {
         // Blob staging: one put() of VMM state + WS file serves the
         // whole fleet.
@@ -488,7 +479,9 @@ ParallelFleet::stageHomeFunctions(int w)
         auto payload = std::make_shared<StagePayload>();
         payload->fnIdx = static_cast<int>(i);
         payload->record = orch.record(name);
-        if (chunkedMode()) {
+        if (core::loader::sharedStagingPreset(cfg.coldStartMode)
+                .backstop ==
+            core::loader::TieredPreset::Backstop::Chunked) {
             (void)orch.buildManifests(name);
             payload->manifests = orch.manifests(name);
         } else {
@@ -601,20 +594,6 @@ ParallelFleet::workerMain(int w)
                                     0, 0});
 }
 
-core::ColdStartMode
-ParallelFleet::preWarmMode() const
-{
-    switch (cfg.coldStartMode) {
-      case core::ColdStartMode::TieredReap:
-      case core::ColdStartMode::RemoteReap:
-      case core::ColdStartMode::DedupReap:
-      case core::ColdStartMode::BackgroundWarm:
-        return core::ColdStartMode::BackgroundWarm;
-      default:
-        return cfg.coldStartMode;
-    }
-}
-
 sim::Task<void>
 ParallelFleet::workerInvoke(int w, WorkerMsg msg)
 {
@@ -648,7 +627,8 @@ ParallelFleet::workerInvoke(int w, WorkerMsg msg)
         // predicted arrival, don't serve anything. Refresh keep-alive
         // only when an instance actually came up — a no-op or crashed
         // pre-warm must not extend a dead function's residency.
-        auto pbd = co_await orch.preWarm(name, preWarmMode());
+        auto pbd = co_await orch.preWarm(
+            name, core::loader::preWarmModeFor(cfg.coldStartMode));
         if (pbd.total > 0 && !pbd.crashed)
             node.lastUsed[static_cast<std::size_t>(msg.fnIdx)] =
                 kernel.sim(1 + w).now();
@@ -670,11 +650,12 @@ ParallelFleet::workerInvoke(int w, WorkerMsg msg)
     auto bd = co_await orch.invoke(name, cfg.coldStartMode, opts);
 
     if (cfg.sharedSnapshots && bd.cold) {
-        // Same detection as Cluster::invoke: RemoteReap always
-        // re-fetches; tiered chains report which tier actually served
-        // the WS bytes.
+        // Same detection as Cluster::invoke: a mode without local
+        // tiers always re-fetches; tiered chains report which tier
+        // actually served the WS bytes.
         bool fetched =
-            cfg.coldStartMode == core::ColdStartMode::RemoteReap;
+            core::loader::sharedStagingPreset(cfg.coldStartMode).tiers ==
+            core::loader::TieredPreset::Tiers::None;
         for (const auto &t : bd.tierHits)
             if (t.tier == "remote")
                 fetched = t.bytes > 0;

@@ -532,19 +532,6 @@ class ParallelFleet
         return LocalityHashPolicy::homeWorker(name, cfg.workers);
     }
 
-    /** Whether the configured mode stages chunk manifests. */
-    bool chunkedMode() const
-    {
-        return cfg.coldStartMode == core::ColdStartMode::DedupReap;
-    }
-
-    /**
-     * The ColdStartMode pre-warm requests load through: Sec. 6.3
-     * background working-set warming for the tiered/remote family,
-     * the configured mode itself otherwise (mirrors Cluster).
-     */
-    core::ColdStartMode preWarmMode() const;
-
     /** @name Worker-domain coroutines. */
     /// @{
     sim::Task<void> workerMain(int w);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "cluster/routing_policy.hh"
+#include "core/loader/builtin_loaders.hh"
 #include "util/logging.hh"
 
 namespace vhive::cluster {
@@ -96,89 +97,53 @@ SnapshotRegistry::stageArtifacts(
     core::Worker &hw =
         *workers[static_cast<size_t>(e.art.homeWorker)];
     auto &orch = hw.orchestrator();
-    for (bool staged_ok = false; !staged_ok;) {
-        // One staging attempt. A WorkerCrash rolled mid-pass aborts
-        // it: per-attempt counters are discarded, chunk references
-        // the attempt took are released (rolling the index back), the
-        // lost work is paid in simulated time and the pass retries —
-        // crash windows are finite and every crash advances time, so
-        // the loop terminates and the function still stages exactly
-        // once.
-        bool crashed = false;
+    // A WorkerCrash rolled mid-pass aborts the staging attempt: the
+    // lost work is paid in simulated time and the pass retries.
+    auto crash = [this, &fault_key]() -> Duration {
+        if (faults == nullptr)
+            return 0;
+        const sim::FaultWindow *w = faults->roll(
+            sim::FaultKind::WorkerCrash, fault_key, sim.now());
+        if (w == nullptr)
+            return 0;
+        ++faults->stats().workerCrashes;
+        return std::max<Duration>(usec(1), msec(w->magnitude));
+    };
+    // Crash windows are finite and every crash advances time, so the
+    // loop terminates and the function still stages exactly once.
+    while (true) {
         if (chunked()) {
             // Chunked staging: upload only chunks no earlier function
             // staged. Duplicate chunks — the shared runtime pages
             // every function's snapshot carries — are referenced in
-            // the index and never cross the wire again, fleet-wide.
+            // the index and never cross the wire again, fleet-wide. An
+            // aborted attempt releases the references it took (rolling
+            // the index back) and discards its counters.
             const vmm::SnapshotManifests &m = orch.buildManifests(name);
             manifests = orch.manifests(name);
-            Bytes uploaded = 0;
-            Bytes saved = 0;
-            std::int64_t total = 0;
-            std::int64_t ups = 0;
-            std::vector<storage::ChunkRef> taken;
-            for (const storage::ChunkManifest *man :
-                 {&m.vmmState, &m.ws}) {
-                for (const storage::ChunkRef &c : man->chunks) {
-                    if (faults != nullptr) {
-                        if (const sim::FaultWindow *w = faults->roll(
-                                sim::FaultKind::WorkerCrash, fault_key,
-                                sim.now())) {
-                            ++faults->stats().workerCrashes;
-                            co_await sim.delay(std::max<Duration>(
-                                usec(1), msec(w->magnitude)));
-                            crashed = true;
-                            break;
-                        }
-                    }
-                    ++total;
-                    taken.push_back(c);
-                    if (sharedChunks.addRef(c, sim.now())) {
-                        co_await store.putChunk(
-                            c.storedBytes,
-                            {c.hash, net::placementScope(name)});
-                        uploaded += c.storedBytes;
-                        ++ups;
-                    } else {
-                        saved += c.storedBytes;
-                    }
-                }
-                if (crashed)
-                    break;
-            }
-            if (crashed) {
-                // Roll back every reference this attempt took; chunks
-                // it alone stored drop to zero refs and are evicted.
-                for (const storage::ChunkRef &c : taken)
-                    sharedChunks.release(c.hash);
+            core::ChunkStageTally tally = co_await core::stageChunks(
+                sim, m, sharedChunks, store, net::placementScope(name),
+                crash);
+            if (tally.aborted)
                 continue;
-            }
-            e.art.chunksTotal += total;
-            e.art.chunksUploaded += ups;
-            e.art.dedupSavedBytes += saved;
-            e.art.stagedBytes = uploaded;
+            e.art.chunksTotal += tally.total;
+            e.art.chunksUploaded += tally.uploaded;
+            e.art.dedupSavedBytes += tally.savedBytes;
+            e.art.stagedBytes = tally.uploadedBytes;
             e.art.logicalBytes = m.rawBytes();
         } else {
-            if (faults != nullptr) {
-                if (const sim::FaultWindow *w = faults->roll(
-                        sim::FaultKind::WorkerCrash, fault_key,
-                        sim.now())) {
-                    ++faults->stats().workerCrashes;
-                    co_await sim.delay(std::max<Duration>(
-                        usec(1), msec(w->magnitude)));
-                    continue;
-                }
+            if (Duration lost = crash(); lost > 0) {
+                co_await sim.delay(lost);
+                continue;
             }
             // Stage once: one put() of VMM state + WS file serves
             // every worker (vs one staged copy per worker before).
             Bytes bytes = core::stagedArtifactBytes(
                 hw.config().vmm.vmmStateSize, orch.record(name));
-            co_await store.put(bytes,
-                               {net::placementScope(name),
-                                net::placementScope(name)});
+            co_await store.put(bytes, core::loader::artifactKey(name));
             e.art.stagedBytes = bytes;
         }
-        staged_ok = true;
+        co_return;
     }
 }
 
@@ -371,7 +336,8 @@ SnapshotRegistry::totalDedupSavedBytes() const
 bool
 SnapshotRegistry::chunked() const
 {
-    return mode == core::ColdStartMode::DedupReap;
+    return core::loader::sharedStagingPreset(mode).backstop ==
+           core::loader::TieredPreset::Backstop::Chunked;
 }
 
 } // namespace vhive::cluster

@@ -68,4 +68,43 @@ FunctionState::evictLocalArtifacts(storage::FileStore &fs)
         fs.dropFileCaches(traceFile);
 }
 
+sim::Task<ChunkStageTally>
+stageChunks(sim::Simulation &sim, const vmm::SnapshotManifests &m,
+            storage::ChunkStore &index, net::ArtifactStore &store,
+            std::uint64_t scope, std::function<Duration()> abort)
+{
+    ChunkStageTally tally;
+    for (const storage::ChunkManifest *man : {&m.vmmState, &m.ws}) {
+        for (const storage::ChunkRef &c : man->chunks) {
+            if (abort) {
+                if (Duration lost = abort(); lost > 0) {
+                    co_await sim.delay(lost);
+                    tally.aborted = true;
+                    break;
+                }
+            }
+            ++tally.total;
+            if (index.addRef(c, sim.now())) {
+                co_await store.putChunk(c.storedBytes, {c.hash, scope});
+                ++tally.uploaded;
+                tally.uploadedBytes += c.storedBytes;
+            } else {
+                tally.savedBytes += c.storedBytes;
+            }
+        }
+        if (tally.aborted)
+            break;
+    }
+    if (tally.aborted) {
+        // Roll back every reference this pass took, in order; chunks
+        // it alone stored drop to zero refs and are evicted.
+        std::int64_t left = tally.total;
+        for (const storage::ChunkManifest *man : {&m.vmmState, &m.ws})
+            for (const storage::ChunkRef &c : man->chunks)
+                if (left-- > 0)
+                    index.release(c.hash);
+    }
+    co_return tally;
+}
+
 } // namespace vhive::core

@@ -9,6 +9,7 @@
 #define VHIVE_CORE_FUNCTION_STATE_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -19,7 +20,9 @@
 #include "core/ws_file.hh"
 #include "func/profile.hh"
 #include "mem/uffd.hh"
+#include "net/object_store.hh"
 #include "sim/sync.hh"
+#include "sim/task.hh"
 #include "storage/file_store.hh"
 #include "util/units.hh"
 #include "vmm/microvm.hh"
@@ -250,6 +253,32 @@ struct FunctionState
 const vmm::SnapshotManifests &
 ensureManifests(FunctionState &st, const ReapOptions &reap,
                 const vmm::VmmParams &vmm);
+
+/** What one chunk-staging pass did (stageChunks). */
+struct ChunkStageTally
+{
+    std::int64_t total = 0;    ///< manifest chunks: the refs taken
+    std::int64_t uploaded = 0; ///< chunks new to the index, put
+    Bytes uploadedBytes = 0;   ///< stored bytes those puts moved
+    Bytes savedBytes = 0;      ///< stored bytes dedup kept local
+    bool aborted = false;      ///< abort hook fired; refs rolled back
+};
+
+/**
+ * Stage @p m's chunks into @p store — VMM state, then WS, each in
+ * manifest order: addRef every chunk in @p index and putChunk only the
+ * ones new to it. Duplicates (cross-function and in-artifact repeats)
+ * are referenced, never re-uploaded. The single chunk-staging routine
+ * of the DedupReap loader, the fleet registry and the parallel fleet's
+ * store domain. @p abort, when set, runs before each chunk; a positive
+ * return aborts the pass after that much lost simulated time and
+ * releases every reference it took.
+ */
+sim::Task<ChunkStageTally>
+stageChunks(sim::Simulation &sim, const vmm::SnapshotManifests &m,
+            storage::ChunkStore &index, net::ArtifactStore &store,
+            std::uint64_t scope,
+            std::function<Duration()> abort = nullptr);
 
 } // namespace vhive::core
 

@@ -20,17 +20,6 @@ noteServe(LatencyBreakdown &bd, const vmm::InvocationBreakdown &res)
     bd.majorFaults = res.majorFaults;
 }
 
-/** Client-side chunk costs from the ReapOptions knobs. */
-mem::ChunkSourceParams
-chunkParams(const ReapOptions &reap)
-{
-    mem::ChunkSourceParams p;
-    p.decompressBandwidth = reap.chunkDecompressBandwidth;
-    p.perChunkDecompress = reap.chunkDecompressOverhead;
-    p.batchChunks = reap.chunkBatch;
-    return p;
-}
-
 } // namespace
 
 // --------------------------------------------------------------- Boot
@@ -335,63 +324,135 @@ ReapLoader::makeSource(LoadContext &ctx) const
                                                      ctx.st.wsFile);
 }
 
-// --------------------------------------------------------- RemoteReap
+// ------------------------------------------------------- Remote family
 
 namespace {
 
-/**
- * Placement key for one function's artifacts: content and scope are
- * both the function-name hash, so blob artifacts hash-place per
- * function and chunk uploads carry the owning function as scope for
- * overlap-aware co-location. Unsharded stores ignore it.
- */
-net::PlacementKey
-artifactKey(const LoadContext &ctx)
+using Tiers = TieredPreset::Tiers;
+using Backstop = TieredPreset::Backstop;
+using Priority = TieredPreset::Priority;
+
+constexpr struct
 {
-    std::uint64_t h = net::placementScope(ctx.st.profile.name);
-    return {h, h};
+    ColdStartMode mode;
+    TieredPreset preset;
+} kTieredPresets[] = {
+    {ColdStartMode::RemoteReap,
+     {Tiers::None, Backstop::Blob, Priority::Foreground}},
+    {ColdStartMode::TieredReap,
+     {Tiers::LocalChain, Backstop::Blob, Priority::Foreground}},
+    {ColdStartMode::DedupReap,
+     {Tiers::LocalChain, Backstop::Chunked, Priority::Foreground}},
+    {ColdStartMode::BackgroundWarm,
+     {Tiers::LocalChain, Backstop::ChunkedIfManifest,
+      Priority::Background}},
+};
+
+/** Chunked source over one artifact of the function's manifests. */
+std::unique_ptr<mem::ChunkPageSource>
+chunkSource(const LoadContext &ctx,
+            const storage::ChunkManifest vmm::SnapshotManifests::*artifact)
+{
+    VHIVE_ASSERT(ctx.st.manifests != nullptr);
+    auto src = std::make_unique<mem::ChunkPageSource>(
+        ctx.sim, ctx.artifactStore, (*ctx.st.manifests).*artifact,
+        &ctx.localChunks, chunkParams(ctx.reap), &ctx.chunkFlights,
+        artifactKey(ctx.st.profile.name).scope);
+    // An invalidateRecord() or re-record while this cold start is in
+    // flight drops the function's manifests; the source must outlive
+    // that release.
+    src->retain(ctx.st.manifests);
+    return src;
 }
 
 } // namespace
 
+void
+registerTieredLoaders(LoaderRegistry &registry)
+{
+    for (const auto &entry : kTieredPresets)
+        registry.registerLoader(entry.mode, std::make_unique<TieredLoader>(
+                                                entry.mode, entry.preset));
+}
+
+const TieredPreset *
+tieredPreset(ColdStartMode mode)
+{
+    for (const auto &entry : kTieredPresets)
+        if (entry.mode == mode)
+            return &entry.preset;
+    return nullptr;
+}
+
+const TieredPreset &
+sharedStagingPreset(ColdStartMode mode)
+{
+    const TieredPreset *p = tieredPreset(mode);
+    if (p == nullptr || p->backstop == Backstop::ChunkedIfManifest)
+        fatal("sharedSnapshots needs a remote-capable cold-start mode "
+              "with a fixed artifact format, got %s",
+              coldStartModeName(mode));
+    return *p;
+}
+
+ColdStartMode
+preWarmModeFor(ColdStartMode mode)
+{
+    return tieredPreset(mode) != nullptr ? ColdStartMode::BackgroundWarm
+                                         : mode;
+}
+
+net::PlacementKey
+artifactKey(const std::string &function)
+{
+    std::uint64_t h = net::placementScope(function);
+    return {h, h};
+}
+
+mem::ChunkSourceParams
+chunkParams(const ReapOptions &reap)
+{
+    mem::ChunkSourceParams p;
+    p.decompressBandwidth = reap.chunkDecompressBandwidth;
+    p.perChunkDecompress = reap.chunkDecompressOverhead;
+    p.batchChunks = reap.chunkBatch;
+    return p;
+}
+
+TieredLoader::TieredLoader(ColdStartMode mode, TieredPreset preset)
+    : mode(mode), preset(preset)
+{
+}
+
+const char *
+TieredLoader::name() const
+{
+    return coldStartModeName(mode);
+}
+
+bool
+TieredLoader::chunked(const LoadContext &ctx) const
+{
+    return preset.backstop == Backstop::Chunked ||
+           (preset.backstop == Backstop::ChunkedIfManifest &&
+            ctx.st.manifests != nullptr);
+}
+
 std::unique_ptr<mem::PageSource>
-RemoteReapLoader::makeSource(LoadContext &ctx) const
+TieredLoader::makeBackstop(LoadContext &ctx) const
 {
-    return std::make_unique<mem::RemoteObjectSource>(ctx.artifactStore,
-                                                     artifactKey(ctx));
+    if (chunked(ctx))
+        return chunkSource(ctx, &vmm::SnapshotManifests::ws);
+    return std::make_unique<mem::RemoteObjectSource>(
+        ctx.artifactStore, artifactKey(ctx.st.profile.name));
 }
-
-sim::Task<void>
-RemoteReapLoader::ensureStaged(LoadContext ctx)
-{
-    // One-time upload of the snapshot artifacts (VMM state + WS file)
-    // into the store — off the timed restore path, like snapshot
-    // creation itself (Sec. 7.1).
-    if (ctx.st.remoteStaged)
-        co_return;
-    co_await ctx.artifactStore.put(
-        stagedArtifactBytes(ctx.vmmParams.vmmStateSize, ctx.st.record),
-        artifactKey(ctx));
-    ctx.st.remoteStaged = true;
-}
-
-sim::Task<void>
-RemoteReapLoader::preRestore(LoadContext ctx)
-{
-    // The serialized VMM/device state arrives as one bulk GET, then
-    // lands in the local state file's cache pages so the restore
-    // deserializes from memory rather than re-reading the disk.
-    co_await ctx.artifactStore.get(ctx.vmmParams.vmmStateSize,
-                                   artifactKey(ctx));
-    co_await ctx.fs.writeBuffered(ctx.st.snapshot.vmmState, 0,
-                                  ctx.vmmParams.vmmStateSize);
-}
-
-// --------------------------------------------------------- TieredReap
 
 std::unique_ptr<mem::PageSource>
-TieredReapLoader::makeSource(LoadContext &ctx) const
+TieredLoader::makeSource(LoadContext &ctx) const
 {
+    if (preset.tiers == Tiers::None)
+        return makeBackstop(ctx);
+
     auto tiered = std::make_unique<mem::TieredPageSource>(ctx.sim);
     FunctionState *st = &ctx.st;
     storage::FileStore *fs = &ctx.fs;
@@ -448,10 +509,10 @@ TieredReapLoader::makeSource(LoadContext &ctx) const
             "local-ssd",
             std::make_unique<mem::DirectFileSource>(*fs, ws),
             [st](Bytes, Bytes) { return st->artifactsLocal; },
-            std::move(ssdAdmit)});
+            std::move(ssdAdmit), nullptr});
     }
     tiered->addTier(mem::TieredPageSource::Tier{
-        "remote", makeBackstop(ctx), nullptr, nullptr});
+        "remote", makeBackstop(ctx), nullptr, nullptr, nullptr});
     // Persist the serve counters on the function so admit-on-N-hits
     // spans cold starts (the chain itself is rebuilt per start).
     tiered->setAdmitAfterHits(ctx.reap.admitAfterHits,
@@ -459,53 +520,110 @@ TieredReapLoader::makeSource(LoadContext &ctx) const
     return tiered;
 }
 
-std::unique_ptr<mem::PageSource>
-TieredReapLoader::makeBackstop(LoadContext &ctx) const
-{
-    return std::make_unique<mem::RemoteObjectSource>(ctx.artifactStore,
-                                                     artifactKey(ctx));
-}
-
 sim::Task<void>
-TieredReapLoader::ensureStaged(LoadContext ctx)
+TieredLoader::ensureStaged(LoadContext ctx)
 {
-    bool was_staged = ctx.st.remoteStaged;
-    co_await RemoteReapLoader::ensureStaged(ctx);
-    if (!was_staged && ctx.reap.tieredFreshWorker) {
+    FunctionState &st = ctx.st;
+    if (!chunked(ctx)) {
+        // One-time upload of the snapshot artifacts (VMM state + WS
+        // file) into the store — off the timed restore path, like
+        // snapshot creation itself (Sec. 7.1).
+        if (st.remoteStaged)
+            co_return;
+        co_await ctx.artifactStore.put(
+            stagedArtifactBytes(ctx.vmmParams.vmmStateSize, st.record),
+            artifactKey(st.profile.name));
+        st.remoteStaged = true;
+    } else if (preset.backstop == Backstop::ChunkedIfManifest) {
+        // Chunk-staged already, by the dedup loader or the fleet
+        // registry: blob staging would double-count the bytes.
+        co_return;
+    } else {
+        const vmm::SnapshotManifests &m =
+            ensureManifests(st, ctx.reap, ctx.vmmParams);
+        // Keep m alive across the staging awaits even if a concurrent
+        // invalidateRecord() drops the function's reference.
+        auto pinned = st.manifests;
+        // Claim the previous version's manifests (delta re-record)
+        // before the first suspension point, so a concurrent second
+        // staging pass cannot release them twice. Their staged-chunk
+        // references stay held until staging below completes.
+        auto prev = std::move(st.prevManifests);
+        const bool staged_here = !st.remoteStaged;
+        if (staged_here) {
+            // On a re-record the previous version's references are
+            // still live, so unchanged chunks dedup-hit and only
+            // churned chunks move: the delta.
+            ChunkStageTally tally = co_await stageChunks(
+                ctx.sim, m, ctx.stagedChunks, ctx.artifactStore,
+                artifactKey(st.profile.name).scope);
+            st.remoteStaged = true;
+            if (prev) {
+                ++st.stats.deltaRestages;
+                st.stats.deltaChunksUploaded += tally.uploaded;
+                st.stats.deltaBytesUploaded += tally.uploadedBytes;
+                st.stats.deltaChunksUnchanged +=
+                    tally.total - tally.uploaded;
+            }
+        }
+        if (prev) {
+            // The delta landed (or a concurrent pass staged it while
+            // this one was dispatched): release the previous version.
+            // Chunks carried over stay referenced by the new
+            // manifests; chunks only the old version used drop their
+            // last reference here.
+            ctx.stagedChunks.releaseManifest(prev->vmmState);
+            ctx.stagedChunks.releaseManifest(prev->ws);
+        }
+        if (!staged_here)
+            co_return;
+    }
+    if (preset.tiers == Tiers::LocalChain && ctx.reap.tieredFreshWorker) {
         // Model the next cold start on a worker with no local copy:
         // the remote tier is the only valid one until admission
         // re-populates the chain.
-        ctx.st.evictLocalArtifacts(ctx.fs);
+        st.evictLocalArtifacts(ctx.fs);
     }
 }
 
 sim::Task<void>
-TieredReapLoader::preRestore(LoadContext ctx)
+TieredLoader::preRestore(LoadContext ctx)
 {
-    // The VMM/device state follows the same tiering: local copies are
-    // deserialized in place; a fresh worker GETs the state object and
-    // lands it in the local file's cache pages (RemoteReap's path).
-    if (ctx.st.artifactsLocal)
+    // The VMM/device state follows the WS: a valid local copy is
+    // deserialized in place; otherwise it arrives from the store and
+    // lands in the local state file's cache pages, so the restore
+    // deserializes from memory rather than re-reading the disk.
+    if (preset.tiers == Tiers::LocalChain && ctx.st.artifactsLocal)
         co_return;
-    co_await RemoteReapLoader::preRestore(ctx);
+    if (chunked(ctx)) {
+        // Batched compressed chunk GETs, minus the worker's
+        // chunk-cache holdings.
+        auto state = chunkSource(ctx, &vmm::SnapshotManifests::vmmState);
+        co_await state->readAll();
+    } else {
+        co_await ctx.artifactStore.get(ctx.vmmParams.vmmStateSize,
+                                       artifactKey(ctx.st.profile.name));
+    }
+    co_await ctx.fs.writeBuffered(ctx.st.snapshot.vmmState, 0,
+                                  ctx.vmmParams.vmmStateSize);
 }
 
 sim::Task<void>
-TieredReapLoader::fetchWs(LoadContext &ctx,
-                          mem::PageFetchPipeline &pipeline, Bytes len,
-                          Duration *out)
+TieredLoader::fetchWs(LoadContext &ctx, mem::PageFetchPipeline &pipeline,
+                      Bytes len, Duration *out)
 {
-    co_await pipeline.fetchWindowedTimed(0, len,
-                                         ctx.reap.tieredWindowBytes,
-                                         ctx.reap.tieredInFlight, out);
-    promoteArtifactsLocal(ctx, pipeline, len);
-}
+    if (preset.priority == Priority::Background) {
+        co_await pipeline.fetchBackgroundTimed(0, len, ctx.reap.bgWarmPace,
+                                               out);
+    } else {
+        // With no tier to admit into, the WS arrives as one bulk GET
+        // (a window of -1 is the contiguous shape).
+        Bytes window =
+            preset.tiers == Tiers::None ? -1 : ctx.reap.tieredWindowBytes;
+        co_await pipeline.fetchWindowedTimed(0, len, window,
+                                             ctx.reap.tieredInFlight, out);
+    }
 
-void
-TieredReapLoader::promoteArtifactsLocal(LoadContext &ctx,
-                                        mem::PageFetchPipeline &pipeline,
-                                        Bytes len)
-{
     // The worker holds a complete local copy only when admission put
     // one there: every byte of this fetch must have come from the
     // remote tier AND been admitted on the way through. A fetch
@@ -515,7 +633,7 @@ TieredReapLoader::promoteArtifactsLocal(LoadContext &ctx,
     // nothing at all.
     if (ctx.st.artifactsLocal || !ctx.reap.tieredAdmitOnMiss ||
         !ctx.reap.tieredLocalTier)
-        return;
+        co_return;
     bool remote_all = false;
     Bytes admitted = 0;
     for (const auto &t : pipeline.stats().tiers) {
@@ -528,184 +646,6 @@ TieredReapLoader::promoteArtifactsLocal(LoadContext &ctx,
     }
     if (remote_all && admitted >= len)
         ctx.st.artifactsLocal = true;
-}
-
-// ---------------------------------------------------------- DedupReap
-
-namespace {
-
-/**
- * Chunked remote backstop over the function's WS manifest, pinned
- * against a concurrent invalidateRecord(). Shared by DedupReap and
- * BackgroundWarm (which keeps the chunked path for content-addressed
- * functions).
- */
-std::unique_ptr<mem::PageSource>
-chunkedBackstop(const LoadContext &ctx)
-{
-    VHIVE_ASSERT(ctx.st.manifests != nullptr);
-    auto src = std::make_unique<mem::ChunkPageSource>(
-        ctx.sim, ctx.artifactStore, ctx.st.manifests->ws,
-        &ctx.localChunks, chunkParams(ctx.reap), &ctx.chunkFlights,
-        artifactKey(ctx).scope);
-    // An invalidateRecord() or re-record while this cold start is in
-    // flight drops the function's manifests; the source must outlive
-    // that release.
-    src->retain(ctx.st.manifests);
-    return src;
-}
-
-/**
- * Chunked VMM-state transfer: the state manifest's chunks arrive as
- * batched compressed GETs (minus the worker's chunk-cache holdings)
- * and land in the local state file. Shared for the same reason.
- */
-sim::Task<void>
-chunkedStateRestore(LoadContext ctx)
-{
-    VHIVE_ASSERT(ctx.st.manifests != nullptr);
-    // Pinned: a concurrent invalidateRecord() must not free the
-    // manifest mid-read.
-    auto pinned = ctx.st.manifests;
-    mem::ChunkPageSource state_src(ctx.sim, ctx.artifactStore,
-                                   pinned->vmmState,
-                                   &ctx.localChunks,
-                                   chunkParams(ctx.reap),
-                                   &ctx.chunkFlights,
-                                   artifactKey(ctx).scope);
-    co_await state_src.readAll();
-    co_await ctx.fs.writeBuffered(ctx.st.snapshot.vmmState, 0,
-                                  ctx.vmmParams.vmmStateSize);
-}
-
-} // namespace
-
-std::unique_ptr<mem::PageSource>
-DedupReapLoader::makeBackstop(LoadContext &ctx) const
-{
-    return chunkedBackstop(ctx);
-}
-
-sim::Task<void>
-DedupReapLoader::ensureStaged(LoadContext ctx)
-{
-    const vmm::SnapshotManifests &m =
-        ensureManifests(ctx.st, ctx.reap, ctx.vmmParams);
-    // Keep m alive across the staging awaits even if a concurrent
-    // invalidateRecord() drops the function's reference.
-    auto pinned = ctx.st.manifests;
-    // Claim the previous version's manifests (delta re-record) before
-    // the first suspension point, so a concurrent second staging pass
-    // cannot release them twice. Their staged-chunk references stay
-    // held until staging below completes.
-    auto prev = std::move(ctx.st.prevManifests);
-    if (ctx.st.remoteStaged) {
-        if (prev) {
-            // Staged concurrently while we were dispatched: the
-            // winner already released (or inherited) nothing — these
-            // references are ours to drop.
-            ctx.stagedChunks.releaseManifest(prev->vmmState);
-            ctx.stagedChunks.releaseManifest(prev->ws);
-        }
-        co_return;
-    }
-    // Chunk-level staging: upload only chunks the staged index has
-    // not seen — cross-function duplicates (and in-artifact repeats)
-    // are referenced, not re-uploaded, and travel compressed. On a
-    // re-record the previous version's references are still live, so
-    // unchanged chunks dedup-hit here and only churned chunks move:
-    // the delta.
-    std::int64_t uploaded = 0;
-    std::int64_t unchanged = 0;
-    Bytes uploaded_bytes = 0;
-    for (const storage::ChunkManifest *man : {&m.vmmState, &m.ws}) {
-        for (const storage::ChunkRef &c : man->chunks) {
-            if (ctx.stagedChunks.addRef(c, ctx.sim.now())) {
-                ++uploaded;
-                uploaded_bytes += c.storedBytes;
-                co_await ctx.artifactStore.putChunk(
-                    c.storedBytes, {c.hash, artifactKey(ctx).scope});
-            } else {
-                ++unchanged;
-            }
-        }
-    }
-    ctx.st.remoteStaged = true;
-    if (prev) {
-        // The delta landed: release the previous version. Chunks
-        // carried over stay referenced by the new manifests; chunks
-        // only the old version used drop their last reference here.
-        ++ctx.st.stats.deltaRestages;
-        ctx.st.stats.deltaChunksUploaded += uploaded;
-        ctx.st.stats.deltaBytesUploaded += uploaded_bytes;
-        ctx.st.stats.deltaChunksUnchanged += unchanged;
-        ctx.stagedChunks.releaseManifest(prev->vmmState);
-        ctx.stagedChunks.releaseManifest(prev->ws);
-    }
-    if (ctx.reap.tieredFreshWorker) {
-        // Same fresh-worker model as TieredReap: the first cold start
-        // after staging pays the (chunked) remote path.
-        ctx.st.evictLocalArtifacts(ctx.fs);
-    }
-}
-
-sim::Task<void>
-DedupReapLoader::preRestore(LoadContext ctx)
-{
-    // The serialized VMM/device state follows the chunked path too:
-    // local copies deserialize in place; otherwise its manifest chunks
-    // arrive as batched compressed GETs (minus what the worker's chunk
-    // cache already holds) and land in the local state file.
-    if (ctx.st.artifactsLocal)
-        co_return;
-    co_await chunkedStateRestore(ctx);
-}
-
-// ------------------------------------------------------ BackgroundWarm
-
-sim::Task<void>
-BackgroundWarmLoader::ensureStaged(LoadContext ctx)
-{
-    // Content-addressed functions were chunk-staged by the dedup
-    // loader or the fleet registry; blob staging would double-count
-    // the artifact bytes. Blob-addressed functions keep the tiered
-    // (blob) staging path.
-    if (ctx.st.manifests != nullptr)
-        co_return;
-    co_await TieredReapLoader::ensureStaged(ctx);
-}
-
-sim::Task<void>
-BackgroundWarmLoader::preRestore(LoadContext ctx)
-{
-    if (ctx.st.artifactsLocal)
-        co_return;
-    if (ctx.st.manifests != nullptr) {
-        co_await chunkedStateRestore(ctx);
-        co_return;
-    }
-    co_await TieredReapLoader::preRestore(ctx);
-}
-
-sim::Task<void>
-BackgroundWarmLoader::fetchWs(LoadContext &ctx,
-                              mem::PageFetchPipeline &pipeline,
-                              Bytes len, Duration *out)
-{
-    // The background shape: one window in flight, AIMD-sized, with a
-    // pacing pause between windows — warming cedes store streams and
-    // fabric to concurrent foreground cold starts.
-    co_await pipeline.fetchBackgroundTimed(0, len, ctx.reap.bgWarmPace,
-                                           out);
-    promoteArtifactsLocal(ctx, pipeline, len);
-}
-
-std::unique_ptr<mem::PageSource>
-BackgroundWarmLoader::makeBackstop(LoadContext &ctx) const
-{
-    if (ctx.st.manifests != nullptr)
-        return chunkedBackstop(ctx);
-    return TieredReapLoader::makeBackstop(ctx);
 }
 
 } // namespace vhive::core::loader

@@ -10,13 +10,22 @@
  *   ParallelPageFaults — buffered source, strided per-page workers
  *   WsFileCached       — buffered source, one contiguous WS read
  *   Reap               — direct (O_DIRECT) source, one contiguous read
- *   RemoteReap         — remote object source, bulk GETs (Sec. 7.1)
+ *
+ * The Sec. 7.1 remote modes are presets of one TieredLoader, each a
+ * (tiers, backstop, priority) choice:
+ *
+ *   RemoteReap         — no local tier, blob backstop, foreground
+ *   TieredReap         — page cache -> SSD, blob backstop, foreground
+ *   DedupReap          — page cache -> SSD, chunked backstop, foreground
+ *   BackgroundWarm     — page cache -> SSD, chunked iff manifests,
+ *                        background
  */
 
 #ifndef VHIVE_CORE_LOADER_BUILTIN_LOADERS_HH
 #define VHIVE_CORE_LOADER_BUILTIN_LOADERS_HH
 
 #include <memory>
+#include <string>
 
 #include "core/loader/loader.hh"
 #include "mem/page_fetch.hh"
@@ -86,20 +95,20 @@ class PrefetchLoader : public SnapshotLoader
     virtual bool supportsOverlap() const { return false; }
 
     /**
-     * One-time staging before timing starts (RemoteReap uploads the
-     * snapshot artifacts to the object store). Default: no-op.
+     * One-time staging before timing starts (the remote modes upload
+     * the snapshot artifacts to the store). Default: no-op.
      */
     virtual sim::Task<void> ensureStaged(LoadContext ctx);
 
     /**
      * Work on the restore critical path before the local VMM-state
-     * load (RemoteReap downloads the state object). Default: no-op.
+     * load (the remote modes download the state). Default: no-op.
      */
     virtual sim::Task<void> preRestore(LoadContext ctx);
 
     /**
      * The non-interleaved WS fetch shape. Default: one contiguous
-     * read of [0, len). TieredReap overrides with the windowed shape.
+     * read of [0, len).
      */
     virtual sim::Task<void> fetchWs(LoadContext &ctx,
                                     mem::PageFetchPipeline &pipeline,
@@ -150,14 +159,83 @@ class ReapLoader final : public PrefetchLoader
 };
 
 /**
- * Sec. 7.1: REAP with snapshot artifacts in remote object storage.
- * The VMM state and WS file arrive as bulk GETs; the first use stages
- * the artifacts into the store (off the timed path).
+ * The three choices a TieredLoader is built from, fixed when the
+ * LoaderRegistry registers a remote mode (see tieredPreset()).
+ *
+ * Tiers: None serves the WS from the backstop in one bulk GET and
+ * always fetches the VMM state remotely. LocalChain walks page cache
+ * -> local SSD first (tieredPageCacheTier / tieredLocalTier) with
+ * warm-tier admission; staging models a fresh worker
+ * (tieredFreshWorker) and a valid local copy skips the state fetch.
+ *
+ * Backstop: Blob is one staged object (one put(), bulk or ranged
+ * GETs). Chunked is content-addressed ("How Low Can You Go?",
+ * arXiv:2109.13319): each distinct chunk staged once, fetched as
+ * batched compressed GETs, served from the worker chunk cache when
+ * any function already pulled it. ChunkedIfManifest is Chunked when
+ * the function has manifests — staged by the dedup path, never here —
+ * else Blob.
+ *
+ * Priority: Foreground fetches tieredInFlight windows of
+ * tieredWindowBytes at once; Background (Sec. 6.3 warming) keeps one
+ * AIMD-sized window in flight, paced by bgWarmPace, so warming yields
+ * the fabric to foreground cold starts.
  */
-class RemoteReapLoader : public PrefetchLoader
+struct TieredPreset
+{
+    enum class Tiers { None, LocalChain };
+    enum class Backstop { Blob, Chunked, ChunkedIfManifest };
+    enum class Priority { Foreground, Background };
+
+    Tiers tiers;
+    Backstop backstop;
+    Priority priority;
+};
+
+/** Register one TieredLoader per remote preset. */
+void registerTieredLoaders(LoaderRegistry &registry);
+
+/** The preset behind @p mode; nullptr for modes that stay local. */
+const TieredPreset *tieredPreset(ColdStartMode mode);
+
+/**
+ * The preset of @p mode when a fleet registry can stage its artifacts
+ * once for every worker, which needs a fixed artifact format (a Blob
+ * or Chunked backstop). Fatal for any other mode.
+ */
+const TieredPreset &sharedStagingPreset(ColdStartMode mode);
+
+/**
+ * The mode control-plane pre-warms run in for a fleet in @p mode:
+ * remote modes warm at background priority, local modes as
+ * themselves.
+ */
+ColdStartMode preWarmModeFor(ColdStartMode mode);
+
+/**
+ * Placement key for @p function's artifacts: content and scope are
+ * both the function-name hash, so blob artifacts hash-place per
+ * function and chunk uploads carry the owning function as scope for
+ * overlap-aware co-location. Unsharded stores ignore it.
+ */
+net::PlacementKey artifactKey(const std::string &function);
+
+/** Client-side chunk transfer costs from the ReapOptions knobs. */
+mem::ChunkSourceParams chunkParams(const ReapOptions &reap);
+
+/**
+ * The Sec. 7.1 remote cold-start family as one loader: REAP with the
+ * snapshot artifacts in a remote store, pulled through zero or more
+ * local tiers. The first use stages the artifacts into the store, off
+ * the timed path. Per-tier hit/byte/latency accounting lands in
+ * LatencyBreakdown::tierHits.
+ */
+class TieredLoader final : public PrefetchLoader
 {
   public:
-    const char *name() const override { return "reap-remote"; }
+    TieredLoader(ColdStartMode mode, TieredPreset preset);
+
+    const char *name() const override;
 
   protected:
     std::unique_ptr<mem::PageSource>
@@ -165,95 +243,19 @@ class RemoteReapLoader : public PrefetchLoader
     bool supportsOverlap() const override { return true; }
     sim::Task<void> ensureStaged(LoadContext ctx) override;
     sim::Task<void> preRestore(LoadContext ctx) override;
-};
-
-/**
- * REAP over a tiered fallback chain (page cache -> local SSD -> remote
- * object store) with warm-tier admission and a windowed remote fetch
- * (ReapOptions::tieredWindowBytes / tieredInFlight in-flight ranged
- * GETs). Per-tier hit/byte/latency accounting lands in
- * LatencyBreakdown::tierHits. Shares RemoteReapLoader's staging and
- * VMM-state transfer; the local tiers short-circuit both when a valid
- * local copy exists.
- */
-class TieredReapLoader : public RemoteReapLoader
-{
-  public:
-    const char *name() const override { return "reap-tiered"; }
-
-  protected:
-    std::unique_ptr<mem::PageSource>
-    makeSource(LoadContext &ctx) const override;
-    sim::Task<void> ensureStaged(LoadContext ctx) override;
-    sim::Task<void> preRestore(LoadContext ctx) override;
     sim::Task<void> fetchWs(LoadContext &ctx,
                             mem::PageFetchPipeline &pipeline, Bytes len,
                             Duration *out) override;
 
-    /**
-     * The chain's always-holds backstop (lowest tier). Default: bulk
-     * object GETs (RemoteObjectSource); DedupReap swaps in the
-     * chunked source.
-     */
-    virtual std::unique_ptr<mem::PageSource>
-    makeBackstop(LoadContext &ctx) const;
+  private:
+    /** Whether this cold start uses the chunked backstop. */
+    bool chunked(const LoadContext &ctx) const;
 
-    /**
-     * Post-fetch bookkeeping shared by the tiered fetch shapes: mark
-     * the worker's artifact copy local when the whole fetch came from
-     * the remote tier and admission re-localized every byte.
-     */
-    static void promoteArtifactsLocal(LoadContext &ctx,
-                                      mem::PageFetchPipeline &pipeline,
-                                      Bytes len);
-};
+    /** The chain's always-holds lowest tier. */
+    std::unique_ptr<mem::PageSource> makeBackstop(LoadContext &ctx) const;
 
-/**
- * TieredReap over the content-addressed artifact layer: the remote
- * backstop is a mem::ChunkPageSource mapping WS byte ranges onto the
- * function's chunk manifest. Staging uploads each *distinct* chunk
- * once (cross-function dedup against the staged-chunk index), cold
- * starts transfer compressed chunk bytes as batched ranged GETs, and
- * chunks resident in the worker's cache — pulled by any function —
- * cost only a local copy. The VMM-state artifact follows the same
- * chunked path.
- */
-class DedupReapLoader final : public TieredReapLoader
-{
-  public:
-    const char *name() const override { return "reap-dedup"; }
-
-  protected:
-    sim::Task<void> ensureStaged(LoadContext ctx) override;
-    sim::Task<void> preRestore(LoadContext ctx) override;
-    std::unique_ptr<mem::PageSource>
-    makeBackstop(LoadContext &ctx) const override;
-};
-
-/**
- * The Sec. 6.3 background working-set warming loader: the tiered cold
- * path with the WS fetch at background priority — sequential paced
- * AIMD windows (PageFetchPipeline::fetchBackground) instead of N
- * concurrent ones — so warming yields fabric headroom to foreground
- * cold starts. Content-addressed functions (a chunk manifest exists)
- * keep their chunked backstop and VMM-state path; staging is then the
- * dedup/registry path's job and is never re-done here. The control
- * plane uses this mode as its pre-warm vehicle (InvokeOptions::
- * warmupOnly), and it works standalone as a ColdStartMode.
- */
-class BackgroundWarmLoader final : public TieredReapLoader
-{
-  public:
-    const char *name() const override { return "bg-warm"; }
-
-  protected:
-    sim::Task<void> ensureStaged(LoadContext ctx) override;
-    sim::Task<void> preRestore(LoadContext ctx) override;
-    sim::Task<void> fetchWs(LoadContext &ctx,
-                            mem::PageFetchPipeline &pipeline, Bytes len,
-                            Duration *out) override;
-    std::unique_ptr<mem::PageSource>
-    makeBackstop(LoadContext &ctx) const override;
+    ColdStartMode mode;
+    TieredPreset preset;
 };
 
 } // namespace vhive::core::loader

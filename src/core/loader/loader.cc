@@ -16,14 +16,7 @@ LoaderRegistry::LoaderRegistry()
     registerLoader(ColdStartMode::WsFileCached,
                    std::make_unique<WsFileCachedLoader>());
     registerLoader(ColdStartMode::Reap, std::make_unique<ReapLoader>());
-    registerLoader(ColdStartMode::RemoteReap,
-                   std::make_unique<RemoteReapLoader>());
-    registerLoader(ColdStartMode::TieredReap,
-                   std::make_unique<TieredReapLoader>());
-    registerLoader(ColdStartMode::DedupReap,
-                   std::make_unique<DedupReapLoader>());
-    registerLoader(ColdStartMode::BackgroundWarm,
-                   std::make_unique<BackgroundWarmLoader>());
+    registerTieredLoaders(*this);
     _recordLoader = std::make_unique<RecordLoader>();
 }
 

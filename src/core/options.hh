@@ -179,9 +179,7 @@ struct ReapOptions
     /**
      * Window size for the tiered WS fetch. 0 = adaptive: the pipeline
      * AIMD-sizes windows from observed per-GET rtt/bandwidth
-     * (PageFetchPipeline's adaptive mode). For one bulk read, use a
-     * window >= the working-set size (the single-GET RemoteReap
-     * shape).
+     * (PageFetchPipeline's adaptive mode); -1 = one bulk read.
      */
     Bytes tieredWindowBytes = 1 * kMiB;
 
@@ -338,7 +336,7 @@ struct LatencyBreakdown
 
     /**
      * Per-tier WS-fetch accounting; populated only by loaders whose
-     * PageSource is a tiered fallback chain (TieredReap).
+     * PageSource is a tiered fallback chain.
      */
     std::vector<TierBreakdown> tierHits;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/loader/builtin_loaders.hh"
 #include "mem/page_fetch.hh"
 #include "util/logging.hh"
 
@@ -715,14 +716,10 @@ Orchestrator::backgroundPrefetch(const std::string &name,
         // Content-addressed path: paced background fetch of every WS
         // chunk neither resident nor in flight, admitted into the
         // worker chunk cache where the next cold start finds them.
-        mem::ChunkSourceParams p;
-        p.decompressBandwidth = reap.chunkDecompressBandwidth;
-        p.perChunkDecompress = reap.chunkDecompressOverhead;
-        p.batchChunks = reap.chunkBatch;
-        std::uint64_t scope = net::placementScope(name);
         mem::ChunkPageSource src(sim, artifactStore, st.manifests->ws,
-                                 &_localChunks, p, &_chunkFlights,
-                                 scope);
+                                 &_localChunks, loader::chunkParams(reap),
+                                 &_chunkFlights,
+                                 loader::artifactKey(name).scope);
         src.retain(st.manifests);
         moved = co_await src.prefetchMissing(reap.bgWarmPace,
                                              pin_until);
@@ -731,9 +728,8 @@ Orchestrator::backgroundPrefetch(const std::string &name,
         // in the local WS file (page cache + async writeback), the
         // same admission a tiered cold start would have paid on the
         // critical path.
-        std::uint64_t h = net::placementScope(name);
         mem::RemoteObjectSource remote(artifactStore,
-                                       net::PlacementKey{h, h});
+                                       loader::artifactKey(name));
         mem::PageFetchPipeline pipeline(sim, remote);
         Bytes len = st.record.wsFileBytes();
         co_await pipeline.fetchBackground(0, len, reap.bgWarmPace);
