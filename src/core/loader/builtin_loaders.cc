@@ -370,9 +370,11 @@ chunkSource(const LoadContext &ctx,
 void
 registerTieredLoaders(LoaderRegistry &registry)
 {
-    for (const auto &entry : kTieredPresets)
-        registry.registerLoader(entry.mode, std::make_unique<TieredLoader>(
-                                                entry.mode, entry.preset));
+    for (const auto &entry : kTieredPresets) {
+        registry.registerLoader(
+            entry.mode,
+            std::make_unique<TieredLoader>(entry.mode, entry.preset));
+    }
 }
 
 const TieredPreset *

@@ -380,21 +380,21 @@ Orchestrator::stopInstance(FunctionState &st, size_t index)
     VHIVE_ASSERT(!inst.busy && !inst.stopping);
     if (inst.preWarmed)
         ++_wastedPreWarms;
+    std::uint64_t id = inst.id;
     if (inst.uffd && inst.monitor) {
         // Claim the instance before suspending: the warm paths skip a
         // stopping instance, so no invocation can start serving on it
-        // during the handshake. Other instances may come and go
-        // meanwhile, so re-locate it by id afterwards.
+        // during the handshake.
         inst.stopping = true;
-        std::uint64_t id = inst.id;
         inst.uffd->sendShutdown();
         co_await inst.monitor->doneGate().wait();
-        index = 0;
-        while (st.instances[index]->id != id)
-            ++index;
     }
-    st.instances.erase(st.instances.begin() +
-                       static_cast<std::ptrdiff_t>(index));
+    // Other instances may have come and gone during the handshake:
+    // re-locate this one by id.
+    auto it = std::find_if(st.instances.begin(), st.instances.end(),
+                           [id](const auto &i) { return i->id == id; });
+    VHIVE_ASSERT(it != st.instances.end());
+    st.instances.erase(it);
 }
 
 sim::Task<void>

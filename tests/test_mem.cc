@@ -280,7 +280,7 @@ TEST(Uffd, CopyCostBatches)
 
 /**
  * A three-tier fallback chain over one WS-like file and a remote
- * store, mirroring what TieredReapLoader builds: page cache (gated on
+ * store, mirroring what TieredLoader builds: page cache (gated on
  * cache residency), local SSD (gated on @p localValid), remote
  * backstop. Admission lands remote bytes in the file's cache pages.
  */
