@@ -21,7 +21,11 @@
  *   - fleet_digests.txt: ParallelFleetResult::digest() of the shared
  *     tiered, shared dedup and traffic-driven fleets, plus exact
  *     FleetStats of sequential Cluster runs with registry staging, a
- *     delta restage and a full retire.
+ *     delta restage and a full retire;
+ *   - trace_digests.txt: FNV digests of the synthesized access traces
+ *     (invocations 0-15 and boot) of every FunctionBench profile, one
+ *     draw per SeBS function class and one traffic-population
+ *     profile, so trace-synthesis rewrites prove bit-identity.
  * Each regenerates alone, e.g.
  *   VHIVE_UPDATE_GOLDEN=1 ./test_golden --gtest_filter='*RemotePresets*'
  */
@@ -44,6 +48,7 @@
 #include "core/options.hh"
 #include "core/worker.hh"
 #include "func/profile.hh"
+#include "func/trace_gen.hh"
 #include "net/object_store.hh"
 #include "sim/fault.hh"
 #include "sim/simulation.hh"
@@ -520,6 +525,75 @@ TEST(GoldenTrace, FleetDigestsMatchCheckedInBaseline)
 {
     expectGolden("fleet_digests.txt",
                  renderFleetDigests() + renderClusterStagings());
+}
+
+// -------------------------------------------------- trace digests
+
+/** FNV-1a accumulation of one 64-bit quantity. */
+void
+fnvMix(std::uint64_t &h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (i * 8)) & 0xff;
+        h *= 1099511628211ull;
+    }
+}
+
+void
+appendTrace(std::ostringstream &out, const std::string &label,
+            const func::InvocationTrace &t)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const auto &r : t.runs) {
+        fnvMix(h, static_cast<std::uint64_t>(r.page));
+        fnvMix(h, static_cast<std::uint64_t>(r.pages));
+        fnvMix(h, static_cast<std::uint64_t>(r.computeAfter));
+        fnvMix(h, static_cast<std::uint64_t>(r.phase));
+        fnvMix(h, r.stable ? 1 : 0);
+    }
+    fnvMix(h, static_cast<std::uint64_t>(t.stablePageCount));
+    fnvMix(h, static_cast<std::uint64_t>(t.uniquePageCount));
+    char digest[32];
+    std::snprintf(digest, sizeof digest, "%016llx",
+                  static_cast<unsigned long long>(h));
+    out << " " << label << " runs=" << t.runs.size()
+        << " stable=" << t.stablePageCount
+        << " unique=" << t.uniquePageCount << " digest=" << digest
+        << "\n";
+}
+
+/**
+ * Invocations 0-15 and the boot trace of every FunctionBench profile,
+ * one makeClassProfile draw per SeBS class and one TrafficEngine
+ * population profile, under the default worker seed.
+ */
+std::string
+renderTraceDigests()
+{
+    std::vector<func::FunctionProfile> profiles = func::functionBench();
+    for (func::FunctionClass cls :
+         {func::FunctionClass::MlInference, func::FunctionClass::Media,
+          func::FunctionClass::Etl})
+        profiles.push_back(func::makeClassProfile(cls, 0x5eb5, 1));
+    cluster::TrafficConfig tc;
+    tc.functions = 4;
+    profiles.push_back(cluster::TrafficEngine(tc).profile(2));
+
+    func::TraceGenerator gen(WorkerConfig{}.seed);
+    std::ostringstream out;
+    for (const auto &p : profiles) {
+        out << "profile=" << p.name << "\n";
+        for (std::int64_t id = 0; id < 16; ++id)
+            appendTrace(out, "inv" + std::to_string(id),
+                        gen.invocation(p, id));
+        appendTrace(out, "boot", gen.boot(p));
+    }
+    return out.str();
+}
+
+TEST(GoldenTrace, TraceDigestsMatchCheckedInBaseline)
+{
+    expectGolden("trace_digests.txt", renderTraceDigests());
 }
 
 } // namespace
