@@ -175,14 +175,16 @@ PrefetchLoader::installWorkingSet(LoadContext &ctx)
                                st.record.pageCount());
         ++st.stats.layoutRerandomizations;
     }
-    auto sorted = st.record.sortedPages();
+    // installRange is idempotent and order-free, so the record's
+    // ascending runs install in record order, duplicates and all.
+    const auto &pages = st.record.pages;
     size_t i = 0;
-    while (i < sorted.size()) {
+    while (i < pages.size()) {
         size_t j = i + 1;
-        while (j < sorted.size() && sorted[j] == sorted[j - 1] + 1)
+        while (j < pages.size() && pages[j] == pages[j - 1] + 1)
             ++j;
         inst.vm->guestMemory().installRange(
-            sorted[i], static_cast<std::int64_t>(j - i));
+            pages[i], static_cast<std::int64_t>(j - i));
         i = j;
     }
 }

@@ -309,7 +309,7 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
     inst.lastUsedAt = sim.now();
     bd.wastedPrefetch =
         st.recorded && bd.prefetchedPages > 0
-            ? st.record.wastedAgainst(trace.touchedPages())
+            ? st.record.wastedAgainst(trace.touchedSet())
             : 0;
 
     if (!opts.keepWarm)

@@ -92,21 +92,12 @@ crc32(const std::uint8_t *data, size_t len)
     return c ^ 0xffffffffu;
 }
 
-std::vector<std::int64_t>
-WorkingSetRecord::sortedPages() const
-{
-    std::vector<std::int64_t> out = pages;
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 std::int64_t
-WorkingSetRecord::wastedAgainst(
-    const std::vector<std::int64_t> &touched) const
+WorkingSetRecord::wastedAgainst(const PageSet &touched) const
 {
     std::int64_t wasted = 0;
     for (std::int64_t p : pages)
-        if (!std::binary_search(touched.begin(), touched.end(), p))
+        if (!touched.contains(p))
             ++wasted;
     return wasted;
 }

@@ -17,6 +17,7 @@
 #include <optional>
 #include <vector>
 
+#include "util/page_set.hh"
 #include "util/units.hh"
 
 namespace vhive::core {
@@ -38,15 +39,11 @@ struct WorkingSetRecord
     /** Size of the WS file (one 4 KiB page per entry). */
     Bytes wsFileBytes() const { return pageCount() * kPageSize; }
 
-    /** Sorted copy of the page list (for set operations). */
-    std::vector<std::int64_t> sortedPages() const;
-
     /**
-     * Pages in this record missing from @p touched (sorted): the
-     * prefetched-but-unused "mispredictions" of Sec. 7.1.
+     * Record entries (duplicates included) missing from @p touched:
+     * the prefetched-but-unused "mispredictions" of Sec. 7.1.
      */
-    std::int64_t
-    wastedAgainst(const std::vector<std::int64_t> &touched) const;
+    std::int64_t wastedAgainst(const PageSet &touched) const;
 };
 
 /** Binary trace-file codec. */

@@ -1,10 +1,10 @@
 #include "func/trace_gen.hh"
 
 #include <algorithm>
-#include <set>
 #include <string>
 
 #include "util/logging.hh"
+#include "util/page_set.hh"
 #include "util/rng.hh"
 
 namespace vhive::func {
@@ -62,7 +62,7 @@ placeSequential(Rng &rng, std::int64_t base, std::int64_t total,
 Placement
 placeScattered(Rng &rng, std::int64_t base, std::int64_t region,
                std::int64_t total, double contig_mean, bool stable,
-               std::set<std::int64_t> &used)
+               PageSet &used)
 {
     Placement out;
     std::int64_t placed = 0;
@@ -74,20 +74,12 @@ placeScattered(Rng &rng, std::int64_t base, std::int64_t region,
         std::int64_t start =
             base + rng.uniformInt(0, std::max<std::int64_t>(
                                          1, region - len));
-        bool clash = false;
-        for (std::int64_t p = start; p < start + len; ++p) {
-            if (used.count(p)) {
-                clash = true;
-                break;
-            }
-        }
-        if (clash) {
+        if (used.intersects(start, len)) {
             if (++guard > 64 * total)
                 panic("unique-page placement cannot find free space");
             continue;
         }
-        for (std::int64_t p = start; p < start + len; ++p)
-            used.insert(p);
+        used.insertRange(start, len);
         out.runs.push_back({start, len, 0, Phase::Processing, stable});
         placed += len;
     }
@@ -107,6 +99,18 @@ InvocationTrace::touchedPages() const
     std::sort(pages.begin(), pages.end());
     pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
     return pages;
+}
+
+PageSet
+InvocationTrace::touchedSet() const
+{
+    std::int64_t end = 0;
+    for (const auto &r : runs)
+        end = std::max(end, r.page + r.pages);
+    PageSet set(end);
+    for (const auto &r : runs)
+        set.insertRange(r.page, r.pages);
+    return set;
 }
 
 ReuseStats
@@ -167,10 +171,9 @@ TraceGenerator::invocation(const FunctionProfile &profile,
                         profile.contiguityMean, Phase::Processing,
                         true);
 
-    std::set<std::int64_t> used;
+    PageSet used(total_vm_pages);
     for (const auto &r : common.runs)
-        for (std::int64_t p = r.page; p < r.page + r.pages; ++p)
-            used.insert(p);
+        used.insertRange(r.page, r.pages);
 
     // 2. Shape-shifted stable slice: depends on the input's shape.
     std::int64_t shift_base = common.cursorEnd + 64;
@@ -275,18 +278,16 @@ TraceGenerator::boot(const FunctionProfile &profile) const
     // Boot covers the whole stable pool (code and data that the
     // invocation later reuses)...
     InvocationTrace inv0 = invocation(profile, 0);
-    std::set<std::int64_t> used;
+    PageSet used(total_vm_pages);
     InvocationTrace trace;
+    std::int64_t covered = 0;
     for (const auto &r : inv0.runs) {
         if (!r.stable)
             continue;
         trace.runs.push_back(
             {r.page, r.pages, 0, Phase::Processing, true});
-        for (std::int64_t p = r.page; p < r.page + r.pages; ++p)
-            used.insert(p);
+        covered += used.insertRange(r.page, r.pages);
     }
-    std::int64_t covered =
-        static_cast<std::int64_t>(used.size());
 
     // ...plus everything only boot and init touch, swept in large
     // sequential chunks from the bottom of memory.
@@ -295,7 +296,8 @@ TraceGenerator::boot(const FunctionProfile &profile) const
     while (covered < boot_total && page < total_vm_pages) {
         std::int64_t len = 0;
         while (len < kBootRun && page + len < total_vm_pages &&
-               !used.count(page + len) && covered + len < boot_total) {
+               !used.contains(page + len) &&
+               covered + len < boot_total) {
             ++len;
         }
         if (len > 0) {

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "func/profile.hh"
+#include "util/page_set.hh"
 #include "util/units.hh"
 
 namespace vhive::func {
@@ -60,6 +61,9 @@ struct InvocationTrace
 
     /** Sorted, deduplicated list of touched pages. */
     std::vector<std::int64_t> touchedPages() const;
+
+    /** The touched pages as a bitmap, sized to the highest page. */
+    PageSet touchedSet() const;
 };
 
 /** Result of comparing the page sets of two invocations (Fig. 5). */

@@ -1,5 +1,6 @@
 #include "sim/frame_pool.hh"
 
+#include <mutex>
 #include <new>
 #include <vector>
 
@@ -38,14 +39,33 @@ struct Arena {
     FramePool::Stats stats;
 };
 
+/** Every arena ever created, guarded by its own mutex. */
+struct ArenaList {
+    std::mutex mu;
+    std::vector<Arena *> arenas;
+};
+
+Arena *
+newArena()
+{
+    // Never freed, and reachable from this static for the life of the
+    // process: a pool thread's arena stays listed after the thread
+    // exits, so LeakSanitizer sees it (and its slabs) as live.
+    static ArenaList *list = new ArenaList;
+    auto *a = new Arena;
+    std::lock_guard<std::mutex> lock(list->mu);
+    list->arenas.push_back(a);
+    return a;
+}
+
 Arena &
 arena()
 {
-    // Leaked on purpose: a frame allocated here may be released during
+    // Never freed: a frame allocated here may be released during
     // static or thread-local teardown in any order, so the arena must
-    // outlive every frame. One arena per thread; the OS reclaims it at
-    // process exit.
-    static thread_local Arena *a = new Arena;
+    // outlive every frame. One arena per thread; the OS reclaims them
+    // at process exit.
+    static thread_local Arena *a = newArena();
     return *a;
 }
 

@@ -13,8 +13,10 @@
  * ::operator new.
  *
  * The arena is per-thread (simulations are single-threaded; tests may
- * run sims on several threads) and intentionally leaked so frames can
- * be released during any static/thread teardown order. Free lists are
+ * run sims on several threads) and never freed so frames can be
+ * released during any static/thread teardown order; a process-wide
+ * list keeps every arena reachable after its thread exits, so leak
+ * checkers do not report pool threads' arenas. Free lists are
  * LIFO: the most recently freed frame — still cache-hot — is reused
  * first.
  */

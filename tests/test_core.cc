@@ -8,13 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "core/options.hh"
 #include "core/orchestrator.hh"
 #include "core/worker.hh"
 #include "core/ws_file.hh"
 #include "func/profile.hh"
+#include "func/trace_gen.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
+#include "util/page_set.hh"
+#include "util/rng.hh"
 #include "util/units.hh"
 
 namespace vhive::core {
@@ -199,37 +205,112 @@ TEST(TraceCodec, Crc32KnownVector)
               0xCBF43926u);
 }
 
+/** A PageSet holding exactly @p pages. */
+PageSet
+pagesOf(std::initializer_list<std::int64_t> pages)
+{
+    PageSet set;
+    for (std::int64_t p : pages)
+        set.insert(p);
+    return set;
+}
+
 TEST(WorkingSetRecord, WastedAgainst)
 {
     WorkingSetRecord r;
     r.pages = {1, 2, 3, 10, 11};
-    std::vector<std::int64_t> touched = {2, 3, 10, 50};
-    EXPECT_EQ(r.wastedAgainst(touched), 2); // pages 1 and 11
+    EXPECT_EQ(r.wastedAgainst(pagesOf({2, 3, 10, 50})), 2); // 1 and 11
     EXPECT_EQ(r.wsFileBytes(), 5 * kPageSize);
 }
 
 TEST(WorkingSetRecord, WastedAgainstEdgeCases)
 {
     WorkingSetRecord empty;
-    EXPECT_EQ(empty.wastedAgainst({}), 0);
-    EXPECT_EQ(empty.wastedAgainst({1, 2, 3}), 0);
+    EXPECT_EQ(empty.wastedAgainst(pagesOf({})), 0);
+    EXPECT_EQ(empty.wastedAgainst(pagesOf({1, 2, 3})), 0);
     EXPECT_EQ(empty.wsFileBytes(), 0);
 
     WorkingSetRecord r;
     r.pages = {5, 6, 7};
     // Nothing touched: the whole record was wasted.
-    EXPECT_EQ(r.wastedAgainst({}), 3);
+    EXPECT_EQ(r.wastedAgainst(pagesOf({})), 3);
     // Touched superset: nothing wasted.
-    EXPECT_EQ(r.wastedAgainst({4, 5, 6, 7, 8}), 0);
+    EXPECT_EQ(r.wastedAgainst(pagesOf({4, 5, 6, 7, 8})), 0);
     // Exact match.
-    EXPECT_EQ(r.wastedAgainst({5, 6, 7}), 0);
+    EXPECT_EQ(r.wastedAgainst(pagesOf({5, 6, 7})), 0);
 
     // Duplicate record entries each count against the touched set
     // (the WS file stores one copy per recorded fault).
     WorkingSetRecord dup;
     dup.pages = {3, 3, 9};
-    EXPECT_EQ(dup.wastedAgainst({3}), 1);  // only page 9 missing
-    EXPECT_EQ(dup.wastedAgainst({10}), 3); // both 3s and the 9
+    EXPECT_EQ(dup.wastedAgainst(pagesOf({3})), 1);  // only 9 missing
+    EXPECT_EQ(dup.wastedAgainst(pagesOf({10})), 3); // both 3s and the 9
+
+    // Record pages far past the touched set's storage are misses, not
+    // out-of-range reads.
+    WorkingSetRecord far;
+    far.pages = {2, 1 << 20};
+    EXPECT_EQ(far.wastedAgainst(pagesOf({2})), 1);
+}
+
+/**
+ * Property: on random records and traces, the bitmap waste count of a
+ * trace's touchedSet() equals a naive std::set count. Records mix
+ * trace pages, duplicates, pages outside every run and pages far past
+ * the traces' highest page; some records and traces are empty.
+ */
+TEST(WorkingSetRecord, WastedAgainstMatchesNaiveSetCount)
+{
+    Rng rng(13, "wasted-property");
+    for (int iter = 0; iter < 300; ++iter) {
+        func::InvocationTrace trace;
+        std::set<std::int64_t> touched;
+        std::int64_t n_runs = rng.uniformInt(0, 40);
+        for (std::int64_t i = 0; i < n_runs; ++i) {
+            std::int64_t page = rng.uniformInt(0, 5000);
+            std::int64_t len = rng.uniformInt(1, 70);
+            trace.runs.push_back({page, len});
+            for (std::int64_t p = page; p < page + len; ++p)
+                touched.insert(p);
+        }
+        std::vector<std::int64_t> from_trace(touched.begin(),
+                                             touched.end());
+
+        WorkingSetRecord r;
+        std::int64_t n_pages = iter % 10 == 0 ? 0 : rng.uniformInt(1, 200);
+        for (std::int64_t i = 0; i < n_pages; ++i) {
+            std::int64_t p;
+            switch (rng.uniformInt(0, 3)) {
+              case 0: // a touched page, if there is one
+                p = from_trace.empty()
+                        ? rng.uniformInt(0, 5000)
+                        : from_trace[static_cast<size_t>(rng.uniformInt(
+                              0, static_cast<std::int64_t>(
+                                     from_trace.size()) - 1))];
+                break;
+              case 1: // anywhere in the traces' range
+                p = rng.uniformInt(0, 5100);
+                break;
+              case 2: // beyond every run and the set's storage
+                p = rng.uniformInt(100000, 1 << 22);
+                break;
+              default: // duplicate an earlier entry
+                p = r.pages.empty()
+                        ? rng.uniformInt(0, 5100)
+                        : r.pages[static_cast<size_t>(rng.uniformInt(
+                              0, r.pageCount() - 1))];
+            }
+            r.pages.push_back(p);
+        }
+
+        std::int64_t naive = 0;
+        for (std::int64_t p : r.pages)
+            if (!touched.count(p))
+                ++naive;
+        PageSet set = trace.touchedSet();
+        EXPECT_EQ(set.size(), static_cast<std::int64_t>(touched.size()));
+        EXPECT_EQ(r.wastedAgainst(set), naive) << "iteration " << iter;
+    }
 }
 
 TEST(Orchestrator, RecordThenPrefetchEliminatesFaults)
@@ -599,14 +680,16 @@ TEST(Orchestrator, RerecordUsesNewInput)
         auto r1 = co_await orch.invoke("image_rotate",
                                        ColdStartMode::Reap, Opts{});
         EXPECT_TRUE(r1.recordPhase);
-        auto first = orch.record("image_rotate").sortedPages();
+        auto first = orch.record("image_rotate").pages;
+        std::sort(first.begin(), first.end());
 
         orch.invalidateRecord("image_rotate");
         orch.flushHostCaches();
         auto r2 = co_await orch.invoke("image_rotate",
                                        ColdStartMode::Reap, Opts{});
         EXPECT_TRUE(r2.recordPhase);
-        auto second = orch.record("image_rotate").sortedPages();
+        auto second = orch.record("image_rotate").pages;
+        std::sort(second.begin(), second.end());
         // Different inputs -> records differ in their unique parts.
         EXPECT_NE(first, second);
         EXPECT_EQ(orch.stats("image_rotate").recordPhases, 2);

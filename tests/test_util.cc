@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the util module: units, RNG determinism and
- * distribution shape, statistics containers, and the table printer.
+ * distribution shape, statistics containers, the table printer and
+ * the PageSet bitmap.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 
+#include "util/page_set.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
@@ -221,6 +224,60 @@ TEST(Table, IntegerCells)
     Table t({"a", "b"});
     t.row().cell(static_cast<std::int64_t>(7)).cell("x");
     EXPECT_NE(t.str().find("7"), std::string::npos);
+}
+
+TEST(PageSet, EmptyAndSinglePages)
+{
+    PageSet s;
+    EXPECT_EQ(s.size(), 0);
+    EXPECT_FALSE(s.contains(0));
+    EXPECT_FALSE(s.contains(1 << 30)); // never grown: not a member
+    EXPECT_FALSE(s.intersects(0, 1000));
+    EXPECT_TRUE(s.insert(63));
+    EXPECT_FALSE(s.insert(63));
+    EXPECT_TRUE(s.insert(64));
+    EXPECT_EQ(s.size(), 2);
+    EXPECT_TRUE(s.intersects(60, 4));
+    EXPECT_FALSE(s.intersects(0, 63));
+    EXPECT_FALSE(s.intersects(65, 0));
+    // A full word and runs spanning word boundaries.
+    EXPECT_EQ(s.insertRange(128, 64), 64);
+    EXPECT_EQ(s.insertRange(60, 10), 8);
+    EXPECT_EQ(s.size(), 74);
+    EXPECT_TRUE(s.contains(191));
+    EXPECT_FALSE(s.contains(192));
+}
+
+/**
+ * Property: random single inserts and runs, started inside the initial
+ * size and far past it (growth), answer contains/intersects/size and
+ * report newly added pages exactly as a std::set does.
+ */
+TEST(PageSet, MatchesStdSet)
+{
+    Rng rng(5, "page-set");
+    for (int iter = 0; iter < 200; ++iter) {
+        PageSet bits(iter % 2 ? 256 : 0);
+        std::set<std::int64_t> ref;
+        for (int op = 0; op < 60; ++op) {
+            std::int64_t limit = rng.uniformInt(0, 3) == 0 ? 40000 : 600;
+            std::int64_t page = rng.uniformInt(0, limit);
+            std::int64_t len = rng.uniformInt(0, 150);
+            std::int64_t fresh = 0;
+            bool hit = false;
+            for (std::int64_t p = page; p < page + len; ++p) {
+                hit = hit || ref.count(p);
+                fresh += ref.insert(p).second ? 1 : 0;
+            }
+            EXPECT_EQ(bits.intersects(page, len), hit);
+            EXPECT_EQ(bits.insertRange(page, len), fresh);
+            std::int64_t probe = rng.uniformInt(0, 2 * limit);
+            EXPECT_EQ(bits.contains(probe), ref.count(probe) == 1);
+        }
+        EXPECT_EQ(bits.size(), static_cast<std::int64_t>(ref.size()));
+        for (std::int64_t p : ref)
+            ASSERT_TRUE(bits.contains(p)) << p;
+    }
 }
 
 } // namespace
