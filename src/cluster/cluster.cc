@@ -42,25 +42,13 @@ struct InFlightGuard
 Cluster::Cluster(sim::Simulation &sim, ClusterConfig config)
     : sim(sim), cfg(std::move(config))
 {
-    VHIVE_ASSERT(cfg.workers >= 1);
-    if (cfg.sharedSnapshots) {
-        (void)core::loader::sharedStagingPreset(cfg.coldStartMode);
-        VHIVE_ASSERT(cfg.sharedStoreShards >= 1);
-        net::ShardedStoreParams sp;
-        sp.shards = cfg.sharedStoreShards;
-        sp.shard = cfg.sharedStore;
-        sp.placement = cfg.chunkPlacement;
-        _sharedStore =
-            std::make_unique<net::ShardedObjectStore>(sim, sp);
-    }
-    for (int i = 0; i < cfg.workers; ++i) {
-        core::WorkerConfig wc = cfg.worker;
-        // Each worker gets its own seed stream (distinct page layouts
-        // do not matter, but determinism across runs does).
-        wc.seed = cfg.worker.seed + static_cast<std::uint64_t>(i);
+    checkFleetConfig("Cluster", cfg, cfg.workers);
+    if (cfg.sharedSnapshots)
+        _sharedStore = std::make_unique<net::ShardedObjectStore>(
+            sim, cfg.sharedStoreParams());
+    for (int i = 0; i < cfg.workers; ++i)
         workers.push_back(std::make_unique<core::Worker>(
-            sim, wc, _sharedStore.get()));
-    }
+            sim, cfg.workerConfig(i), _sharedStore.get()));
     telemetry.resize(workers.size());
     if (cfg.sharedSnapshots) {
         _registry = std::make_unique<SnapshotRegistry>(
@@ -241,6 +229,7 @@ Cluster::invoke(const std::string &name)
     WorkerTelemetry &tele = telemetry[static_cast<size_t>(widx)];
     dep.lastUsed[static_cast<size_t>(widx)] = sim.now();
     dep.stats.e2eLatencyMs.add(toMs(e2e));
+    ++tally.invocations;
     if (bd.crashed) {
         // Retries exhausted: reported failed exactly once, counted in
         // neither coldStarts nor warmHits.
@@ -248,7 +237,8 @@ Cluster::invoke(const std::string &name)
     } else if (bd.cold) {
         ++dep.stats.coldStarts;
         ++tele.coldStarts;
-        fleetColdMs.add(toMs(e2e));
+        ++tally.coldStarts;
+        tally.coldE2eMs.add(toMs(e2e));
         for (const auto &t : bd.tierHits)
             mergeTierRow(tele.tierHits, t);
         tele.wastedPrefetchPages += bd.wastedPrefetch;
@@ -273,7 +263,8 @@ Cluster::invoke(const std::string &name)
     } else {
         ++dep.stats.warmHits;
         ++tele.warmHits;
-        fleetWarmMs.add(toMs(e2e));
+        ++tally.warmHits;
+        tally.warmE2eMs.add(toMs(e2e));
     }
     co_return e2e;
 }
@@ -341,40 +332,24 @@ Cluster::stats(const std::string &name) const
 FleetStats
 Cluster::fleetStats() const
 {
-    FleetStats fs;
+    FleetStats fs = tally;
     fs.workers = workerCount();
-    fs.coldE2eMs = fleetColdMs;
-    fs.warmE2eMs = fleetWarmMs;
     for (size_t i = 0; i < workers.size(); ++i) {
-        const WorkerTelemetry &tele = telemetry[i];
-        WorkerFleetRow row;
+        WorkerFleetRow row = telemetry[i];
         row.worker = static_cast<int>(i);
-        row.coldStarts = tele.coldStarts;
-        row.warmHits = tele.warmHits;
-        row.inFlightPeak = tele.inFlightPeak;
         row.residentBytes =
             workers[i]->orchestrator().totalResidentBytes();
-        row.tierHits = tele.tierHits;
-        row.wastedPrefetchPages = tele.wastedPrefetchPages;
         fs.residentBytes += row.residentBytes;
         fs.wastedPrefetchPages += row.wastedPrefetchPages;
-        for (const auto &t : tele.tierHits)
+        for (const auto &t : row.tierHits)
             mergeTierRow(fs.tierHits, t);
         fs.perWorker.push_back(std::move(row));
     }
-    fs.wastedResidentByteSec = _wastedResidentByteSec;
-    fs.idleWarmInstanceSec = _idleWarmInstanceSec;
     for (const auto &w : workers) {
         const auto &orch = w->orchestrator();
         fs.wastedPreWarms += orch.wastedPreWarms();
         fs.bgPrefetches += orch.backgroundPrefetches();
-        fs.pageCachePeakBytes += orch.tierBudget().peakResidentBytes();
-        fs.pageCacheEvictedBytes += orch.tierBudget().evictedBytes();
-        const auto &cc = orch.localChunkCache().stats();
-        fs.workerChunkPeakBytes += cc.peakStoredBytes;
-        fs.workerChunkBudgetEvictions += cc.budgetEvictions;
-        fs.ssdEvictions += orch.ssdEvictions();
-        fs.peakSsdBytes += orch.peakSsdBytes();
+        addWorkerEconomics(fs, orch);
         for (const auto &entry : deployments) {
             const core::FunctionStats &st = orch.stats(entry.first);
             fs.preWarms += st.preWarms;
@@ -399,21 +374,15 @@ Cluster::fleetStats() const
         fs.snapshotBuilds = _registry->totalBuilds();
         fs.stagedBytes = _registry->totalStagedBytes();
         fs.remoteArtifactFetches = _registry->totalRemoteFetches();
-        for (const auto &entry : deployments) {
-            if (_registry->isStaged(entry.first))
-                fs.fetchFanIn +=
-                    _registry->artifact(entry.first).fetchFanIn();
-        }
         if (_registry->chunked()) {
             const storage::ChunkStore &idx = _registry->chunkIndex();
             fs.chunkLogicalBytes = _registry->totalLogicalBytes();
             fs.chunkStoredBytes = idx.storedBytes();
-            fs.chunkDedupSavedBytes =
-                _registry->totalDedupSavedBytes();
+            fs.dedupSavedBytes = _registry->totalDedupSavedBytes();
             fs.chunksStored = idx.chunkCount();
             fs.chunksDeduped = idx.stats().dedupHits;
-            fs.chunkPeakStoredBytes = idx.stats().peakStoredBytes;
-            fs.chunkBudgetEvictions = idx.stats().budgetEvictions;
+            fs.fleetChunkPeakBytes = idx.stats().peakStoredBytes;
+            fs.fleetChunkBudgetEvictions = idx.stats().budgetEvictions;
         }
         fs.restages = _registry->totalRestages();
         for (const auto &entry : deployments) {
@@ -421,6 +390,7 @@ Cluster::fleetStats() const
                 continue;
             const StagedArtifact &art =
                 _registry->artifact(entry.first);
+            fs.fetchFanIn += art.fetchFanIn();
             fs.deltaChunksUploaded += art.deltaChunksUploaded;
             fs.deltaBytesUploaded += art.deltaBytesUploaded;
         }
@@ -446,10 +416,7 @@ Cluster::resetStats()
         tele.inFlight = in_flight;
         tele.inFlightPeak = in_flight;
     }
-    fleetColdMs.clear();
-    fleetWarmMs.clear();
-    _wastedResidentByteSec = 0;
-    _idleWarmInstanceSec = 0;
+    tally = FleetStats{};
 }
 
 sim::Task<void>
@@ -485,10 +452,8 @@ Cluster::controlTick()
     ControlTickContext ctx;
     ctx.now = sim.now();
     ctx.workers = workerCount();
-    ctx.coldP99Ms =
-        fleetColdMs.count() > 0 ? fleetColdMs.percentile(99) : 0.0;
-    for (const auto &tele : telemetry)
-        ctx.coldStarts += tele.coldStarts;
+    ctx.coldP99Ms = tally.coldE2eMs.count() > 0 ? tally.coldP99() : 0.0;
+    ctx.coldStarts = tally.coldStarts;
     for (const auto &entry : deployments) {
         ControlFunctionView v;
         v.name = entry.first;
@@ -538,9 +503,9 @@ Cluster::janitor()
         double dt = static_cast<double>(cfg.scalePeriod) / 1e9;
         for (const auto &w : workers) {
             const auto &orch = w->orchestrator();
-            _wastedResidentByteSec +=
+            tally.wastedResidentByteSec +=
                 static_cast<double>(orch.idleResidentBytes()) * dt;
-            _idleWarmInstanceSec +=
+            tally.idleWarmInstanceSec +=
                 static_cast<double>(orch.idleInstanceTotal()) * dt;
         }
 
@@ -567,8 +532,10 @@ Cluster::janitor()
                     // invocations.
                     std::int64_t stopped =
                         co_await orch.stopIdleInstances(entry.first);
-                    if (stopped > 0)
+                    if (stopped > 0) {
                         ++dep.stats.scaleDowns;
+                        ++tally.scaleDowns;
+                    }
                 }
             }
         }

@@ -25,9 +25,7 @@
 #include "cluster/fleet_stats.hh"
 #include "cluster/routing_policy.hh"
 #include "cluster/snapshot_registry.hh"
-#include "core/options.hh"
 #include "core/worker.hh"
-#include "net/object_store.hh"
 #include "net/sharded_store.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
@@ -36,26 +34,11 @@
 
 namespace vhive::cluster {
 
-/** Cluster-level configuration. */
-struct ClusterConfig
+/** Configuration of the sequential Cluster. */
+struct ClusterConfig : FleetConfig
 {
     /** Number of worker hosts. */
     int workers = 1;
-
-    /** Configuration applied to every worker. */
-    core::WorkerConfig worker{};
-
-    /**
-     * Idle-instance lifetime before deallocation (Sec. 2.1: providers
-     * use 8-20 minutes; default 10).
-     */
-    Duration keepAlive = sec(600);
-
-    /** How the workers start cold instances. */
-    core::ColdStartMode coldStartMode = core::ColdStartMode::Reap;
-
-    /** Autoscaler reconciliation period. */
-    Duration scalePeriod = sec(2);
 
     /**
      * Knative queue-proxy behaviour: at most this many in-flight
@@ -65,42 +48,6 @@ struct ClusterConfig
      */
     int maxConcurrencyPerFunction = 0;
 
-    /** Which RoutingPolicy the front-end dispatches through. */
-    RoutingPolicyKind routingPolicy = RoutingPolicyKind::WarmFirst;
-
-    /**
-     * Which predictive ControlPolicy the autoscaler runs each
-     * scalePeriod (pre-warming, chunk prefetch, scale hints). None
-     * (default) keeps the janitor's plain keep-alive sweep
-     * bit-identical to the historical behaviour.
-     */
-    ControlPolicyKind controlPolicy = ControlPolicyKind::None;
-
-    /**
-     * Cross-worker snapshot sharing (Sec. 7.1 at fleet scale): build
-     * each function's snapshot once on its home worker, stage the
-     * artifacts into one fleet-shared object store, and let every
-     * other worker cold-start through the remote tier instead of
-     * rebuilding. Requires a remote-capable cold-start mode
-     * (TieredReap or RemoteReap). Off by default: per-worker staging,
-     * bit-identical to the historical behaviour.
-     */
-    bool sharedSnapshots = false;
-
-    /** Parameters of the fleet-shared store (sharedSnapshots only). */
-    net::ObjectStoreParams sharedStore = net::ObjectStoreParams::remote();
-
-    /**
-     * Shards behind the fleet-shared store (sharedSnapshots only).
-     * Each shard has its own stream bound and stats; 1 keeps the
-     * historical single-store behaviour bit-identical.
-     */
-    int sharedStoreShards = 1;
-
-    /** How chunk uploads spread across shards (DedupReap staging). */
-    net::ChunkPlacementPolicy chunkPlacement =
-        net::ChunkPlacementPolicy::Hash;
-
     /**
      * Cold starts torn down by an injected WorkerCrash fault are
      * re-routed and retried up to this many times before the
@@ -108,20 +55,6 @@ struct ClusterConfig
      * is installed (installFaultPlan); fault-free runs never retry.
      */
     int maxColdStartRetries = 2;
-
-    /**
-     * Byte budget of the fleet staged-chunk index (sharedSnapshots +
-     * DedupReap; 0 = unlimited, the historical behaviour). Chunks a
-     * live manifest references are never evicted; the zero-ref pool
-     * retireFunction()/restage leave behind is what budget pressure
-     * reclaims. Worker-side budgets (page cache, chunk cache, local
-     * SSD) live in ReapOptions.
-     */
-    Bytes registryChunkBudget = 0;
-
-    /** Victim selection for the budgeted fleet chunk index. */
-    storage::EvictionPolicyKind registryEvictionPolicy =
-        storage::EvictionPolicyKind::Lru;
 };
 
 /** Per-function cluster-level statistics. */
@@ -295,15 +228,11 @@ class Cluster : private FleetView
         std::unique_ptr<sim::Semaphore> concurrency;
     };
 
-    /** Per-worker front-end telemetry feeding fleetStats(). */
-    struct WorkerTelemetry
+    /** Per-worker front-end telemetry: the fleetStats() row plus
+     * the live in-flight count. */
+    struct WorkerTelemetry : WorkerFleetRow
     {
-        std::int64_t coldStarts = 0;
-        std::int64_t warmHits = 0;
         std::int64_t inFlight = 0;
-        std::int64_t inFlightPeak = 0;
-        std::vector<core::TierBreakdown> tierHits;
-        std::int64_t wastedPrefetchPages = 0;
     };
 
     /** @name FleetView (the slice policies may consult). */
@@ -352,13 +281,12 @@ class Cluster : private FleetView
     /** Sweep rounds the janitor skips (positive ScaleHint). */
     int scaleHold = 0;
 
-    /** Satellite accounting integrated each scalePeriod. */
-    double _wastedResidentByteSec = 0;
-    double _idleWarmInstanceSec = 0;
+    /** What invoke() and the janitor accumulate: invocation counts,
+     * cold/warm latency samples and the waste integrals.
+     * fleetStats() completes a copy from the workers' state. */
+    FleetStats tally;
 
     std::vector<WorkerTelemetry> telemetry;
-    Samples fleetColdMs;
-    Samples fleetWarmMs;
     bool autoscalerRunning = false;
     bool autoscalerStopping = false;
 };

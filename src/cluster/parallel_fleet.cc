@@ -1,107 +1,23 @@
 #include "cluster/parallel_fleet.hh"
 
-#include <bit>
-
 #include "core/loader/builtin_loaders.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace vhive::cluster {
 
-namespace {
-
-/** FNV-1a accumulation of one 64-bit quantity. */
-void
-fnvMix(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= 1099511628211ull;
-    }
-}
-
-/** FNV-1a accumulation of one ObjectStoreStats row. */
-void
-fnvMixStats(std::uint64_t &h, const net::ObjectStoreStats &s)
-{
-    fnvMix(h, static_cast<std::uint64_t>(s.gets));
-    fnvMix(h, static_cast<std::uint64_t>(s.puts));
-    fnvMix(h, static_cast<std::uint64_t>(s.rangedGets));
-    fnvMix(h, static_cast<std::uint64_t>(s.bytesServed));
-    fnvMix(h, static_cast<std::uint64_t>(s.bytesStored));
-    fnvMix(h, static_cast<std::uint64_t>(s.chunkPuts));
-    fnvMix(h, static_cast<std::uint64_t>(s.chunkBatches));
-    fnvMix(h, static_cast<std::uint64_t>(s.chunksServed));
-    fnvMix(h, static_cast<std::uint64_t>(s.streamWaits));
-    fnvMix(h, static_cast<std::uint64_t>(s.streamWaitTime));
-    fnvMix(h, static_cast<std::uint64_t>(s.peakStreamQueue));
-    fnvMix(h, static_cast<std::uint64_t>(s.requestRetries));
-    fnvMix(h, static_cast<std::uint64_t>(s.outageStalls));
-}
-
-} // namespace
-
-std::uint64_t
-ParallelFleetResult::digest() const
-{
-    std::uint64_t h = 14695981039346656037ull;
-    fnvMix(h, static_cast<std::uint64_t>(invocations));
-    fnvMix(h, static_cast<std::uint64_t>(coldStarts));
-    fnvMix(h, static_cast<std::uint64_t>(warmHits));
-    fnvMix(h, static_cast<std::uint64_t>(scaleDowns));
-    fnvMix(h, static_cast<std::uint64_t>(preWarms));
-    fnvMix(h, static_cast<std::uint64_t>(preWarmHits));
-    fnvMix(h, static_cast<std::uint64_t>(eventsProcessed));
-    fnvMix(h, static_cast<std::uint64_t>(windows));
-    fnvMix(h, static_cast<std::uint64_t>(messages));
-    fnvMix(h, static_cast<std::uint64_t>(snapshotBuilds));
-    fnvMix(h, static_cast<std::uint64_t>(stagedBytes));
-    fnvMix(h, static_cast<std::uint64_t>(dedupSavedBytes));
-    fnvMix(h, static_cast<std::uint64_t>(chunksUploaded));
-    fnvMix(h, static_cast<std::uint64_t>(chunksDeduped));
-    fnvMix(h, static_cast<std::uint64_t>(remoteArtifactFetches));
-    fnvMix(h, static_cast<std::uint64_t>(bgPrefetches));
-    fnvMix(h, static_cast<std::uint64_t>(pageCachePeakBytes));
-    fnvMix(h, static_cast<std::uint64_t>(pageCacheEvictedBytes));
-    fnvMix(h, static_cast<std::uint64_t>(workerChunkPeakBytes));
-    fnvMix(h, static_cast<std::uint64_t>(workerChunkBudgetEvictions));
-    fnvMix(h, static_cast<std::uint64_t>(ssdEvictions));
-    fnvMix(h, static_cast<std::uint64_t>(peakSsdBytes));
-    fnvMix(h, static_cast<std::uint64_t>(fleetChunkPeakBytes));
-    fnvMix(h, static_cast<std::uint64_t>(fleetChunkBudgetEvictions));
-    fnvMixStats(h, store);
-    fnvMix(h, static_cast<std::uint64_t>(storeShards.size()));
-    for (const net::ObjectStoreStats &row : storeShards)
-        fnvMixStats(h, row);
-    for (const Samples *s : {&e2eLatencyMs, &coldE2eMs, &warmE2eMs}) {
-        fnvMix(h, static_cast<std::uint64_t>(s->count()));
-        for (double v : s->values())
-            fnvMix(h, std::bit_cast<std::uint64_t>(v));
-    }
-    return h;
-}
-
-ParallelFleetConfig
-ParallelFleet::checkedConfig(ParallelFleetConfig config)
-{
-    // Runs in the member-init list, before the kernel's thread pool
+ParallelFleet::ParallelFleet(ParallelFleetConfig config)
+    // Checked in the member-init list, before the kernel's thread pool
     // is constructed: an unsupported configuration exits cleanly
     // instead of tearing down live simulation threads.
-    if (config.sharedStoreShards < 1)
-        fatal("ParallelFleet: sharedStoreShards must be >= 1 (got %d)",
-              config.sharedStoreShards);
-    if (config.sharedSnapshots)
-        (void)core::loader::sharedStagingPreset(config.coldStartMode);
-    return config;
-}
-
-ParallelFleet::ParallelFleet(ParallelFleetConfig config)
-    : cfg(checkedConfig(std::move(config))),
+    : cfg([&] {
+          checkFleetConfig("ParallelFleet", config, config.workers,
+                           config.simThreads);
+          return std::move(config);
+      }()),
       kernel(cfg.workers + 1 + (cfg.sharedSnapshots ? 1 : 0),
              cfg.simThreads)
 {
-    VHIVE_ASSERT(cfg.workers >= 1);
-
     if (cfg.traffic) {
         // Traffic-driven mix: the engine's Zipf population, driven
         // open-loop (meanInterarrival unused on this path).
@@ -139,12 +55,8 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
         activeControl = &controlPolicies.policyFor(cfg.controlPolicy);
 
     if (cfg.sharedSnapshots) {
-        net::ShardedStoreParams sp;
-        sp.shards = cfg.sharedStoreShards;
-        sp.shard = cfg.sharedStore;
-        sp.placement = cfg.chunkPlacement;
         sharedStore = std::make_unique<net::ShardedObjectStore>(
-            kernel.sim(storeDomain()), sp);
+            kernel.sim(storeDomain()), cfg.sharedStoreParams());
         if (cfg.registryChunkBudget > 0)
             fleetChunks.setBudget(cfg.registryChunkBudget,
                                   cfg.registryEvictionPolicy,
@@ -167,9 +79,6 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
     nodes.reserve(static_cast<std::size_t>(cfg.workers));
     for (int w = 0; w < cfg.workers; ++w) {
         auto node = std::make_unique<WorkerNode>();
-        core::WorkerConfig wc = cfg.worker;
-        // Same per-worker seed derivation as cluster::Cluster.
-        wc.seed = cfg.worker.seed + static_cast<std::uint64_t>(w);
         node->fromControl =
             std::make_unique<sim::CrossPort<WorkerMsg>>(
                 kernel, kernel.domain(0), kernel.domain(1 + w),
@@ -196,7 +105,8 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
                 std::make_unique<sim::Gate>(kernel.sim(1 + w));
         }
         node->worker = std::make_unique<core::Worker>(
-            kernel.sim(1 + w), wc, node->storeClient.get());
+            kernel.sim(1 + w), cfg.workerConfig(w),
+            node->storeClient.get());
         node->lastUsed.assign(mix.size(), 0);
         if (!cfg.storeFaults.empty()) {
             // One plan per domain (FaultPlan is not thread-safe),
@@ -418,7 +328,7 @@ ParallelFleet::storeStage(StoreMsg msg)
     adopt->record = p.record;
     adopt->manifests = p.manifests;
 
-    ++stagingBuilds;
+    ++result.snapshotBuilds;
     if (p.manifests) {
         // Chunked staging: upload only chunks no earlier function
         // staged; duplicates are referenced in the fleet index and
@@ -426,10 +336,10 @@ ParallelFleet::storeStage(StoreMsg msg)
         core::ChunkStageTally tally = co_await core::stageChunks(
             kernel.sim(storeDomain()), *p.manifests, fleetChunks,
             *sharedStore, scope);
-        stagingStagedBytes += tally.uploadedBytes;
-        stagingChunksUploaded += tally.uploaded;
-        stagingDedupSaved += tally.savedBytes;
-        stagingChunksDeduped += tally.total - tally.uploaded;
+        result.stagedBytes += tally.uploadedBytes;
+        result.chunksUploaded += tally.uploaded;
+        result.dedupSavedBytes += tally.savedBytes;
+        result.chunksDeduped += tally.total - tally.uploaded;
         // Every chunk's placement rides the Adopt broadcast so workers
         // group future batches by the true owning shard. putChunk
         // records a placement before it first suspends, so every
@@ -444,7 +354,7 @@ ParallelFleet::storeStage(StoreMsg msg)
         // Blob staging: one put() of VMM state + WS file serves the
         // whole fleet.
         co_await sharedStore->put(p.blobBytes, {scope, scope});
-        stagingStagedBytes += p.blobBytes;
+        result.stagedBytes += p.blobBytes;
     }
 
     StoreReply r;
@@ -995,7 +905,7 @@ ParallelFleet::controlMain()
     co_await byes.wait();
 }
 
-ParallelFleetResult
+FleetStats
 ParallelFleet::run()
 {
     for (int w = 0; w < cfg.workers; ++w)
@@ -1007,34 +917,21 @@ ParallelFleet::run()
 
     kernel.run();
 
+    result.workers = cfg.workers;
     result.eventsProcessed = kernel.totalEventsProcessed();
     result.windows = kernel.stats().windows;
     result.messages = kernel.stats().messages;
-    for (const auto &node : nodes)
-        result.scaleDowns += node->scaleDowns;
     for (const auto &node : nodes) {
+        result.scaleDowns += node->scaleDowns;
         // Economics counters: fold every budget-path observable into
         // the result (and thus the digest) so the thread-count
         // identity covers eviction, pinning and SSD GC decisions.
-        const auto &orch = node->worker->orchestrator();
-        result.pageCachePeakBytes +=
-            orch.tierBudget().peakResidentBytes();
-        result.pageCacheEvictedBytes += orch.tierBudget().evictedBytes();
-        const auto &cc = orch.localChunkCache().stats();
-        result.workerChunkPeakBytes += cc.peakStoredBytes;
-        result.workerChunkBudgetEvictions += cc.budgetEvictions;
-        result.ssdEvictions += orch.ssdEvictions();
-        result.peakSsdBytes += orch.peakSsdBytes();
+        addWorkerEconomics(result, node->worker->orchestrator());
     }
     if (cfg.sharedSnapshots) {
         result.fleetChunkPeakBytes = fleetChunks.stats().peakStoredBytes;
         result.fleetChunkBudgetEvictions =
             fleetChunks.stats().budgetEvictions;
-        result.snapshotBuilds = stagingBuilds;
-        result.stagedBytes = stagingStagedBytes;
-        result.dedupSavedBytes = stagingDedupSaved;
-        result.chunksUploaded = stagingChunksUploaded;
-        result.chunksDeduped = stagingChunksDeduped;
         for (const auto &node : nodes)
             result.remoteArtifactFetches += node->remoteFetches;
         result.store = sharedStore->stats();

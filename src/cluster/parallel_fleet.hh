@@ -62,6 +62,7 @@
 
 #include "cluster/azure_workload.hh"
 #include "cluster/control_policy.hh"
+#include "cluster/fleet_stats.hh"
 #include "cluster/routing_policy.hh"
 #include "cluster/traffic.hh"
 #include "core/worker.hh"
@@ -77,7 +78,7 @@
 namespace vhive::cluster {
 
 /** Configuration of a parallel fleet run. */
-struct ParallelFleetConfig
+struct ParallelFleetConfig : FleetConfig
 {
     /** Worker hosts (= worker domains). */
     int workers = 4;
@@ -85,36 +86,15 @@ struct ParallelFleetConfig
     /** Threads the kernel runs domains on (wall-clock only). */
     int simThreads = 1;
 
-    /** Per-worker host configuration. */
-    core::WorkerConfig worker{};
-
-    /** Cold-start strategy (any mode; see sharedSnapshots). */
-    core::ColdStartMode coldStartMode = core::ColdStartMode::Reap;
-
-    /** Idle time after which instances scale to zero. */
-    Duration keepAlive = sec(600);
-
-    /** Worker-side autoscaler sweep period. */
-    Duration scalePeriod = sec(2);
-
-    /** Front-end routing strategy. */
-    RoutingPolicyKind routingPolicy = RoutingPolicyKind::WarmFirst;
-
     /**
-     * Predictive control policy, run in the control-plane domain
-     * (domain 0) against the mirrored fleet view — so predictions,
-     * like routing, trail worker reality by one fabric hop, and
-     * digests stay bit-identical across sim thread counts. Pre-warm
-     * and Prefetch actions travel to workers as first-class tracked
-     * requests (a Prefetch warms the home worker's tier caches via
-     * backgroundPrefetch, shielded until the predicted window by the
-     * prefetch-pinned eviction policy); ScaleHint stays
-     * sequential-Cluster-only. None (default) spawns no control tick
-     * at all — bit-identical to the historical kernel.
+     * Control-policy tick period (controlPolicy != None). The policy
+     * runs in the control-plane domain against the mirrored fleet
+     * view, so its predictions, like routing, trail worker reality by
+     * one fabric hop and stay bit-identical across sim thread counts.
+     * Pre-warm and Prefetch actions travel to workers as tracked
+     * requests (a Prefetch is shielded until the predicted window by
+     * the prefetch-pinned eviction policy); ScaleHint is Cluster-only.
      */
-    ControlPolicyKind controlPolicy = ControlPolicyKind::None;
-
-    /** Control-policy tick period (controlPolicy != None). */
     Duration controlPeriod = sec(2);
 
     /** The Azure mix to synthesize and drive (closed loop). */
@@ -127,26 +107,6 @@ struct ParallelFleetConfig
      * above is ignored except for preRecordWorkingSets.
      */
     std::optional<TrafficConfig> traffic;
-
-    /**
-     * Fleet-shared staging on the parallel kernel: the snapshot
-     * registry + artifact store run in their own domain and every
-     * worker stages/fetches through request/reply ports. Requires a
-     * remote-capable cold-start mode (TieredReap, RemoteReap or
-     * DedupReap). Off (default): per-worker staging, bit-identical to
-     * the historical behaviour (and no extra domain).
-     */
-    bool sharedSnapshots = false;
-
-    /** Per-shard parameters of the shared store (sharedSnapshots). */
-    net::ObjectStoreParams sharedStore = net::ObjectStoreParams::remote();
-
-    /** Shards behind the shared store (sharedSnapshots; >= 1). */
-    int sharedStoreShards = 1;
-
-    /** Chunk-placement policy across shards (DedupReap staging). */
-    net::ChunkPlacementPolicy chunkPlacement =
-        net::ChunkPlacementPolicy::Hash;
 
     /**
      * Control-plane <-> worker fabric latency: the per-direction hop
@@ -166,128 +126,10 @@ struct ParallelFleetConfig
 
     /** Base seed of the per-worker fault plans. */
     std::uint64_t faultSeed = 0;
-
-    /**
-     * Byte budget of the fleet staged-chunk index in the store domain
-     * (sharedSnapshots + DedupReap; 0 = unlimited). Referenced chunks
-     * are shielded (refcount-protected), mirroring
-     * SnapshotRegistry::setChunkBudget. Worker-side budgets (page
-     * cache, chunk cache, local SSD) ride in `worker.reap`.
-     */
-    Bytes registryChunkBudget = 0;
-
-    /** Victim selection for the budgeted fleet chunk index. */
-    storage::EvictionPolicyKind registryEvictionPolicy =
-        storage::EvictionPolicyKind::Lru;
 };
 
-/** Results of one parallel fleet run. */
-struct ParallelFleetResult
-{
-    std::int64_t invocations = 0;
-    std::int64_t coldStarts = 0;
-    std::int64_t warmHits = 0;
-    std::int64_t scaleDowns = 0;
-
-    /** @name Predictive control plane (controlPolicy != None). */
-    /// @{
-
-    /** Pre-warm requests completed by workers. */
-    std::int64_t preWarms = 0;
-
-    /** Invocations served by a pre-warmed (or mid-warm) instance. */
-    std::int64_t preWarmHits = 0;
-    /// @}
-
-    Samples e2eLatencyMs;  ///< all invocations, completion (Done-reply) order
-    Samples coldE2eMs;     ///< cold-start invocations
-    Samples warmE2eMs;     ///< warm invocations
-
-    /** Kernel work: total events across domains, sync windows. */
-    std::int64_t eventsProcessed = 0;
-    std::int64_t windows = 0;
-    std::int64_t messages = 0;
-
-    /** @name Shared data plane (sharedSnapshots runs; else zero). */
-    /// @{
-
-    /** Functions staged through the store domain (one build each). */
-    std::int64_t snapshotBuilds = 0;
-
-    /** Bytes uploaded into the shared store by staging. */
-    Bytes stagedBytes = 0;
-
-    /** Upload bytes saved by fleet-wide chunk dedup (DedupReap). */
-    Bytes dedupSavedBytes = 0;
-
-    /** Chunks uploaded / referenced-without-upload by staging. */
-    std::int64_t chunksUploaded = 0;
-    std::int64_t chunksDeduped = 0;
-
-    /** Cold starts that pulled artifact bytes through the store. */
-    std::int64_t remoteArtifactFetches = 0;
-
-    /** Shared-store traffic, aggregated and per shard. */
-    net::ObjectStoreStats store{};
-    std::vector<net::ObjectStoreStats> storeShards;
-    /// @}
-
-    /**
-     * @name Cache & storage economics. All zero with budgets off and
-     * no Prefetch actions — the historical behaviour. Every field is
-     * folded into digest(), so the thread-count identity the
-     * determinism suite asserts covers the budgeted paths too.
-     */
-    /// @{
-
-    /** Control-plane Prefetch requests completed by workers. */
-    std::int64_t bgPrefetches = 0;
-
-    /** Worker page-cache peak resident bytes, summed. */
-    Bytes pageCachePeakBytes = 0;
-
-    /** Worker page-cache bytes shed by budget pressure, summed. */
-    Bytes pageCacheEvictedBytes = 0;
-
-    /** Worker chunk-cache peak stored bytes, summed. */
-    Bytes workerChunkPeakBytes = 0;
-
-    /** Worker chunk-cache budget evictions, summed. */
-    std::int64_t workerChunkBudgetEvictions = 0;
-
-    /** Local-SSD artifact copies evicted by ssdBudget, summed. */
-    std::int64_t ssdEvictions = 0;
-
-    /** Peak local artifact bytes, summed across workers. */
-    Bytes peakSsdBytes = 0;
-
-    /** Peak stored bytes of the fleet staged-chunk index. */
-    Bytes fleetChunkPeakBytes = 0;
-
-    /** Budget evictions from the fleet staged-chunk index. */
-    std::int64_t fleetChunkBudgetEvictions = 0;
-    /// @}
-
-    double
-    coldFraction() const
-    {
-        auto total = coldStarts + warmHits;
-        return total ? static_cast<double>(coldStarts) /
-                           static_cast<double>(total)
-                     : 0.0;
-    }
-
-    double coldP50() const { return coldE2eMs.percentile(50); }
-    double coldP99() const { return coldE2eMs.percentile(99); }
-
-    /**
-     * FNV-1a fingerprint over every simulated quantity (per-sample
-     * latency bit patterns in arrival order, counters, event totals).
-     * Two runs are bit-identical iff digests match; the determinism
-     * suite asserts equality across thread counts.
-     */
-    std::uint64_t digest() const;
-};
+/** Older name of the parallel engine's result, kept for callers. */
+using ParallelFleetResult = FleetStats;
 
 /**
  * Builds the domains, wires the ports, runs the workload, aggregates.
@@ -307,7 +149,7 @@ class ParallelFleet
      * Blocking host call (not a coroutine): drives the parallel
      * kernel until every domain is quiescent.
      */
-    ParallelFleetResult run();
+    FleetStats run();
 
     const sim::ParallelKernel::Stats &kernelStats() const
     {
@@ -515,14 +357,6 @@ class ParallelFleet
         ParallelFleet &fleet;
     };
 
-    /**
-     * Validate @p config before any member that spawns threads is
-     * constructed: genuinely unsupported combinations are rejected
-     * with a clean fatal() naming the problem, from the member-init
-     * list — never after the kernel's thread pool exists.
-     */
-    static ParallelFleetConfig checkedConfig(ParallelFleetConfig config);
-
     /** Store domain index (only meaningful with sharedSnapshots). */
     int storeDomain() const { return cfg.workers + 1; }
 
@@ -578,11 +412,6 @@ class ParallelFleet
     std::unique_ptr<net::ShardedObjectStore> sharedStore;
     std::unique_ptr<sim::FaultPlan> sharedFaults;
     storage::ChunkStore fleetChunks;
-    std::int64_t stagingBuilds = 0;
-    Bytes stagingStagedBytes = 0;
-    Bytes stagingDedupSaved = 0;
-    std::int64_t stagingChunksUploaded = 0;
-    std::int64_t stagingChunksDeduped = 0;
     /// @}
 
     /** @name Control-domain state (domain 0 only). */
@@ -617,8 +446,15 @@ class ParallelFleet
 
     /** Open-loop drain: opened by replyPump when pending empties. */
     std::unique_ptr<sim::Gate> drainGate;
-    ParallelFleetResult result;
     /// @}
+
+    /**
+     * The run's result. During the run each field has one writer
+     * domain: the store domain adds the staging counters, the control
+     * domain everything else; run() folds in the worker and kernel
+     * totals after the kernel stops.
+     */
+    FleetStats result;
 };
 
 } // namespace vhive::cluster

@@ -72,6 +72,22 @@ class Rng
 /** Stable 64-bit FNV-1a hash of a string, used to derive stream seeds. */
 std::uint64_t hashName(std::string_view name);
 
+/** FNV-1a offset basis: the starting value of an fnvMix digest. */
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+
+/**
+ * FNV-1a accumulation of one 64-bit quantity into @p h, low byte
+ * first. Digests built from it are stable across runs and platforms.
+ */
+inline void
+fnvMix(std::uint64_t &h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (i * 8)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
 } // namespace vhive
 
 #endif // VHIVE_UTIL_RNG_HH

@@ -798,6 +798,16 @@ TEST(ChaosParallel, RejectsUnsupportedConfigsWithCleanError)
     cfg.sharedStoreShards = 0;
     EXPECT_EXIT({ cluster::ParallelFleet fleet(cfg); },
                 ::testing::ExitedWithCode(1), "sharedStoreShards");
+
+    cfg.sharedStoreShards = 1;
+    cfg.workers = 0;
+    EXPECT_EXIT({ cluster::ParallelFleet fleet(cfg); },
+                ::testing::ExitedWithCode(1), "workers");
+
+    cfg.workers = 2;
+    cfg.simThreads = 0;
+    EXPECT_EXIT({ cluster::ParallelFleet fleet(cfg); },
+                ::testing::ExitedWithCode(1), "simThreads");
 }
 
 } // namespace

@@ -392,7 +392,7 @@ TEST(DedupReap, FleetSharedStagingCountsDedupInFleetStats)
     auto fs = c.fleetStats();
     EXPECT_GT(fs.chunkLogicalBytes, 0);
     EXPECT_GT(fs.chunkStoredBytes, 0);
-    EXPECT_GT(fs.chunkDedupSavedBytes, 0); // cross-function chunks
+    EXPECT_GT(fs.dedupSavedBytes, 0); // cross-function chunks
     EXPECT_GT(fs.dedupRatio(), 0.0);
     EXPECT_LT(fs.dedupRatio(), 1.0);
     EXPECT_GT(fs.chunksStored, 0);

@@ -386,7 +386,7 @@ TEST(DeltaRestage, ClusterRestageMovesOnlyChangedBytes)
     EXPECT_LT(after.deltaChunksUploaded, before.chunksStored);
     EXPECT_GT(after.deltaBytesUploaded, 0);
     EXPECT_LT(after.deltaBytesUploaded, before.chunkStoredBytes);
-    EXPECT_GE(after.chunkPeakStoredBytes, after.chunkStoredBytes);
+    EXPECT_GE(after.fleetChunkPeakBytes, after.chunkStoredBytes);
 }
 
 // --------------------------------------------------- fleet-wide GC
@@ -508,7 +508,7 @@ TEST(EconomicsChaos, BudgetedEvictionBalancesThroughStoreOutage)
     EXPECT_GE(fs.pageCachePeakBytes, 0);
     EXPECT_GT(fs.workerChunkPeakBytes, 0);
     EXPECT_EQ(fs.restages, 1);
-    EXPECT_GE(fs.chunkPeakStoredBytes, fs.chunkStoredBytes);
+    EXPECT_GE(fs.fleetChunkPeakBytes, fs.chunkStoredBytes);
 }
 
 // --------------------------------------------- parallel bit identity

@@ -342,6 +342,10 @@ TEST(FleetStats, AggregatesColdPercentilesTiersAndContention)
     EXPECT_EQ(fs.workers, 2);
     EXPECT_GT(fs.coldE2eMs.count(), 0);
     EXPECT_EQ(fs.coldE2eMs.count() + fs.warmE2eMs.count(), 6);
+    // The scalar counters agree with the samples (fault-free run).
+    EXPECT_EQ(fs.coldStarts, fs.coldE2eMs.count());
+    EXPECT_EQ(fs.warmHits, fs.warmE2eMs.count());
+    EXPECT_EQ(fs.invocations, fs.coldStarts + fs.warmHits);
     EXPECT_GE(fs.coldP99(), fs.coldP50());
     EXPECT_GT(fs.coldP50(), 0.0);
     // Cold starts flowed through the tiered chain; the fleet table
@@ -409,12 +413,25 @@ TEST(Autoscaler, ScaleDownSkipsBusyInstance)
 
 TEST(Cluster, SharedSnapshotsRejectsLocalOnlyMode)
 {
+    // Unbuildable configs fail as a clean fatal() (exit code 1)
+    // naming the problem, never an assert/abort.
     Simulation sim;
     ClusterConfig cfg;
     cfg.workers = 2;
     cfg.sharedSnapshots = true;
     cfg.coldStartMode = core::ColdStartMode::Reap;
-    EXPECT_DEATH({ Cluster c(sim, cfg); }, "remote-capable");
+    EXPECT_EXIT({ Cluster c(sim, cfg); }, ::testing::ExitedWithCode(1),
+                "remote-capable");
+
+    cfg.coldStartMode = core::ColdStartMode::TieredReap;
+    cfg.sharedStoreShards = 0;
+    EXPECT_EXIT({ Cluster c(sim, cfg); }, ::testing::ExitedWithCode(1),
+                "sharedStoreShards");
+
+    cfg.sharedStoreShards = 1;
+    cfg.workers = 0;
+    EXPECT_EXIT({ Cluster c(sim, cfg); }, ::testing::ExitedWithCode(1),
+                "workers");
 }
 
 TEST(AzureWorkloadFleet, SharedStagingColdStartsStayCorrect)

@@ -18,14 +18,17 @@
  * one ctest instead of a manual bench diff:
  *   - remote_presets.txt: every remote mode across a ReapOptions
  *     matrix — breakdowns, tier rows and store traffic per cold start;
- *   - fleet_digests.txt: ParallelFleetResult::digest() of the shared
- *     tiered, shared dedup and traffic-driven fleets, plus exact
- *     FleetStats of sequential Cluster runs with registry staging, a
- *     delta restage and a full retire;
- *   - trace_digests.txt: FNV digests of the synthesized access traces
- *     (invocations 0-15 and boot) of every FunctionBench profile, one
- *     draw per SeBS function class and one traffic-population
- *     profile, so trace-synthesis rewrites prove bit-identity.
+ *   - fleet_digests.txt: FleetStats::digest() of the shared tiered,
+ *     shared dedup and traffic-driven ParallelFleet runs, plus exact
+ *     FleetStats rows of sequential Cluster runs with registry
+ *     staging, a delta restage and a full retire — both engines
+ *     report the one FleetStats type;
+ *   - trace_digests.txt: digests (util/rng.hh fnvMix, the same FNV-1a
+ *     helper FleetStats::digest() uses) of the synthesized access
+ *     traces (invocations 0-15 and boot) of every FunctionBench
+ *     profile, one draw per SeBS function class and one
+ *     traffic-population profile, so trace-synthesis rewrites prove
+ *     bit-identity.
  * Each regenerates alone, e.g.
  *   VHIVE_UPDATE_GOLDEN=1 ./test_golden --gtest_filter='*RemotePresets*'
  */
@@ -53,6 +56,7 @@
 #include "sim/fault.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
+#include "util/rng.hh"
 #include "util/units.hh"
 
 #ifndef VHIVE_GOLDEN_DIR
@@ -430,10 +434,10 @@ appendFleetStats(std::ostringstream &out, const char *label,
         << " fanIn=" << fs.fetchFanIn
         << " logical=" << fs.chunkLogicalBytes
         << " chunkStored=" << fs.chunkStoredBytes
-        << " dedupSaved=" << fs.chunkDedupSavedBytes
+        << " dedupSaved=" << fs.dedupSavedBytes
         << " chunks=" << fs.chunksStored
         << " deduped=" << fs.chunksDeduped
-        << " chunkPeak=" << fs.chunkPeakStoredBytes
+        << " chunkPeak=" << fs.fleetChunkPeakBytes
         << " restages=" << fs.restages
         << " deltaChunks=" << fs.deltaChunksUploaded
         << " deltaBytes=" << fs.deltaBytesUploaded
@@ -529,21 +533,11 @@ TEST(GoldenTrace, FleetDigestsMatchCheckedInBaseline)
 
 // -------------------------------------------------- trace digests
 
-/** FNV-1a accumulation of one 64-bit quantity. */
-void
-fnvMix(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= 1099511628211ull;
-    }
-}
-
 void
 appendTrace(std::ostringstream &out, const std::string &label,
             const func::InvocationTrace &t)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnvOffsetBasis;
     for (const auto &r : t.runs) {
         fnvMix(h, static_cast<std::uint64_t>(r.page));
         fnvMix(h, static_cast<std::uint64_t>(r.pages));
