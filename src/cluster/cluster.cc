@@ -50,13 +50,9 @@ Cluster::Cluster(sim::Simulation &sim, ClusterConfig config)
         workers.push_back(std::make_unique<core::Worker>(
             sim, cfg.workerConfig(i), _sharedStore.get()));
     telemetry.resize(workers.size());
-    if (cfg.sharedSnapshots) {
+    if (cfg.sharedSnapshots)
         _registry = std::make_unique<SnapshotRegistry>(
-            sim, *_sharedStore, workers, cfg.coldStartMode);
-        if (cfg.registryChunkBudget > 0)
-            _registry->setChunkBudget(cfg.registryChunkBudget,
-                                      cfg.registryEvictionPolicy);
-    }
+            sim, *_sharedStore, cfg, cfg.workers);
     activePolicy = &_policies.policyFor(cfg.routingPolicy);
     if (cfg.controlPolicy != ControlPolicyKind::None)
         activeControl = &_controlPolicies.policyFor(cfg.controlPolicy);
@@ -115,7 +111,7 @@ Cluster::prepareAllSnapshots()
         // Build-once + fan-out: one snapshot build, one record phase
         // and one put() per function, regardless of worker count.
         for (auto &entry : deployments)
-            co_await _registry->ensureStaged(entry.first);
+            co_await _registry->ensureStaged(entry.first, workers);
         co_return;
     }
     for (auto &entry : deployments) {
@@ -242,24 +238,9 @@ Cluster::invoke(const std::string &name)
         for (const auto &t : bd.tierHits)
             mergeTierRow(tele.tierHits, t);
         tele.wastedPrefetchPages += bd.wastedPrefetch;
-        if (_registry) {
-            // A mode without local tiers GETs the artifacts on every
-            // cold start no matter what lives locally. Tiered chains
-            // report exactly which tier served the WS bytes; trust
-            // that over the pre-invoke snapshot (a concurrent cold
-            // start may have re-localized the artifacts while this one
-            // queued).
-            bool fetched_remotely =
-                core::loader::sharedStagingPreset(cfg.coldStartMode)
-                        .tiers == core::loader::TieredPreset::Tiers::None ||
-                !artifacts_were_local;
-            for (const auto &t : bd.tierHits) {
-                if (t.tier == "remote")
-                    fetched_remotely = t.bytes > 0;
-            }
-            if (fetched_remotely)
-                _registry->noteRemoteFetch(name, widx);
-        }
+        if (_registry && pulledStagedArtifact(cfg.coldStartMode, bd,
+                                              artifacts_were_local))
+            _registry->noteRemoteFetch(name, widx);
     } else {
         ++dep.stats.warmHits;
         ++tele.warmHits;
@@ -275,7 +256,7 @@ Cluster::restageFunction(const std::string &name)
     if (deployments.find(name) == deployments.end())
         fatal("function %s is not deployed", name.c_str());
     if (_registry != nullptr && _registry->isStaged(name)) {
-        co_await _registry->restage(name);
+        co_await _registry->restage(name, workers);
         co_return;
     }
     // Per-worker staging: invalidate everywhere; each worker's next
@@ -371,31 +352,7 @@ Cluster::fleetStats() const
             mergeStoreStats(fs.store, w->objectStore().stats());
     }
     if (_registry) {
-        fs.snapshotBuilds = _registry->totalBuilds();
-        fs.stagedBytes = _registry->totalStagedBytes();
-        fs.remoteArtifactFetches = _registry->totalRemoteFetches();
-        if (_registry->chunked()) {
-            const storage::ChunkStore &idx = _registry->chunkIndex();
-            fs.chunkLogicalBytes = _registry->totalLogicalBytes();
-            fs.chunkStoredBytes = idx.storedBytes();
-            fs.dedupSavedBytes = _registry->totalDedupSavedBytes();
-            fs.chunksStored = idx.chunkCount();
-            fs.chunksDeduped = idx.stats().dedupHits;
-            fs.fleetChunkPeakBytes = idx.stats().peakStoredBytes;
-            fs.fleetChunkBudgetEvictions = idx.stats().budgetEvictions;
-        }
-        fs.restages = _registry->totalRestages();
-        for (const auto &entry : deployments) {
-            if (!_registry->isStaged(entry.first))
-                continue;
-            const StagedArtifact &art =
-                _registry->artifact(entry.first);
-            fs.fetchFanIn += art.fetchFanIn();
-            fs.deltaChunksUploaded += art.deltaChunksUploaded;
-            fs.deltaBytesUploaded += art.deltaBytesUploaded;
-        }
-        fs.retires = _registry->retires();
-        fs.gcReleasedBytes = _registry->gcReleasedBytes();
+        addRegistryStaging(fs, *_registry);
     } else {
         for (const auto &w : workers)
             fs.snapshotBuilds += w->orchestrator().snapshotBuilds();

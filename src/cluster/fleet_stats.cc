@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "cluster/snapshot_registry.hh"
 #include "core/loader/builtin_loaders.hh"
 #include "core/orchestrator.hh"
 #include "util/logging.hh"
@@ -143,6 +144,33 @@ addWorkerEconomics(FleetStats &fs, const core::Orchestrator &orch)
     fs.workerChunkBudgetEvictions += cc.budgetEvictions;
     fs.ssdEvictions += orch.ssdEvictions();
     fs.peakSsdBytes += orch.peakSsdBytes();
+}
+
+void
+addRegistryStaging(FleetStats &fs, const SnapshotRegistry &reg)
+{
+    reg.forEachArtifact([&fs](const StagedArtifact &art) {
+        fs.snapshotBuilds += art.builds;
+        fs.stagedBytes += art.stagedBytes;
+        fs.remoteArtifactFetches += art.remoteFetches;
+        fs.chunkLogicalBytes += art.logicalBytes;
+        fs.dedupSavedBytes += art.dedupSavedBytes;
+        fs.chunksUploaded += art.chunksUploaded;
+        fs.restages += art.restages;
+        if (art.staged) {
+            fs.fetchFanIn += art.fetchFanIn();
+            fs.deltaChunksUploaded += art.deltaChunksUploaded;
+            fs.deltaBytesUploaded += art.deltaBytesUploaded;
+        }
+    });
+    const storage::ChunkStore &idx = reg.chunkIndex();
+    fs.chunkStoredBytes += idx.storedBytes();
+    fs.chunksStored += idx.chunkCount();
+    fs.chunksDeduped += idx.stats().dedupHits;
+    fs.fleetChunkPeakBytes += idx.stats().peakStoredBytes;
+    fs.fleetChunkBudgetEvictions += idx.stats().budgetEvictions;
+    fs.retires += reg.retires();
+    fs.gcReleasedBytes += reg.gcReleasedBytes();
 }
 
 } // namespace vhive::cluster

@@ -246,19 +246,19 @@ struct FleetStats
     /** @name Content-addressed staging (DedupReap + shared mode). */
     /// @{
 
-    /** Raw artifact bytes described by all staged manifests. [Cluster] */
+    /** Raw artifact bytes described by all staged manifests. [both] */
     Bytes chunkLogicalBytes = 0;
 
-    /** Distinct compressed bytes resident in the staged index. [Cluster] */
+    /** Distinct compressed bytes resident in the staged index. [both] */
     Bytes chunkStoredBytes = 0;
 
     /** Upload bytes avoided because the chunk was already staged. [both] */
     Bytes dedupSavedBytes = 0;
 
-    /** Distinct chunks in the staged index. [Cluster] */
+    /** Distinct chunks in the staged index. [both] */
     std::int64_t chunksStored = 0;
 
-    std::int64_t chunksUploaded = 0; ///< by staging [ParallelFleet]
+    std::int64_t chunksUploaded = 0; ///< by staging [both]
 
     /** addRef()s deduplicated against an already-staged chunk. [both] */
     std::int64_t chunksDeduped = 0;
@@ -339,11 +339,13 @@ struct FleetStats
     double coldP999() const { return coldE2eMs.percentile(99.9); }
 
     /**
-     * FNV-1a fingerprint over every simulated quantity ParallelFleet
-     * fills (per-sample latency bit patterns in arrival order,
-     * counters, event totals). Two runs are bit-identical iff digests
-     * match; the determinism suite asserts equality across thread
-     * counts.
+     * FNV-1a fingerprint over ParallelFleet's simulated quantities
+     * (per-sample latency bit patterns in arrival order, counters,
+     * event totals). The field list is fixed so pinned digests hold:
+     * the staged-index sizes it gained from the registry fold
+     * (chunkLogicalBytes, chunkStoredBytes, chunksStored) stay out.
+     * Two runs are bit-identical iff digests match; the determinism
+     * suite asserts equality across thread counts.
      */
     std::uint64_t digest() const;
 };
@@ -365,6 +367,16 @@ void mergeStoreStats(net::ObjectStoreStats &a,
  * every worker through it.
  */
 void addWorkerEconomics(FleetStats &fs, const core::Orchestrator &orch);
+
+class SnapshotRegistry;
+
+/**
+ * Sum @p reg's staging records and staged-chunk index into @p fs:
+ * builds, staged and chunk counters, delta re-staging, GC, and the
+ * fetches the front-end noted. Both engines fold their registry
+ * through it, so the same staging reports the same numbers.
+ */
+void addRegistryStaging(FleetStats &fs, const SnapshotRegistry &reg);
 
 } // namespace vhive::cluster
 

@@ -57,15 +57,13 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
     if (cfg.sharedSnapshots) {
         sharedStore = std::make_unique<net::ShardedObjectStore>(
             kernel.sim(storeDomain()), cfg.sharedStoreParams());
-        if (cfg.registryChunkBudget > 0)
-            fleetChunks.setBudget(cfg.registryChunkBudget,
-                                  cfg.registryEvictionPolicy,
-                                  /*refcount_protected=*/true);
+        registry = std::make_unique<SnapshotRegistry>(
+            kernel.sim(storeDomain()), *sharedStore, cfg, cfg.workers);
         if (!cfg.storeFaults.empty()) {
             // The store domain draws its own deterministic fault
             // stream (FaultPlan is not thread-safe across domains),
-            // under the same "store/shared[/<s>]" tags the sequential
-            // Cluster uses.
+            // under the same "store/shared[/<s>]" and
+            // "staging/<fn>" tags the sequential Cluster uses.
             sharedFaults = std::make_unique<sim::FaultPlan>(
                 cfg.faultSeed +
                 static_cast<std::uint64_t>(cfg.workers));
@@ -73,6 +71,7 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
                 sharedFaults->add(spec);
             sharedStore->setFaultPlan(sharedFaults.get(),
                                       "store/shared");
+            registry->setFaultPlan(sharedFaults.get());
         }
     }
 
@@ -318,43 +317,25 @@ ParallelFleet::storeServe(int w, StoreMsg msg)
 sim::Task<void>
 ParallelFleet::storeStage(StoreMsg msg)
 {
-    const StagePayload &p = *msg.stage;
+    const StagedBuild &build = msg.stage->build;
     const std::string &name =
-        mix[static_cast<std::size_t>(p.fnIdx)].profile.name;
-    std::uint64_t scope = net::placementScope(name);
+        mix[static_cast<std::size_t>(msg.stage->fnIdx)].profile.name;
+    co_await registry->stage(name, build);
 
     auto adopt = std::make_shared<AdoptPayload>();
-    adopt->fnIdx = p.fnIdx;
-    adopt->record = p.record;
-    adopt->manifests = p.manifests;
-
-    ++result.snapshotBuilds;
-    if (p.manifests) {
-        // Chunked staging: upload only chunks no earlier function
-        // staged; duplicates are referenced in the fleet index and
-        // never cross the wire again.
-        core::ChunkStageTally tally = co_await core::stageChunks(
-            kernel.sim(storeDomain()), *p.manifests, fleetChunks,
-            *sharedStore, scope);
-        result.stagedBytes += tally.uploadedBytes;
-        result.chunksUploaded += tally.uploaded;
-        result.dedupSavedBytes += tally.savedBytes;
-        result.chunksDeduped += tally.total - tally.uploaded;
+    adopt->stage = msg.stage;
+    if (build.manifests) {
         // Every chunk's placement rides the Adopt broadcast so workers
         // group future batches by the true owning shard. putChunk
         // records a placement before it first suspends, so every
         // chunk — uploaded here or by a concurrent pass — has its
         // final placement by now.
+        std::uint64_t scope = net::placementScope(name);
         for (const storage::ChunkManifest *man :
-             {&p.manifests->vmmState, &p.manifests->ws})
+             {&build.manifests->vmmState, &build.manifests->ws})
             for (const storage::ChunkRef &c : man->chunks)
                 adopt->placements.emplace_back(
                     c.hash, sharedStore->shardOf({c.hash, scope}));
-    } else {
-        // Blob staging: one put() of VMM state + WS file serves the
-        // whole fleet.
-        co_await sharedStore->put(p.blobBytes, {scope, scope});
-        result.stagedBytes += p.blobBytes;
     }
 
     StoreReply r;
@@ -373,35 +354,17 @@ ParallelFleet::stageHomeFunctions(int w)
     // only the functions whose LocalityHash ring home it is; every
     // other function arrives as Adopt metadata from the store domain.
     WorkerNode &node = *nodes[static_cast<std::size_t>(w)];
-    auto &orch = node.worker->orchestrator();
 
     for (std::size_t i = 0; i < mix.size(); ++i) {
         const std::string &name = mix[i].profile.name;
         if (homeWorkerOf(name) != w)
             continue;
-        co_await orch.prepareSnapshot(name);
-        if (!orch.hasRecord(name)) {
-            core::InvokeOptions opts;
-            opts.forceCold = true;
-            (void)co_await orch.invoke(name, cfg.coldStartMode,
-                                       opts);
-        }
-        auto payload = std::make_shared<StagePayload>();
-        payload->fnIdx = static_cast<int>(i);
-        payload->record = orch.record(name);
-        if (core::loader::sharedStagingPreset(cfg.coldStartMode)
-                .backstop ==
-            core::loader::TieredPreset::Backstop::Chunked) {
-            (void)orch.buildManifests(name);
-            payload->manifests = orch.manifests(name);
-        } else {
-            payload->blobBytes = core::stagedArtifactBytes(
-                node.worker->config().vmm.vmmStateSize,
-                orch.record(name));
-        }
+        StagedBuild build =
+            co_await buildForStaging(*node.worker, name, cfg.coldStartMode);
         StoreMsg m;
         m.kind = StoreMsg::Stage;
-        m.stage = std::move(payload);
+        m.stage = std::make_shared<const StagePayload>(
+            StagePayload{static_cast<int>(i), std::move(build)});
         node.toStore->send(m);
     }
 }
@@ -426,10 +389,10 @@ ParallelFleet::workerStorePump(int w)
             // must already group its batches by the true shard.
             for (const auto &[hash, shard] : r.adopt->placements)
                 node.chunkHomes.emplace(hash, shard);
+            const StagePayload &p = *r.adopt->stage;
             orch.adoptStagedArtifacts(
-                mix[static_cast<std::size_t>(r.adopt->fnIdx)]
-                    .profile.name,
-                r.adopt->record, r.adopt->manifests);
+                mix[static_cast<std::size_t>(p.fnIdx)].profile.name,
+                p.build.record, p.build.manifests);
             if (++node.adopted ==
                 static_cast<std::int64_t>(mix.size()))
                 node.allAdopted->openGate();
@@ -559,19 +522,13 @@ ParallelFleet::workerInvoke(int w, WorkerMsg msg)
     opts.keepWarm = true;
     auto bd = co_await orch.invoke(name, cfg.coldStartMode, opts);
 
-    if (cfg.sharedSnapshots && bd.cold) {
-        // Same detection as Cluster::invoke: a mode without local
-        // tiers always re-fetches; tiered chains report which tier
-        // actually served the WS bytes.
-        bool fetched =
-            core::loader::sharedStagingPreset(cfg.coldStartMode).tiers ==
-            core::loader::TieredPreset::Tiers::None;
-        for (const auto &t : bd.tierHits)
-            if (t.tier == "remote")
-                fetched = t.bytes > 0;
-        if (fetched)
-            ++node.remoteFetches;
-    }
+    // The worker keeps no pre-invoke locality flag: counting the
+    // artifact as local leaves the decision to the mode and the
+    // tier report.
+    if (cfg.sharedSnapshots && bd.cold &&
+        pulledStagedArtifact(cfg.coldStartMode, bd,
+                             /*artifacts_were_local=*/true))
+        ++node.remoteFetches;
 
     node.lastUsed[static_cast<std::size_t>(msg.fnIdx)] =
         kernel.sim(1 + w).now();
@@ -929,9 +886,7 @@ ParallelFleet::run()
         addWorkerEconomics(result, node->worker->orchestrator());
     }
     if (cfg.sharedSnapshots) {
-        result.fleetChunkPeakBytes = fleetChunks.stats().peakStoredBytes;
-        result.fleetChunkBudgetEvictions =
-            fleetChunks.stats().budgetEvictions;
+        addRegistryStaging(result, *registry);
         for (const auto &node : nodes)
             result.remoteArtifactFetches += node->remoteFetches;
         result.store = sharedStore->stats();

@@ -30,14 +30,18 @@
  * through typed request/reply CrossPorts: a per-worker StorePortClient
  * implements net::ArtifactStore by shipping each operation to the
  * store domain and waiting for the reply, so loaders and page sources
- * work unchanged. Staging is build-once: each function's home worker
- * (same ring hash as LocalityHashPolicy) boots, records and ships a
- * Stage message; the store domain uploads (chunk-deduplicated under
- * DedupReap, sharded by net::ShardedObjectStore) and broadcasts Adopt
- * metadata — including chunk shard placements — to every worker.
- * Workers signal Ready only after adopting the whole population, so
- * traffic never races staging. All of it flows through ports, so
- * digests stay bit-identical across sim thread counts.
+ * work unchanged. Staging is build-once and uses the sequential
+ * Cluster's two halves: each function's home worker (same ring hash as
+ * LocalityHashPolicy) runs buildForStaging and ships the build as a
+ * Stage message; the store domain owns the SnapshotRegistry and runs
+ * its store-side pass (outage stall, crash-retry upload —
+ * chunk-deduplicated under DedupReap, sharded by
+ * net::ShardedObjectStore — and the staging counters), then
+ * broadcasts Adopt metadata, sharing the immutable build plus chunk
+ * shard placements, to every worker. Workers signal Ready only after
+ * adopting the whole population, so traffic never races staging. All
+ * of it flows through ports, so digests stay bit-identical across sim
+ * thread counts.
  *
  * Without sharedSnapshots every mode — including RemoteReap and
  * DedupReap — runs per-worker (each worker stages into its own store,
@@ -64,16 +68,14 @@
 #include "cluster/control_policy.hh"
 #include "cluster/fleet_stats.hh"
 #include "cluster/routing_policy.hh"
+#include "cluster/snapshot_registry.hh"
 #include "cluster/traffic.hh"
 #include "core/worker.hh"
-#include "core/ws_file.hh"
 #include "net/rpc.hh"
 #include "net/sharded_store.hh"
 #include "sim/fault.hh"
 #include "sim/parallel.hh"
-#include "storage/chunk_store.hh"
 #include "util/stats.hh"
-#include "vmm/snapshot.hh"
 
 namespace vhive::cluster {
 
@@ -119,8 +121,13 @@ struct ParallelFleetConfig : FleetConfig
      * FaultPlan is not thread-safe, so each worker domain gets its
      * own plan built from these specs, seeded faultSeed + worker and
      * installed under "store/worker/<w>" — deterministic per domain
-     * and safe under any simThreads. Empty (default) = fault-free,
-     * bit-identical to the historical behaviour.
+     * and safe under any simThreads. With sharedSnapshots the store
+     * domain builds one more, seeded faultSeed + workers: it serves
+     * the shared store ("store/shared[/<s>]") and the registry's
+     * staging passes ("staging/<fn>": StagingOutage stalls,
+     * WorkerCrash rollback), as a plan installed on Cluster does.
+     * Empty (default) = fault-free, bit-identical to the historical
+     * behaviour.
      */
     std::vector<sim::FaultSpec> storeFaults;
 
@@ -204,16 +211,10 @@ class ParallelFleet
         double chunkResidency = -1;
     };
 
-    /** Staged artifacts shipped from a home worker to the store. */
+    /** A home worker's build, shipped to the store domain. */
     struct StagePayload {
         int fnIdx = 0;
-        core::WorkingSetRecord record;
-
-        /** Chunk manifests (DedupReap); null for blob staging. */
-        std::shared_ptr<const vmm::SnapshotManifests> manifests;
-
-        /** Blob size to put() when not chunked. */
-        Bytes blobBytes = 0;
+        StagedBuild build;
     };
 
     /** Worker -> store-domain requests. */
@@ -225,14 +226,13 @@ class ParallelFleet
         Bytes b = 0; ///< bytes (GetRange), stored bytes (GetChunks)
         std::int64_t chunks = 0;
         net::PlacementKey key{};
-        std::shared_ptr<StagePayload> stage;
+        std::shared_ptr<const StagePayload> stage;
     };
 
     /** Staged metadata the store domain fans out to every worker. */
     struct AdoptPayload {
-        int fnIdx = 0;
-        core::WorkingSetRecord record;
-        std::shared_ptr<const vmm::SnapshotManifests> manifests;
+        /** The home worker's build, shared as shipped. */
+        std::shared_ptr<const StagePayload> stage;
 
         /** Chunk shard placements (content hash -> shard). */
         std::vector<std::pair<std::uint64_t, int>> placements;
@@ -411,7 +411,7 @@ class ParallelFleet
     /// @{
     std::unique_ptr<net::ShardedObjectStore> sharedStore;
     std::unique_ptr<sim::FaultPlan> sharedFaults;
-    storage::ChunkStore fleetChunks;
+    std::unique_ptr<SnapshotRegistry> registry;
     /// @}
 
     /** @name Control-domain state (domain 0 only). */
@@ -449,9 +449,8 @@ class ParallelFleet
     /// @}
 
     /**
-     * The run's result. During the run each field has one writer
-     * domain: the store domain adds the staging counters, the control
-     * domain everything else; run() folds in the worker and kernel
+     * The run's result. During the run only the control domain
+     * writes it; run() folds in the worker, registry and kernel
      * totals after the kernel stops.
      */
     FleetStats result;

@@ -8,13 +8,56 @@
 
 namespace vhive::cluster {
 
-SnapshotRegistry::SnapshotRegistry(
-    sim::Simulation &sim, net::ArtifactStore &store,
-    const std::vector<std::unique_ptr<core::Worker>> &workers,
-    core::ColdStartMode mode)
-    : sim(sim), store(store), workers(workers), mode(mode)
+sim::Task<StagedBuild>
+buildForStaging(core::Worker &home, const std::string &name,
+                core::ColdStartMode mode)
 {
-    VHIVE_ASSERT(!workers.empty());
+    auto &orch = home.orchestrator();
+    StagedBuild b;
+    std::int64_t builds0 = orch.snapshotBuilds();
+    co_await orch.prepareSnapshot(name);
+    b.builds = orch.snapshotBuilds() - builds0;
+    if (!orch.hasRecord(name)) {
+        core::InvokeOptions opts;
+        opts.forceCold = true;
+        (void)co_await orch.invoke(name, mode, opts);
+    }
+    b.record = orch.record(name);
+    if (core::loader::sharedStagingPreset(mode).backstop ==
+        core::loader::TieredPreset::Backstop::Chunked) {
+        (void)orch.buildManifests(name);
+        b.manifests = orch.manifests(name);
+    } else {
+        b.blobBytes = core::stagedArtifactBytes(
+            home.config().vmm.vmmStateSize, b.record);
+    }
+    co_return b;
+}
+
+bool
+pulledStagedArtifact(core::ColdStartMode mode,
+                     const core::LatencyBreakdown &bd,
+                     bool artifacts_were_local)
+{
+    bool fetched = core::loader::sharedStagingPreset(mode).tiers ==
+                       core::loader::TieredPreset::Tiers::None ||
+                   !artifacts_were_local;
+    for (const auto &t : bd.tierHits)
+        if (t.tier == "remote")
+            fetched = t.bytes > 0;
+    return fetched;
+}
+
+SnapshotRegistry::SnapshotRegistry(sim::Simulation &sim,
+                                   net::ArtifactStore &store,
+                                   const FleetConfig &cfg, int workers)
+    : sim(sim), store(store), mode(cfg.coldStartMode), workers(workers)
+{
+    VHIVE_ASSERT(workers > 0);
+    if (cfg.registryChunkBudget > 0)
+        sharedChunks.setBudget(cfg.registryChunkBudget,
+                               cfg.registryEvictionPolicy,
+                               /*refcount_protected=*/true);
 }
 
 int
@@ -23,12 +66,11 @@ SnapshotRegistry::homeWorkerFor(const std::string &name) const
     // Same ring placement as LocalityHashPolicy, so a locality-routed
     // function's home worker is also the one that built (and kept a
     // local copy of) its artifacts.
-    return LocalityHashPolicy::homeWorker(
-        name, static_cast<int>(workers.size()));
+    return LocalityHashPolicy::homeWorker(name, workers);
 }
 
 sim::Task<void>
-SnapshotRegistry::ensureStaged(const std::string &name)
+SnapshotRegistry::ensureStaged(const std::string &name, const Fleet &fleet)
 {
     Entry &e = entries[name];
     if (e.art.staged)
@@ -40,7 +82,54 @@ SnapshotRegistry::ensureStaged(const std::string &name)
     e.staging = true;
     if (!e.done)
         e.done = std::make_unique<sim::Gate>(sim);
+    co_await buildStageAdopt(name, e, fleet);
+}
 
+sim::Task<void>
+SnapshotRegistry::restage(const std::string &name, const Fleet &fleet)
+{
+    auto it = entries.find(name);
+    VHIVE_ASSERT(it != entries.end());
+    Entry &e = it->second;
+    if (e.staging) {
+        // Fold into the in-flight (re)staging pass.
+        co_await e.done->wait();
+        co_return;
+    }
+    VHIVE_ASSERT(e.art.staged);
+    e.staging = true;
+    e.art.staged = false;
+    e.done = std::make_unique<sim::Gate>(sim); // old gate is open
+
+    // Invalidate fleet-wide: no worker may keep serving the stale
+    // version's objects, and the home worker's build becomes the
+    // re-record phase.
+    for (auto &w : fleet)
+        w->orchestrator().invalidateRecord(name);
+    co_await buildStageAdopt(name, e, fleet);
+}
+
+sim::Task<void>
+SnapshotRegistry::buildStageAdopt(const std::string &name, Entry &e,
+                                  const Fleet &fleet)
+{
+    core::Worker &home = *fleet[static_cast<size_t>(homeWorkerFor(name))];
+    StagedBuild build = co_await buildForStaging(home, name, mode);
+    co_await stage(name, build);
+
+    // Fan the metadata out; the artifact bytes move lazily, at each
+    // worker's first cold start, through the remote tier.
+    for (auto &w : fleet)
+        w->orchestrator().adoptStagedArtifacts(name, build.record,
+                                               build.manifests);
+    e.staging = false;
+    e.done->openGate();
+}
+
+sim::Task<void>
+SnapshotRegistry::stage(const std::string &name, const StagedBuild &build)
+{
+    Entry &e = entries[name];
     const std::string fault_key = "staging/" + name;
     if (faults != nullptr) {
         // Staging service unavailable: work entering an outage window
@@ -54,49 +143,16 @@ SnapshotRegistry::ensureStaged(const std::string &name)
         }
     }
 
-    int home = homeWorkerFor(name);
-    e.art.homeWorker = home;
-    e.art.fetchedBy.assign(workers.size(), false);
-    core::Worker &hw = *workers[static_cast<size_t>(home)];
-    auto &orch = hw.orchestrator();
-
-    // Build once: boot + snapshot capture on the home worker.
-    std::int64_t builds0 = orch.snapshotBuilds();
-    co_await orch.prepareSnapshot(name);
-    e.art.builds += orch.snapshotBuilds() - builds0;
-
-    // Record once: the REAP-family record phase produces the WS and
-    // trace files the fleet will prefetch from.
-    if (!orch.hasRecord(name)) {
-        core::InvokeOptions opts;
-        opts.forceCold = true;
-        (void)co_await orch.invoke(name, mode, opts);
+    // An earlier version already landed: this pass is a delta restage.
+    const bool restaging = e.art.homeWorker >= 0;
+    if (!restaging) {
+        e.art.homeWorker = homeWorkerFor(name);
+        e.art.fetchedBy.assign(static_cast<size_t>(workers), false);
     }
+    e.art.builds += build.builds;
+    const std::int64_t ups0 = e.art.chunksUploaded;
+    const std::int64_t tot0 = e.art.chunksTotal;
 
-    std::shared_ptr<const vmm::SnapshotManifests> manifests;
-    co_await stageArtifacts(name, e, manifests);
-
-    // Fan the metadata out; the artifact bytes move lazily, at each
-    // worker's first cold start, through the remote tier.
-    const core::WorkingSetRecord &rec = orch.record(name);
-    for (auto &w : workers)
-        w->orchestrator().adoptStagedArtifacts(name, rec, manifests);
-
-    e.stagedManifests = manifests;
-    e.art.staged = true;
-    e.staging = false;
-    e.done->openGate();
-}
-
-sim::Task<void>
-SnapshotRegistry::stageArtifacts(
-    const std::string &name, Entry &e,
-    std::shared_ptr<const vmm::SnapshotManifests> &manifests)
-{
-    const std::string fault_key = "staging/" + name;
-    core::Worker &hw =
-        *workers[static_cast<size_t>(e.art.homeWorker)];
-    auto &orch = hw.orchestrator();
     // A WorkerCrash rolled mid-pass aborts the staging attempt: the
     // lost work is paid in simulated time and the pass retries.
     auto crash = [this, &fault_key]() -> Duration {
@@ -112,15 +168,14 @@ SnapshotRegistry::stageArtifacts(
     // Crash windows are finite and every crash advances time, so the
     // loop terminates and the function still stages exactly once.
     while (true) {
-        if (chunked()) {
+        if (build.manifests) {
             // Chunked staging: upload only chunks no earlier function
             // staged. Duplicate chunks — the shared runtime pages
             // every function's snapshot carries — are referenced in
             // the index and never cross the wire again, fleet-wide. An
             // aborted attempt releases the references it took (rolling
             // the index back) and discards its counters.
-            const vmm::SnapshotManifests &m = orch.buildManifests(name);
-            manifests = orch.manifests(name);
+            const vmm::SnapshotManifests &m = *build.manifests;
             core::ChunkStageTally tally = co_await core::stageChunks(
                 sim, m, sharedChunks, store, net::placementScope(name),
                 crash);
@@ -138,88 +193,29 @@ SnapshotRegistry::stageArtifacts(
             }
             // Stage once: one put() of VMM state + WS file serves
             // every worker (vs one staged copy per worker before).
-            Bytes bytes = core::stagedArtifactBytes(
-                hw.config().vmm.vmmStateSize, orch.record(name));
-            co_await store.put(bytes, core::loader::artifactKey(name));
-            e.art.stagedBytes = bytes;
+            co_await store.put(build.blobBytes,
+                               core::loader::artifactKey(name));
+            e.art.stagedBytes = build.blobBytes;
         }
-        co_return;
+        break;
     }
-}
 
-sim::Task<void>
-SnapshotRegistry::restage(const std::string &name)
-{
-    auto it = entries.find(name);
-    VHIVE_ASSERT(it != entries.end());
-    Entry &e = it->second;
-    if (e.staging) {
-        // Fold into the in-flight (re)staging pass.
-        co_await e.done->wait();
-        co_return;
-    }
-    VHIVE_ASSERT(e.art.staged);
-    e.staging = true;
-    e.art.staged = false;
-    e.done = std::make_unique<sim::Gate>(sim); // old gate is open
-
-    // Claim the outgoing version's references before any suspension:
-    // they stay held through the new staging pass so unchanged chunks
-    // dedup-hit instead of re-uploading.
-    auto prev = std::move(e.stagedManifests);
-
-    if (faults != nullptr) {
-        const std::string fault_key = "staging/" + name;
-        while (const sim::FaultWindow *w = faults->roll(
-                   sim::FaultKind::StagingOutage, fault_key,
-                   sim.now())) {
-            ++faults->stats().stagingStalls;
-            co_await sim.delay(w->end - sim.now());
+    if (restaging) {
+        ++e.art.restages;
+        const std::int64_t ups = e.art.chunksUploaded - ups0;
+        e.art.deltaChunksUploaded += ups;
+        e.art.deltaChunksUnchanged += (e.art.chunksTotal - tot0) - ups;
+        e.art.deltaBytesUploaded += e.art.stagedBytes; // per-pass bytes
+        if (e.stagedManifests) {
+            // The delta landed: release the previous version. Chunks
+            // the new manifests carried over stay referenced; chunks
+            // only the old version used drop their last reference.
+            sharedChunks.releaseManifest(e.stagedManifests->vmmState);
+            sharedChunks.releaseManifest(e.stagedManifests->ws);
         }
     }
-
-    // Invalidate fleet-wide: no worker may keep serving the stale
-    // version's objects, and the home worker's next invocation becomes
-    // the re-record phase.
-    for (auto &w : workers)
-        w->orchestrator().invalidateRecord(name);
-
-    core::Worker &hw =
-        *workers[static_cast<size_t>(e.art.homeWorker)];
-    auto &orch = hw.orchestrator();
-
-    // Re-record on the home worker (same path as the first staging).
-    core::InvokeOptions opts;
-    opts.forceCold = true;
-    (void)co_await orch.invoke(name, mode, opts);
-
-    const std::int64_t ups0 = e.art.chunksUploaded;
-    const std::int64_t tot0 = e.art.chunksTotal;
-    std::shared_ptr<const vmm::SnapshotManifests> manifests;
-    co_await stageArtifacts(name, e, manifests);
-
-    ++e.art.restages;
-    const std::int64_t ups = e.art.chunksUploaded - ups0;
-    e.art.deltaChunksUploaded += ups;
-    e.art.deltaChunksUnchanged += (e.art.chunksTotal - tot0) - ups;
-    e.art.deltaBytesUploaded += e.art.stagedBytes; // per-pass bytes
-
-    if (prev) {
-        // The delta landed: release the previous version. Chunks the
-        // new manifests carried over stay referenced; chunks only the
-        // old version used drop their last reference here.
-        sharedChunks.releaseManifest(prev->vmmState);
-        sharedChunks.releaseManifest(prev->ws);
-    }
-
-    const core::WorkingSetRecord &rec = orch.record(name);
-    for (auto &w : workers)
-        w->orchestrator().adoptStagedArtifacts(name, rec, manifests);
-
-    e.stagedManifests = manifests;
+    e.stagedManifests = build.manifests;
     e.art.staged = true;
-    e.staging = false;
-    e.done->openGate();
 }
 
 void
@@ -232,31 +228,12 @@ SnapshotRegistry::retire(const std::string &name)
     VHIVE_ASSERT(!e.staging);
     if (e.stagedManifests) {
         const Bytes bytes0 = sharedChunks.storedBytes();
-        const std::int64_t chunks0 = sharedChunks.chunkCount();
         sharedChunks.releaseManifest(e.stagedManifests->vmmState);
         sharedChunks.releaseManifest(e.stagedManifests->ws);
         _gcReleasedBytes += bytes0 - sharedChunks.storedBytes();
-        _gcReleasedChunks += chunks0 - sharedChunks.chunkCount();
     }
     ++_retires;
     entries.erase(it);
-}
-
-void
-SnapshotRegistry::setChunkBudget(Bytes budget,
-                                 storage::EvictionPolicyKind policy)
-{
-    sharedChunks.setBudget(budget, policy,
-                           /*refcount_protected=*/true);
-}
-
-std::int64_t
-SnapshotRegistry::totalRestages() const
-{
-    std::int64_t n = 0;
-    for (const auto &entry : entries)
-        n += entry.second.art.restages;
-    return n;
 }
 
 bool
@@ -304,40 +281,6 @@ SnapshotRegistry::totalStagedBytes() const
     for (const auto &entry : entries)
         n += entry.second.art.stagedBytes;
     return n;
-}
-
-std::int64_t
-SnapshotRegistry::totalRemoteFetches() const
-{
-    std::int64_t n = 0;
-    for (const auto &entry : entries)
-        n += entry.second.art.remoteFetches;
-    return n;
-}
-
-Bytes
-SnapshotRegistry::totalLogicalBytes() const
-{
-    Bytes n = 0;
-    for (const auto &entry : entries)
-        n += entry.second.art.logicalBytes;
-    return n;
-}
-
-Bytes
-SnapshotRegistry::totalDedupSavedBytes() const
-{
-    Bytes n = 0;
-    for (const auto &entry : entries)
-        n += entry.second.art.dedupSavedBytes;
-    return n;
-}
-
-bool
-SnapshotRegistry::chunked() const
-{
-    return core::loader::sharedStagingPreset(mode).backstop ==
-           core::loader::TieredPreset::Backstop::Chunked;
 }
 
 } // namespace vhive::cluster

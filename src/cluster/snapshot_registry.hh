@@ -11,6 +11,12 @@
  * O(functions x workers) serial build loop into build-once + fan-out
  * metadata adoption, and tracks per-function staged bytes and fetch
  * fan-in (how many workers ever pulled the artifact remotely).
+ *
+ * Staging splits in two halves, each written once and used by both
+ * fleet engines: buildForStaging() on the home worker, and
+ * SnapshotRegistry::stage() where the shared store lives — called
+ * inline by the sequential Cluster, and in its store domain by
+ * ParallelFleet, which ships the build there as a message.
  */
 
 #ifndef VHIVE_CLUSTER_SNAPSHOT_REGISTRY_HH
@@ -22,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/fleet_stats.hh"
 #include "core/options.hh"
 #include "core/worker.hh"
 #include "net/object_store.hh"
@@ -102,49 +109,114 @@ struct StagedArtifact
 };
 
 /**
- * Stages each deployed function's artifacts into the shared object
+ * What a home worker's build hands the store-side staging pass: the
+ * recorded working set plus either the chunk manifests (chunked
+ * staging, DedupReap) or the blob size to put() (blob staging).
+ * Immutable once built, so the parallel fleet ships one shared copy
+ * to the store domain and on to every adopting worker.
+ */
+struct StagedBuild
+{
+    core::WorkingSetRecord record;
+
+    /** Chunk manifests (chunked staging); null for blob staging. */
+    std::shared_ptr<const vmm::SnapshotManifests> manifests;
+
+    /** VMM state + WS file bytes to put() (blob staging only). */
+    Bytes blobBytes = 0;
+
+    /** Snapshot builds this build performed (0 when already built). */
+    std::int64_t builds = 0;
+};
+
+/**
+ * The home-worker half of staging, shared by both fleet engines: boot
+ * and snapshot @p name on @p home (build once), run the record phase
+ * there under @p mode if no record exists (record once — the REAP
+ * record phase produces the WS and trace files the fleet prefetches
+ * from), then describe the artifacts for the store-side pass.
+ */
+sim::Task<StagedBuild> buildForStaging(core::Worker &home,
+                                       const std::string &name,
+                                       core::ColdStartMode mode);
+
+/**
+ * Whether a shared-staging cold start pulled the staged artifact
+ * through the remote tier — the one rule both engines count
+ * remoteArtifactFetches by. A mode without local tiers GETs the
+ * artifact on every cold start; otherwise @p artifacts_were_local
+ * (the worker held a local copy before the invoke) decides, unless a
+ * tiered chain reports which tier actually served the WS bytes — that
+ * report wins, since a concurrent cold start may have re-localized
+ * the artifact while this one queued.
+ */
+bool pulledStagedArtifact(core::ColdStartMode mode,
+                          const core::LatencyBreakdown &bd,
+                          bool artifacts_were_local);
+
+/**
+ * The fleet's staging records and its one staging implementation:
+ * stages each deployed function's artifacts into the shared object
  * store exactly once, even under concurrent ensureStaged() calls (the
  * first caller builds, later callers wait on a per-function gate).
- * Owned by Cluster when cross-worker snapshot sharing is enabled.
+ * Holds only its simulation, the shared store, the staged-chunk index
+ * and the per-function records; the workers are the caller's. Owned by
+ * Cluster, and by ParallelFleet's store domain, when cross-worker
+ * snapshot sharing is enabled.
  */
 class SnapshotRegistry
 {
   public:
+    /** The worker fleet the sequential staging calls work on. */
+    using Fleet = std::vector<std::unique_ptr<core::Worker>>;
+
     /**
-     * @param workers The fleet (borrowed; the owning Cluster outlives
-     * the registry). @param mode The cluster's cold-start mode — used
-     * for the home worker's record-phase invocation so the recorded
-     * artifacts match what the fleet will restore with.
+     * @param cfg The fleet's configuration: its cold-start mode drives
+     * the home worker's record phase (so the recorded artifacts match
+     * what the fleet restores with), and its registry budget caps the
+     * staged-chunk index. @param workers Fleet size (home placement).
      */
-    SnapshotRegistry(
-        sim::Simulation &sim, net::ArtifactStore &store,
-        const std::vector<std::unique_ptr<core::Worker>> &workers,
-        core::ColdStartMode mode);
+    SnapshotRegistry(sim::Simulation &sim, net::ArtifactStore &store,
+                     const FleetConfig &cfg, int workers);
 
     SnapshotRegistry(const SnapshotRegistry &) = delete;
     SnapshotRegistry &operator=(const SnapshotRegistry &) = delete;
 
     /**
-     * Build + stage @p name's artifacts if not already staged: boot
-     * and snapshot on the home worker, run the record phase there,
-     * put() the artifacts into the shared store, then fan the metadata
-     * out to every other worker (adoptStagedArtifacts). Concurrent
-     * callers for the same function wait for the single in-flight
-     * staging instead of duplicating it.
+     * Build + stage @p name's artifacts if not already staged: build
+     * on the home worker of @p fleet (buildForStaging), run the
+     * store-side pass (stage), then fan the metadata out to every
+     * worker (adoptStagedArtifacts). Concurrent callers for the same
+     * function wait for the single in-flight staging instead of
+     * duplicating it.
      */
-    sim::Task<void> ensureStaged(const std::string &name);
+    sim::Task<void> ensureStaged(const std::string &name,
+                                 const Fleet &fleet);
 
     /**
      * Re-record + delta re-stage @p name (the function's code was
-     * updated): invalidate the record fleet-wide, re-record on the
-     * home worker, then stage the new version against the previous
-     * one's still-referenced chunks — unchanged chunks dedup-hit and
-     * never cross the wire again; only the churned delta uploads. The
-     * previous version's references release once the delta lands, and
-     * the new metadata fans out to every worker. Must already be
-     * staged; a caller racing an in-flight (re)staging waits for it.
+     * updated): invalidate the record across @p fleet, re-record on
+     * the home worker, then stage the new version against the
+     * previous one's still-referenced chunks — unchanged chunks
+     * dedup-hit and never cross the wire again; only the churned delta
+     * uploads. The new metadata fans out to every worker. Must already
+     * be staged; a caller racing an in-flight (re)staging waits for it.
      */
-    sim::Task<void> restage(const std::string &name);
+    sim::Task<void> restage(const std::string &name, const Fleet &fleet);
+
+    /**
+     * The store-side staging pass, run where the shared store lives:
+     * stall through StagingOutage windows, upload @p build (chunked:
+     * core::stageChunks against the fleet index, duplicates referenced
+     * and never re-uploaded; blob: one put()) and record the counters.
+     * A WorkerCrash rolled mid-pass aborts the attempt — chunk
+     * references it took are released (the index rolls back) and the
+     * pass retries, so a function is still staged exactly once. On a
+     * restage (an earlier version already landed) it also books the
+     * delta and then releases the previous version's references.
+     */
+    sim::Task<void> stage(const std::string &name,
+                          const StagedBuild &build);
 
     /**
      * Fleet-wide GC of @p name (the function is being retired):
@@ -157,34 +229,26 @@ class SnapshotRegistry
      */
     void retire(const std::string &name);
 
-    /**
-     * Cap the fleet staged-chunk index at @p budget resident stored
-     * bytes (0 = unlimited). Referenced chunks are shielded
-     * (refcount-protected — the index must never lose a chunk a live
-     * manifest needs); zero-ref chunks left behind by retire() or
-     * restage() become the evictable pool.
-     */
-    void setChunkBudget(Bytes budget,
-                        storage::EvictionPolicyKind policy =
-                            storage::EvictionPolicyKind::Lru);
-
-    /** Completed restage() passes across functions. */
-    std::int64_t totalRestages() const;
-
     /** Functions retired (GC'd) so far. */
     std::int64_t retires() const { return _retires; }
 
     /** Stored bytes retire() reclaimed from the shared index. */
     Bytes gcReleasedBytes() const { return _gcReleasedBytes; }
 
-    /** Chunks retire() dropped from the shared index. */
-    std::int64_t gcReleasedChunks() const { return _gcReleasedChunks; }
-
     /** Whether @p name has been staged. */
     bool isStaged(const std::string &name) const;
 
     /** Staging record for @p name (must be staged or staging). */
     const StagedArtifact &artifact(const std::string &name) const;
+
+    /** Calls @p f on every function's staging record, by name. */
+    template <typename F>
+    void
+    forEachArtifact(F &&f) const
+    {
+        for (const auto &entry : entries)
+            f(entry.second.art);
+    }
 
     /** Deterministic home worker for @p name (hash on the ring). */
     int homeWorkerFor(const std::string &name) const;
@@ -199,35 +263,24 @@ class SnapshotRegistry
     /** Sum of staged bytes across functions. */
     Bytes totalStagedBytes() const;
 
-    /** Sum of remote artifact fetches across functions. */
-    std::int64_t totalRemoteFetches() const;
-
-    /** Sum of raw artifact bytes staged (chunked staging only). */
-    Bytes totalLogicalBytes() const;
-
-    /** Sum of upload bytes saved by chunk dedup across functions. */
-    Bytes totalDedupSavedBytes() const;
-
     /**
      * The fleet staged-chunk index (chunked staging): every distinct
      * chunk in the shared store, refcounted by referencing manifests.
+     * Budgeted by FleetConfig::registryChunkBudget; referenced chunks
+     * are shielded (refcount-protected — the index must never lose a
+     * chunk a live manifest needs), so budget pressure only reclaims
+     * the zero-ref pool retire() and restage() leave behind.
      */
     const storage::ChunkStore &chunkIndex() const
     {
         return sharedChunks;
     }
 
-    /** Whether this registry stages chunk manifests (DedupReap). */
-    bool chunked() const;
-
     /**
      * Install a fault plan on staging passes; specs are matched
-     * against "staging/<function>". A StagingOutage window stalls
-     * ensureStaged work entering it; a WorkerCrash aborts the staging
-     * pass mid-flight — chunk references taken by the aborted attempt
-     * are released (the index rolls back) and the pass retries, so a
-     * function is still staged exactly once. Null detaches; the plan
-     * is borrowed and must outlive the registry.
+     * against "staging/<function>" by stage() (StagingOutage stalls,
+     * WorkerCrash aborts and retries). Null detaches; the plan is
+     * borrowed and must outlive the registry.
      */
     void setFaultPlan(sim::FaultPlan *plan) { faults = plan; }
 
@@ -242,26 +295,23 @@ class SnapshotRegistry
          * The staged version's manifests (chunked staging only): the
          * references the shared index holds on this function's
          * behalf, released by retire() or — after the delta lands —
-         * by restage().
+         * by the restaging pass.
          */
         std::shared_ptr<const vmm::SnapshotManifests> stagedManifests;
     };
 
     /**
-     * One staging pass (with crash-retry) for @p name on its home
-     * worker: the shared body of ensureStaged() and restage().
-     * Requires the record phase to have run; fills @p e's counters and
-     * @p manifests (chunked staging).
+     * The sequential body of ensureStaged() and restage(), once @p e
+     * is claimed: build on the home worker, stage, fan the metadata
+     * out across @p fleet, then release the waiters.
      */
-    sim::Task<void>
-    stageArtifacts(const std::string &name, Entry &e,
-                   std::shared_ptr<const vmm::SnapshotManifests>
-                       &manifests);
+    sim::Task<void> buildStageAdopt(const std::string &name, Entry &e,
+                                    const Fleet &fleet);
 
     sim::Simulation &sim;
     net::ArtifactStore &store;
-    const std::vector<std::unique_ptr<core::Worker>> &workers;
     core::ColdStartMode mode;
+    int workers;
     std::map<std::string, Entry> entries;
     storage::ChunkStore sharedChunks;
 
@@ -272,7 +322,6 @@ class SnapshotRegistry
     /// @{
     std::int64_t _retires = 0;
     Bytes _gcReleasedBytes = 0;
-    std::int64_t _gcReleasedChunks = 0;
     /// @}
 };
 

@@ -1,6 +1,7 @@
 #include "core/function_state.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/logging.hh"
 
@@ -74,6 +75,8 @@ stageChunks(sim::Simulation &sim, const vmm::SnapshotManifests &m,
             std::uint64_t scope, std::function<Duration()> abort)
 {
     ChunkStageTally tally;
+    // Chunks whose upload this pass counted (abortable passes only).
+    std::vector<storage::ChunkHash> counted;
     for (const storage::ChunkManifest *man : {&m.vmmState, &m.ws}) {
         for (const storage::ChunkRef &c : man->chunks) {
             if (abort) {
@@ -84,10 +87,15 @@ stageChunks(sim::Simulation &sim, const vmm::SnapshotManifests &m,
                 }
             }
             ++tally.total;
-            if (index.addRef(c, sim.now())) {
+            bool stored = index.addRef(c, sim.now());
+            if (stored)
                 co_await store.putChunk(c.storedBytes, {c.hash, scope});
+            // A rolled-back pass's upload is already in the store.
+            if (stored || index.claimOrphan(c.hash)) {
                 ++tally.uploaded;
                 tally.uploadedBytes += c.storedBytes;
+                if (abort)
+                    counted.push_back(c.hash);
             } else {
                 tally.savedBytes += c.storedBytes;
             }
@@ -97,12 +105,15 @@ stageChunks(sim::Simulation &sim, const vmm::SnapshotManifests &m,
     }
     if (tally.aborted) {
         // Roll back every reference this pass took, in order; chunks
-        // it alone stored drop to zero refs and are evicted.
+        // it alone stored drop to zero refs and are evicted. An upload
+        // a concurrent pass still references survives, uncounted.
         std::int64_t left = tally.total;
         for (const storage::ChunkManifest *man : {&m.vmmState, &m.ws})
             for (const storage::ChunkRef &c : man->chunks)
                 if (left-- > 0)
                     index.release(c.hash);
+        for (storage::ChunkHash h : counted)
+            index.orphan(h);
     }
     co_return tally;
 }

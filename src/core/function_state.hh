@@ -258,7 +258,7 @@ ensureManifests(FunctionState &st, const ReapOptions &reap,
 struct ChunkStageTally
 {
     std::int64_t total = 0;    ///< manifest chunks: the refs taken
-    std::int64_t uploaded = 0; ///< chunks new to the index, put
+    std::int64_t uploaded = 0; ///< put as new, or an orphan claimed
     Bytes uploadedBytes = 0;   ///< stored bytes those puts moved
     Bytes savedBytes = 0;      ///< stored bytes dedup kept local
     bool aborted = false;      ///< abort hook fired; refs rolled back
@@ -269,10 +269,12 @@ struct ChunkStageTally
  * manifest order: addRef every chunk in @p index and putChunk only the
  * ones new to it. Duplicates (cross-function and in-artifact repeats)
  * are referenced, never re-uploaded. The single chunk-staging routine
- * of the DedupReap loader, the fleet registry and the parallel fleet's
- * store domain. @p abort, when set, runs before each chunk; a positive
- * return aborts the pass after that much lost simulated time and
- * releases every reference it took.
+ * of the DedupReap loader and the fleet registry (both fleet engines).
+ * @p abort, when set, runs before each chunk; a positive return aborts
+ * the pass after that much lost simulated time and releases every
+ * reference it took — an upload a concurrent pass still references
+ * stays stored and is orphaned, so the next pass that references it
+ * counts the upload (ChunkStore::orphan).
  */
 sim::Task<ChunkStageTally>
 stageChunks(sim::Simulation &sim, const vmm::SnapshotManifests &m,

@@ -66,16 +66,20 @@ enum class FaultKind
     RequestError,
 
     /**
-     * Snapshot staging unavailable: SnapshotRegistry::ensureStaged
-     * work entering the window stalls until it closes.
+     * Snapshot staging unavailable: a staging pass entering the
+     * window (SnapshotRegistry::stage, the registry's store-side
+     * pass) stalls until it closes. Both fleet engines honour it:
+     * Cluster through its installed plan, ParallelFleet through the
+     * store domain's plan built from storeFaults.
      */
     StagingOutage,
 
     /**
-     * Worker crash: a cold start (or a registry staging pass) rolled
-     * inside the window aborts after magnitude milliseconds of lost
-     * work; instances are torn down, partially taken chunk references
-     * are released, and the caller retries.
+     * Worker crash: a cold start (or a staging pass in
+     * SnapshotRegistry::stage, in either fleet engine) rolled inside
+     * the window aborts after magnitude milliseconds of lost work;
+     * instances are torn down, partially taken chunk references are
+     * released, and the caller retries.
      */
     WorkerCrash,
 };

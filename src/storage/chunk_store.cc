@@ -372,6 +372,24 @@ ChunkStore::refCount(ChunkHash hash) const
     return it == chunks.end() ? 0 : it->second.refs;
 }
 
+void
+ChunkStore::orphan(ChunkHash hash)
+{
+    auto it = chunks.find(hash);
+    if (it != chunks.end())
+        it->second.orphaned = true;
+}
+
+bool
+ChunkStore::claimOrphan(ChunkHash hash)
+{
+    auto it = chunks.find(hash);
+    if (it == chunks.end() || !it->second.orphaned)
+        return false;
+    it->second.orphaned = false;
+    return true;
+}
+
 std::int64_t
 ChunkStore::residentChunks(const ChunkManifest &m) const
 {

@@ -191,6 +191,25 @@ class ChunkStore
     std::int64_t refCount(ChunkHash hash) const;
 
     /**
+     * @name Upload credit across rolled-back staging passes.
+     * An aborted staging pass releases its references, but a chunk it
+     * uploaded outlives that rollback when a concurrent pass has
+     * referenced it meanwhile: its bytes are stored, yet no live pass
+     * counted the upload. orphan() marks such a chunk and the next
+     * pass to reference it claims the upload, so converged staging
+     * counts every stored chunk as uploaded exactly once, crashes or
+     * not.
+     */
+    /// @{
+
+    /** Mark @p hash's upload as uncounted (no-op when absent). */
+    void orphan(ChunkHash hash);
+
+    /** Claim @p hash's orphaned upload: true once per orphan(). */
+    bool claimOrphan(ChunkHash hash);
+    /// @}
+
+    /**
      * Record a serve of @p hash: bumps its LRU recency and sharing
      * score. No-op when absent. Pure bookkeeping — never changes
      * behaviour of an unbudgeted store.
@@ -261,6 +280,9 @@ class ChunkStore
         Bytes rawBytes = 0;
         Bytes storedBytes = 0;
         std::int64_t refs = 0;
+
+        /** Uploaded by a rolled-back pass, not yet claimed. */
+        bool orphaned = false;
 
         /** @name Budget bookkeeping (inert while unbudgeted). */
         /// @{

@@ -764,6 +764,52 @@ TEST(ChaosParallel, StoreFaultDigestStableAcrossThreads)
     EXPECT_NE(run_fleet(1, false), d1);
 }
 
+TEST(ChaosParallel, StagingCrashesRollBackAcrossThreads)
+{
+    // The parallel fleet stages through the same registry pass as the
+    // sequential Cluster, in its store domain: the staging/* crash
+    // spec of ChaosStaging.MidStageCrashRollsBackAndConverges aborts
+    // and rolls back staging passes there too, deterministically.
+    auto run_fleet = [](int threads, bool crashes) {
+        cluster::ParallelFleetConfig cfg;
+        cfg.workers = 3;
+        cfg.simThreads = threads;
+        cfg.coldStartMode = core::ColdStartMode::DedupReap;
+        cfg.sharedSnapshots = true;
+        cfg.sharedStoreShards = 2;
+        cfg.workload.functions = 5;
+        cfg.workload.minInterarrival = sec(2);
+        cfg.workload.maxInterarrival = sec(20);
+        cfg.workload.horizon = sec(90);
+        if (crashes) {
+            cfg.faultSeed = 9;
+            cfg.storeFaults.push_back(spec(FaultKind::WorkerCrash,
+                                           "staging/*", 0, sec(120),
+                                           5.0, 0.01));
+        }
+        cluster::ParallelFleet fleet(cfg);
+        return fleet.run();
+    };
+
+    cluster::FleetStats clean = run_fleet(1, false);
+    cluster::FleetStats r = run_fleet(1, true);
+    // Rolled back and retried to the crash-free staging.
+    EXPECT_EQ(r.snapshotBuilds, clean.snapshotBuilds);
+    EXPECT_EQ(r.stagedBytes, clean.stagedBytes);
+    EXPECT_EQ(r.chunksUploaded, clean.chunksUploaded);
+    EXPECT_EQ(r.dedupSavedBytes, clean.dedupSavedBytes);
+    EXPECT_EQ(r.chunksStored, clean.chunksStored);
+    EXPECT_EQ(r.chunkStoredBytes, clean.chunkStoredBytes);
+    // Deterministic for any thread count.
+    EXPECT_EQ(run_fleet(2, true).digest(), r.digest());
+    EXPECT_EQ(run_fleet(4, true).digest(), r.digest());
+    // The crashes fired: the simulated history moved.
+    EXPECT_NE(r.digest(), clean.digest());
+    // Every invocation completed.
+    EXPECT_GT(r.invocations, 0);
+    EXPECT_EQ(r.coldStarts + r.warmHits, r.invocations);
+}
+
 TEST(ChaosParallel, RegistryModesRunWithoutSharedSnapshots)
 {
     // Registry-backed modes are no longer blanket-rejected: without

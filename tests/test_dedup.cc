@@ -397,6 +397,9 @@ TEST(DedupReap, FleetSharedStagingCountsDedupInFleetStats)
     EXPECT_LT(fs.dedupRatio(), 1.0);
     EXPECT_GT(fs.chunksStored, 0);
     EXPECT_GT(fs.chunksDeduped, 0);
+    // Every distinct staged chunk was uploaded exactly once.
+    EXPECT_GT(fs.chunksUploaded, 0);
+    EXPECT_EQ(fs.chunksUploaded, fs.chunksStored);
     // Chunked staging moved strictly fewer bytes than the blobs.
     EXPECT_LT(fs.stagedBytes, fs.chunkLogicalBytes);
     // One build per function, as with blob staging.

@@ -336,6 +336,11 @@ TEST(ParallelFleet, SharedDedupBitIdenticalAcrossThreadCounts)
     EXPECT_GT(ref.chunksUploaded, 0);
     EXPECT_GT(ref.chunksDeduped, 0);
     EXPECT_GT(ref.dedupSavedBytes, 0);
+    // The registry fold reports the staged index too: each distinct
+    // chunk uploaded once, and dedup kept the index below the raw
+    // artifact bytes the manifests describe.
+    EXPECT_EQ(ref.chunksStored, ref.chunksUploaded);
+    EXPECT_GT(ref.chunkLogicalBytes, ref.stagedBytes);
     std::uint64_t ref_digest = ref.digest();
     for (int threads : {2, 4, 8}) {
         ParallelFleetResult r = runSharedScenario(
