@@ -86,20 +86,30 @@ BM_WastedAgainst(benchmark::State &state)
 }
 BENCHMARK(BM_WastedAgainst)->Arg(2048)->Arg(25000);
 
+/**
+ * One invocation trace per iteration. Arg 1 = 0: one generator for all
+ * iterations, so the function's stable skeleton is memoized (the cost
+ * of every call but a worker's first); 1: a fresh generator per
+ * iteration, which pays for the skeleton too (the first call).
+ */
 void
 BM_TraceGeneration(benchmark::State &state)
 {
-    func::TraceGenerator gen(0xbeef);
     const auto &p = func::functionBench()[static_cast<size_t>(
         state.range(0))];
+    const bool first_call = state.range(1) != 0;
+    func::TraceGenerator gen(0xbeef);
     std::int64_t input = 0;
     for (auto _ : state) {
-        auto trace = gen.invocation(p, input++);
+        auto trace = first_call
+                         ? func::TraceGenerator(0xbeef).invocation(p, input++)
+                         : gen.invocation(p, input++);
         benchmark::DoNotOptimize(trace.runs.data());
     }
-    state.SetLabel(p.name);
+    state.SetLabel(p.name + (first_call ? " first call" : " memoized"));
 }
-BENCHMARK(BM_TraceGeneration)->Arg(0)->Arg(6)->Arg(8);
+BENCHMARK(BM_TraceGeneration)
+    ->ArgsProduct({{0, 6, 8}, {0, 1}});
 
 void
 BM_PercentileQuery(benchmark::State &state)

@@ -15,12 +15,19 @@
  * the paper's 2-3 page contiguity (Fig. 3), and the access order is a
  * deterministic shuffle, giving the poor spatial locality that defeats
  * OS readahead (Sec. 4.2).
+ *
+ * The stable pool depends only on the root seed and the profile, so a
+ * generator derives it once per function and keeps it as a compact
+ * skeleton (8 bytes per run); each invocation then draws only what
+ * its input changes.
  */
 
 #ifndef VHIVE_FUNC_TRACE_GEN_HH
 #define VHIVE_FUNC_TRACE_GEN_HH
 
 #include <cstdint>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "func/profile.hh"
@@ -95,8 +102,24 @@ ReuseStats comparePageSets(const InvocationTrace &a,
 double averageContiguity(const std::vector<std::int64_t> &sorted_pages);
 
 /**
+ * The order left by inserting m items one after another into a
+ * sequence of @p n others: item k goes in at index positions[k] of the
+ * then n + k long sequence (0 <= positions[k] <= n + k). Returns, for
+ * each index of the final n + m long sequence, the item there, or -1
+ * for one of the n others, which keep their order. Runs in
+ * O(n + m log(n + m)).
+ */
+std::vector<std::int32_t>
+insertionOrder(std::int64_t n, const std::vector<std::int64_t> &positions);
+
+/**
  * Deterministic trace factory. The same (root seed, function,
  * invocation id) triple always yields an identical trace.
+ *
+ * The generator memoizes each function's stable skeleton, keyed on
+ * the function name and every profile field the skeleton reads, so a
+ * re-registered profile that changes one of them is rebuilt. The
+ * memo makes it unsafe to share one generator between threads.
  */
 class TraceGenerator
 {
@@ -122,7 +145,63 @@ class TraceGenerator
     InvocationTrace boot(const FunctionProfile &profile) const;
 
   private:
+    /** A page run in 8 bytes: first page and length. */
+    struct PageRun
+    {
+        PageRun(std::int64_t first, std::int64_t n)
+            : page(static_cast<std::int32_t>(first)),
+              pages(static_cast<std::int32_t>(n))
+        {
+        }
+
+        std::int32_t page;
+        std::int32_t pages;
+    };
+
+    /** Profile fields a skeleton is derived from (besides the name). */
+    struct SkeletonKey
+    {
+        Bytes vmMemory;
+        Bytes workingSet;
+        Bytes infraSet;
+        double uniqueFrac;
+        double contiguityMean;
+        double stableDriftFrac;
+
+        bool operator==(const SkeletonKey &) const = default;
+    };
+
+    /**
+     * The invocation-independent part of a function's traces: the
+     * common stable pool split into connection-restore runs and body
+     * runs. The body is stored in access order when the profile does
+     * not drift; a drifting profile's order depends on its shifted
+     * runs, so its body is stored unshuffled.
+     */
+    struct Skeleton
+    {
+        SkeletonKey key;
+        std::vector<PageRun> infra;
+        std::vector<PageRun> body;
+        std::int64_t cursorEnd = 0; ///< page past the common pool
+    };
+
+    /** The skeleton of @p profile, built on first use or change. */
+    const Skeleton &skeleton(const FunctionProfile &profile) const;
+
+    /**
+     * Stable body runs of invocation @p invocation_id in access order:
+     * the skeleton's body, or, for a drifting profile, the body and
+     * the input's shifted runs (placed clear of @p used, and added to
+     * it) shuffled into @p scratch.
+     */
+    const std::vector<PageRun> &
+    stableBody(const FunctionProfile &profile, const Skeleton &sk,
+               std::int64_t invocation_id, PageSet &used,
+               std::vector<PageRun> &scratch) const;
+
     std::uint64_t rootSeed;
+    mutable std::unordered_map<std::string, Skeleton> skeletons;
 };
 
 } // namespace vhive::func

@@ -1,15 +1,12 @@
 #include "mem/guest_memory.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace vhive::mem {
 
 GuestMemory::GuestMemory(sim::Simulation &sim, storage::FileStore &store,
                          std::int64_t total_pages)
-    : sim(sim), store(store),
-      present(static_cast<size_t>(total_pages), false),
+    : sim(sim), store(store), present(total_pages),
       _totalPages(total_pages)
 {
     VHIVE_ASSERT(total_pages > 0);
@@ -33,8 +30,7 @@ GuestMemory::backLazyFile(storage::FileId memory_file)
     memoryFile = memory_file;
     uffd = nullptr;
     // Mapping a fresh region: nothing is present yet.
-    std::fill(present.begin(), present.end(), false);
-    _presentPages = 0;
+    present.clear();
 }
 
 void
@@ -45,28 +41,21 @@ GuestMemory::backUffd(storage::FileId memory_file, UserFaultFd *fd)
     _mode = BackingMode::Uffd;
     memoryFile = memory_file;
     uffd = fd;
-    std::fill(present.begin(), present.end(), false);
-    _presentPages = 0;
+    present.clear();
 }
 
 bool
 GuestMemory::isPresent(std::int64_t page) const
 {
     VHIVE_ASSERT(page >= 0 && page < _totalPages);
-    return present[static_cast<size_t>(page)];
+    return present.contains(page);
 }
 
 void
 GuestMemory::installRange(std::int64_t page, std::int64_t n_pages)
 {
     VHIVE_ASSERT(page >= 0 && page + n_pages <= _totalPages);
-    for (std::int64_t p = page; p < page + n_pages; ++p) {
-        if (!present[static_cast<size_t>(p)]) {
-            present[static_cast<size_t>(p)] = true;
-            ++_presentPages;
-            ++_stats.pagesInstalledByMonitor;
-        }
-    }
+    _stats.pagesInstalledByMonitor += present.insertRange(page, n_pages);
 }
 
 sim::Task<void>
@@ -80,17 +69,12 @@ GuestMemory::touchRun(std::int64_t page, std::int64_t n_pages)
     std::int64_t p = page;
     const std::int64_t end = page + n_pages;
     while (p < end) {
-        if (present[static_cast<size_t>(p)]) {
-            std::int64_t q = p;
-            while (q < end && present[static_cast<size_t>(q)])
-                ++q;
+        const std::int64_t q = present.runEnd(p, end);
+        if (present.contains(p)) {
             _stats.minorFaults += q - p;
             co_await sim.delay(kPresentTouch * (q - p));
             p = q;
         } else {
-            std::int64_t q = p;
-            while (q < end && !present[static_cast<size_t>(q)])
-                ++q;
             std::int64_t missing = q - p;
             ++_stats.majorFaults;
             switch (_mode) {
@@ -117,10 +101,7 @@ sim::Task<void>
 GuestMemory::faultAnonymous(std::int64_t page, std::int64_t n)
 {
     co_await sim.delay(kZeroFillPerPage * n);
-    for (std::int64_t p = page; p < page + n; ++p) {
-        present[static_cast<size_t>(p)] = true;
-    }
-    _presentPages += n;
+    present.insertRange(page, n);
 }
 
 sim::Task<void>
@@ -131,12 +112,7 @@ GuestMemory::faultLazyFile(std::int64_t page, std::int64_t n)
     // snapshot memory file).
     co_await store.faultRead(memoryFile, bytesForPages(page),
                              bytesForPages(n));
-    for (std::int64_t p = page; p < page + n; ++p) {
-        if (!present[static_cast<size_t>(p)]) {
-            present[static_cast<size_t>(p)] = true;
-            ++_presentPages;
-        }
-    }
+    present.insertRange(page, n);
 }
 
 sim::Task<void>
@@ -147,7 +123,7 @@ GuestMemory::faultUffd(std::int64_t page, std::int64_t n)
     // installRange); when raiseAndWait returns, the pages must be
     // present.
     co_await uffd->raiseAndWait(page, n);
-    if (!present[static_cast<size_t>(page)])
+    if (!present.contains(page))
         panic("uffd monitor woke faulting thread without installing "
               "page %lld", static_cast<long long>(page));
 }

@@ -20,12 +20,12 @@
 #define VHIVE_MEM_GUEST_MEMORY_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "mem/uffd.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
 #include "storage/file_store.hh"
+#include "util/page_set.hh"
 #include "util/units.hh"
 
 namespace vhive::mem {
@@ -97,7 +97,7 @@ class GuestMemory
     bool isPresent(std::int64_t page) const;
 
     /** Number of resident pages (the instance's memory footprint). */
-    std::int64_t presentPages() const { return _presentPages; }
+    std::int64_t presentPages() const { return present.size(); }
 
     /** Total pages of guest memory. */
     std::int64_t totalPages() const { return _totalPages; }
@@ -118,9 +118,8 @@ class GuestMemory
 
     sim::Simulation &sim;
     storage::FileStore &store;
-    std::vector<bool> present;
+    PageSet present;
     std::int64_t _totalPages;
-    std::int64_t _presentPages = 0;
     BackingMode _mode = BackingMode::Anonymous;
     storage::FileId memoryFile = storage::kInvalidFile;
     UserFaultFd *uffd = nullptr;

@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "func/profile.hh"
 #include "func/trace_gen.hh"
+#include "util/rng.hh"
 #include "util/units.hh"
 
 namespace vhive::func {
@@ -272,6 +276,118 @@ TEST(TraceGen, BootCoversStablePoolAndFootprint)
         if (p.stableDriftFrac == 0.0) {
             EXPECT_EQ(missing_stable, 0) << p.name;
         }
+    }
+}
+
+/** Two traces equal run by run and field by field. */
+void
+expectSameTrace(const InvocationTrace &got, const InvocationTrace &want,
+                const std::string &what)
+{
+    EXPECT_EQ(got.stablePageCount, want.stablePageCount) << what;
+    EXPECT_EQ(got.uniquePageCount, want.uniquePageCount) << what;
+    ASSERT_EQ(got.runs.size(), want.runs.size()) << what;
+    for (size_t i = 0; i < got.runs.size(); ++i) {
+        const AccessRun &a = got.runs[i];
+        const AccessRun &b = want.runs[i];
+        ASSERT_TRUE(a.page == b.page && a.pages == b.pages &&
+                    a.computeAfter == b.computeAfter &&
+                    a.phase == b.phase && a.stable == b.stable)
+            << what << " run " << i;
+    }
+}
+
+/**
+ * Property: a long-lived generator, whose skeletons persist across
+ * invocation and boot calls interleaved over many profiles, returns
+ * exactly what a fresh generator returns. A profile re-registered
+ * under the same name with any skeleton field changed must get a
+ * rebuilt skeleton, not the stale one.
+ */
+TEST(TraceGen, MemoizedMatchesFresh)
+{
+    std::vector<FunctionProfile> profiles = functionBench();
+    for (FunctionClass cls :
+         {FunctionClass::Generic, FunctionClass::MlInference,
+          FunctionClass::Media, FunctionClass::Etl})
+        profiles.push_back(makeClassProfile(cls, kSeed, 1));
+    auto call = [](const TraceGenerator &gen, const FunctionProfile &p,
+                   std::int64_t id) {
+        return id < 0 ? gen.boot(p) : gen.invocation(p, id);
+    };
+
+    TraceGenerator shared(kSeed);
+    Rng rng(kSeed, "memo-calls");
+    for (int i = 0; i < 80; ++i) {
+        // Every profile once in order, then random profiles and ids
+        // (id -1 is a boot).
+        size_t which = i < static_cast<int>(profiles.size())
+                           ? static_cast<size_t>(i)
+                           : static_cast<size_t>(rng.uniformInt(
+                                 0, static_cast<std::int64_t>(
+                                        profiles.size()) - 1));
+        const FunctionProfile &p = profiles[which];
+        std::int64_t id = rng.uniformInt(-1, 4);
+        expectSameTrace(call(shared, p, id),
+                        call(TraceGenerator(kSeed), p, id),
+                        p.name + " id " + std::to_string(id));
+    }
+
+    const std::vector<std::pair<const char *,
+                                std::function<void(FunctionProfile &)>>>
+        edits = {
+            {"vmMemory", [](FunctionProfile &p) { p.vmMemory *= 2; }},
+            {"workingSet",
+             [](FunctionProfile &p) { p.workingSet += 3 * kMiB; }},
+            {"uniqueFrac",
+             [](FunctionProfile &p) { p.uniqueFrac += 0.03; }},
+            {"infraSet",
+             [](FunctionProfile &p) { p.infraSet += 2 * kMiB; }},
+            {"contiguityMean",
+             [](FunctionProfile &p) { p.contiguityMean += 0.7; }},
+            {"stableDriftFrac",
+             [](FunctionProfile &p) { p.stableDriftFrac += 0.05; }},
+        };
+    for (const char *name : {"pyaes", "video_processing"}) {
+        const FunctionProfile &base = profileByName(name);
+        for (const auto &[field, edit] : edits) {
+            FunctionProfile changed = base;
+            edit(changed);
+            for (std::int64_t id : {2, -1}) {
+                std::string what =
+                    std::string(name) + " with " + field + " changed";
+                call(shared, base, id); // the stale skeleton is cached
+                expectSameTrace(call(shared, changed, id),
+                                call(TraceGenerator(kSeed), changed, id),
+                                what);
+                expectSameTrace(call(shared, base, id),
+                                call(TraceGenerator(kSeed), base, id),
+                                what + " and back");
+            }
+        }
+    }
+}
+
+/**
+ * Property: insertionOrder leaves every item where inserting the items
+ * one after another with vector::insert does, including into an empty
+ * sequence, with no items, and with more items than the sequence had.
+ */
+TEST(TraceGen, InsertionOrderMatchesSequentialInsert)
+{
+    Rng rng(kSeed, "insertion-order");
+    for (int iter = 0; iter < 400; ++iter) {
+        std::int64_t n = iter % 7 == 0 ? 0 : rng.uniformInt(0, 150);
+        std::int64_t m = iter % 5 == 0 ? 0 : rng.uniformInt(0, 300);
+        std::vector<std::int64_t> positions;
+        std::vector<std::int32_t> want(static_cast<size_t>(n), -1);
+        for (std::int64_t k = 0; k < m; ++k) {
+            std::int64_t pos = rng.uniformInt(0, n + k);
+            positions.push_back(pos);
+            want.insert(want.begin() + pos, static_cast<std::int32_t>(k));
+        }
+        EXPECT_EQ(insertionOrder(n, positions), want)
+            << "n " << n << " m " << m;
     }
 }
 

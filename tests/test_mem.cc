@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "host/cpu_pool.hh"
 #include "mem/guest_memory.hh"
 #include "mem/page_fetch.hh"
@@ -19,6 +21,7 @@
 #include "sim/task.hh"
 #include "storage/disk.hh"
 #include "storage/file_store.hh"
+#include "util/rng.hh"
 #include "util/units.hh"
 
 namespace vhive::mem {
@@ -249,6 +252,187 @@ TEST(Uffd, PartialInstallRefaults)
     EXPECT_TRUE(done);
     EXPECT_EQ(gm.presentPages(), 4);
     EXPECT_EQ(uffd.stats().faultsDelivered, 4);
+}
+
+/**
+ * Reference model of GuestMemory's presence tracking: a
+ * std::vector<bool> walked page by page, with the same fault costs.
+ * Run in a twin fixture, it gives the simulated time a touch sequence
+ * must take as well as the expected counters.
+ */
+struct RefMemory {
+    Fixture &fx;
+    BackingMode mode;
+    storage::FileId file;
+    UserFaultFd *uffd;
+    std::vector<bool> present;
+    GuestMemoryStats counters;
+    std::int64_t resident = 0;
+
+    std::int64_t presentPages() const { return resident; }
+    const GuestMemoryStats &stats() const { return counters; }
+
+    void
+    installRange(std::int64_t page, std::int64_t n)
+    {
+        for (std::int64_t p = page; p < page + n; ++p)
+            counters.pagesInstalledByMonitor += mark(p);
+    }
+
+    int
+    mark(std::int64_t p)
+    {
+        if (present[static_cast<size_t>(p)])
+            return 0;
+        present[static_cast<size_t>(p)] = true;
+        ++resident;
+        return 1;
+    }
+
+    Task<void>
+    touchRun(std::int64_t page, std::int64_t n)
+    {
+        counters.pagesTouched += n;
+        const std::int64_t end = page + n;
+        for (std::int64_t p = page; p < end;) {
+            const bool here = present[static_cast<size_t>(p)];
+            std::int64_t q = p;
+            while (q < end && present[static_cast<size_t>(q)] == here)
+                ++q;
+            if (here) {
+                counters.minorFaults += q - p;
+                co_await fx.sim.delay(static_cast<Duration>(100) *
+                                      (q - p));
+                p = q;
+                continue;
+            }
+            ++counters.majorFaults;
+            if (mode == BackingMode::Uffd) {
+                co_await uffd->raiseAndWait(p, q - p);
+                continue; // re-scan: the monitor may install fewer
+            }
+            if (mode == BackingMode::Anonymous)
+                co_await fx.sim.delay(usec(1) * (q - p));
+            else
+                co_await fx.fs.faultRead(file, bytesForPages(p),
+                                         bytesForPages(q - p));
+            for (; p < q; ++p)
+                mark(p);
+        }
+    }
+};
+
+/** Monitor installing a random non-empty prefix of each fault. */
+template <typename Mem>
+Task<void>
+prefixMonitor(UserFaultFd &uffd, Mem &mem, Rng rng)
+{
+    for (;;) {
+        FaultEvent ev = co_await uffd.nextFault();
+        if (ev.page < 0)
+            co_return;
+        std::int64_t n = rng.uniformInt(1, ev.runPages);
+        co_await uffd.copyCost(n, 0);
+        mem.installRange(ev.page, n);
+        ev.done->openGate();
+    }
+}
+
+struct MemOp {
+    bool install;
+    std::int64_t page;
+    std::int64_t pages;
+};
+
+/** What a memory looked like after each op of a sequence. */
+struct MemStep {
+    Time at;
+    std::int64_t present, major, minor, touched, installed;
+
+    bool operator==(const MemStep &) const = default;
+};
+
+template <typename Mem>
+Task<void>
+replayOps(Fixture &fx, Mem &mem, UserFaultFd *uffd,
+          const std::vector<MemOp> &ops, std::vector<MemStep> &out)
+{
+    for (const MemOp &op : ops) {
+        if (op.install)
+            mem.installRange(op.page, op.pages);
+        else
+            co_await mem.touchRun(op.page, op.pages);
+        const GuestMemoryStats &st = mem.stats();
+        out.push_back({fx.sim.now(), mem.presentPages(), st.majorFaults,
+                       st.minorFaults, st.pagesTouched,
+                       st.pagesInstalledByMonitor});
+    }
+    if (uffd)
+        uffd->sendShutdown();
+}
+
+/**
+ * Property: random touchRun/installRange sequences over a memory whose
+ * size is not a multiple of 64 pages give the same counters, resident
+ * pages and simulated time after every op as the page-by-page
+ * reference model, in all three backing modes.
+ */
+TEST(GuestMemory, MatchesPerPageReference)
+{
+    constexpr std::int64_t kPages = 300;
+    Rng rng(7, "guest-memory-ops");
+    for (BackingMode mode : {BackingMode::Anonymous, BackingMode::LazyFile,
+                             BackingMode::Uffd}) {
+        for (int iter = 0; iter < 25; ++iter) {
+            std::vector<MemOp> ops;
+            for (int i = 0; i < 40; ++i) {
+                std::int64_t page = rng.uniformInt(0, kPages - 1);
+                std::int64_t pages =
+                    rng.uniformInt(1, std::min<std::int64_t>(
+                                          kPages - page, 140));
+                ops.push_back({rng.uniformInt(0, 3) == 0, page, pages});
+            }
+            std::vector<MemStep> got, want;
+            const Rng monitor_rng(static_cast<std::uint64_t>(iter),
+                                  "monitor");
+
+            Fixture fx;
+            auto file = fx.fs.createFile("snap.mem", kPages * kPageSize);
+            GuestMemory gm(fx.sim, fx.fs, kPages);
+            UserFaultFd uffd(fx.sim);
+            if (mode == BackingMode::LazyFile)
+                gm.backLazyFile(file);
+            if (mode == BackingMode::Uffd) {
+                gm.backUffd(file, &uffd);
+                fx.sim.spawn(prefixMonitor(uffd, gm, monitor_rng));
+            }
+            fx.sim.spawn(replayOps(
+                fx, gm, mode == BackingMode::Uffd ? &uffd : nullptr, ops,
+                got));
+            fx.sim.run();
+
+            Fixture rfx;
+            auto rfile = rfx.fs.createFile("snap.mem", kPages * kPageSize);
+            UserFaultFd ruffd(rfx.sim);
+            RefMemory ref{rfx, mode, rfile, &ruffd,
+                          std::vector<bool>(kPages, false), {}, 0};
+            if (mode == BackingMode::Uffd)
+                rfx.sim.spawn(prefixMonitor(ruffd, ref, monitor_rng));
+            rfx.sim.spawn(replayOps(
+                rfx, ref, mode == BackingMode::Uffd ? &ruffd : nullptr,
+                ops, want));
+            rfx.sim.run();
+
+            ASSERT_EQ(got.size(), ops.size());
+            for (size_t i = 0; i < ops.size(); ++i)
+                ASSERT_TRUE(got[i] == want[i])
+                    << "mode " << static_cast<int>(mode) << " iter "
+                    << iter << " op " << i;
+            for (std::int64_t p = 0; p < kPages; ++p)
+                ASSERT_EQ(gm.isPresent(p),
+                          ref.present[static_cast<size_t>(p)]) << p;
+        }
+    }
 }
 
 TEST(Uffd, CopyCostBatches)

@@ -246,12 +246,30 @@ TEST(PageSet, EmptyAndSinglePages)
     EXPECT_EQ(s.size(), 74);
     EXPECT_TRUE(s.contains(191));
     EXPECT_FALSE(s.contains(192));
+    // Run ends: inside a word, across words, capped by the limit, and
+    // past the storage (all non-members).
+    EXPECT_EQ(s.runEnd(60, 1000), 70);
+    EXPECT_EQ(s.runEnd(70, 1000), 128);
+    EXPECT_EQ(s.runEnd(128, 1000), 192);
+    EXPECT_EQ(s.runEnd(130, 150), 150);
+    EXPECT_EQ(s.runEnd(192, 1 << 20), 1 << 20);
+    EXPECT_EQ(s.runEnd(5000, 5001), 5001);
+    s.clear();
+    EXPECT_EQ(s.size(), 0);
+    EXPECT_FALSE(s.contains(191));
+    EXPECT_EQ(s.runEnd(0, 300), 300);
+    PageSet one_word(64);
+    one_word.insertRange(60, 4); // members up to the storage's end
+    EXPECT_EQ(one_word.runEnd(60, 100), 64);
+    EXPECT_EQ(one_word.runEnd(61, 63), 63);
 }
 
 /**
  * Property: random single inserts and runs, started inside the initial
  * size and far past it (growth), answer contains/intersects/size and
- * report newly added pages exactly as a std::set does.
+ * report newly added pages exactly as a std::set does. runEnd finds
+ * the same run ends as a page-by-page scan, for runs that straddle
+ * 64-page words and the end of the storage, and clear() empties both.
  */
 TEST(PageSet, MatchesStdSet)
 {
@@ -273,6 +291,21 @@ TEST(PageSet, MatchesStdSet)
             EXPECT_EQ(bits.insertRange(page, len), fresh);
             std::int64_t probe = rng.uniformInt(0, 2 * limit);
             EXPECT_EQ(bits.contains(probe), ref.count(probe) == 1);
+
+            std::int64_t from = rng.uniformInt(0, limit + 200);
+            std::int64_t to = from + rng.uniformInt(1, 300);
+            std::int64_t run_end = from + 1;
+            while (run_end < to &&
+                   ref.count(run_end) == ref.count(from))
+                ++run_end;
+            EXPECT_EQ(bits.runEnd(from, to), run_end)
+                << from << ".." << to;
+            if (rng.uniformInt(0, 40) == 0) {
+                bits.clear();
+                ref.clear();
+                EXPECT_EQ(bits.size(), 0);
+                EXPECT_FALSE(bits.intersects(0, 2 * limit));
+            }
         }
         EXPECT_EQ(bits.size(), static_cast<std::int64_t>(ref.size()));
         for (std::int64_t p : ref)
