@@ -84,7 +84,6 @@ trafficConfig(bool periodic)
 
 struct CellResult
 {
-    cluster::TrafficWorkloadResult workload;
     cluster::FleetStats fleet;
     double wall_s = 0;
     double events_per_sec = 0;
@@ -117,7 +116,7 @@ runCell(bool periodic, storage::EvictionPolicyKind policy,
     auto host0 = std::chrono::steady_clock::now();
     bench::runScenario(sim, [&]() -> sim::Task<void> {
         co_await c.prepareAllSnapshots();
-        r.workload = co_await workload.run();
+        co_await workload.run();
     });
     auto host1 = std::chrono::steady_clock::now();
     r.fleet = c.fleetStats();
@@ -162,8 +161,8 @@ main()
             .cell(tname)
             .cell("lru")
             .cell("unbounded")
-            .cell(unb.workload.invocations)
-            .cell(unb.workload.coldStarts)
+            .cell(unb.fleet.invocations)
+            .cell(unb.fleet.coldStarts)
             .cell(unb_p99, 1)
             .cell(1.0, 2)
             .cell(static_cast<double>(unb_peak) / 1e6, 1)
@@ -221,8 +220,8 @@ main()
                     .cell(tname)
                     .cell(pname)
                     .cell(budget)
-                    .cell(r.workload.invocations)
-                    .cell(r.workload.coldStarts)
+                    .cell(fs.invocations)
+                    .cell(fs.coldStarts)
                     .cell(p99, 1)
                     .cell(vs_unb, 2)
                     .cell(static_cast<double>(peak) / 1e6, 1)

@@ -108,7 +108,6 @@ arm(sim::FaultPlan &plan, Intensity lvl, Time base, Duration horizon)
 
 struct CellResult
 {
-    cluster::AzureWorkloadResult workload;
     cluster::FleetStats fleet;
     sim::FaultStats faults;
     double wall_s = 0;
@@ -145,7 +144,7 @@ runCell(Intensity lvl)
             arm(plan, lvl, sim.now(), wcfg.horizon);
             c.installFaultPlan(&plan);
         }
-        r.workload = co_await workload.run();
+        (void)co_await workload.run();
         c.installFaultPlan(nullptr);
     });
     auto host1 = std::chrono::steady_clock::now();
@@ -159,15 +158,6 @@ runCell(Intensity lvl)
     return r;
 }
 
-struct ShardCellResult
-{
-    cluster::TrafficWorkloadResult workload;
-    cluster::FleetStats fleet;
-    sim::FaultStats faults;
-    double wall_s = 0;
-    double events_per_sec = 0;
-};
-
 /**
  * One store shard (of four) goes dark for the full duration of a
  * tenant flash crowd. The crowd's cold starts that hash to the dead
@@ -180,7 +170,7 @@ struct ShardCellResult
  * without double- or zero-counting anything — every accepted
  * invocation still lands in exactly one of cold/warm/failed.
  */
-ShardCellResult
+CellResult
 runShardOutageCell(cluster::ControlPolicyKind control)
 {
     sim::Simulation sim;
@@ -213,7 +203,7 @@ runShardOutageCell(cluster::ControlPolicyKind control)
 
     cluster::TrafficWorkload workload(sim, c, tcfg);
     sim::FaultPlan plan(0xc4a06);
-    ShardCellResult r;
+    CellResult r;
     auto host0 = std::chrono::steady_clock::now();
     bench::runScenario(sim, [&]() -> sim::Task<void> {
         co_await c.prepareAllSnapshots();
@@ -227,7 +217,7 @@ runShardOutageCell(cluster::ControlPolicyKind control)
             1.0, 1.0});
         plan.add(s);
         c.installFaultPlan(&plan);
-        r.workload = co_await workload.run();
+        co_await workload.run();
         c.installFaultPlan(nullptr);
     });
     auto host1 = std::chrono::steady_clock::now();
@@ -265,12 +255,12 @@ main()
             std::string("workers=4/faults=") + intensityName(lvl);
         t.row()
             .cell(intensityName(lvl))
-            .cell(r.workload.invocations)
-            .cell(r.workload.failedInvocations)
-            .cell(100.0 * r.workload.coldFraction(), 1)
+            .cell(fs.invocations)
+            .cell(fs.failedInvocations)
+            .cell(100.0 * fs.coldFraction(), 1)
             .cell(fs.coldP50(), 1)
             .cell(fs.coldP99(), 1)
-            .cell(r.workload.e2eLatencyMs.percentile(99), 1)
+            .cell(fs.e2eLatencyMs.percentile(99), 1)
             .cell(r.faults.stragglers)
             .cell(r.faults.requestErrors)
             .cell(r.faults.workerCrashes)
@@ -279,12 +269,11 @@ main()
             .cell(r.events_per_sec / 1e6, 1);
         json.row(cell, "cold_p50_ms", fs.coldP50());
         json.row(cell, "cold_p99_ms", fs.coldP99());
-        json.row(cell, "e2e_p99_ms",
-                 r.workload.e2eLatencyMs.percentile(99));
+        json.row(cell, "e2e_p99_ms", fs.e2eLatencyMs.percentile(99));
         json.row(cell, "invocations",
-                 static_cast<double>(r.workload.invocations));
+                 static_cast<double>(fs.invocations));
         json.row(cell, "failed_invocations",
-                 static_cast<double>(r.workload.failedInvocations));
+                 static_cast<double>(fs.failedInvocations));
         json.row(cell, "worker_crashes",
                  static_cast<double>(r.faults.workerCrashes));
         json.row(cell, "wall_s", r.wall_s, r.events_per_sec);
@@ -295,12 +284,12 @@ main()
           cluster::ControlPolicyKind::HybridHistogram}) {
         bool predictive =
             control != cluster::ControlPolicyKind::None;
-        ShardCellResult r = runShardOutageCell(control);
+        CellResult r = runShardOutageCell(control);
         const auto &fs = r.fleet;
         double cold_pct =
-            r.workload.invocations > 0
-                ? 100.0 * static_cast<double>(r.workload.coldStarts) /
-                      static_cast<double>(r.workload.invocations)
+            fs.invocations > 0
+                ? 100.0 * static_cast<double>(fs.coldStarts) /
+                      static_cast<double>(fs.invocations)
                 : 0;
         std::string cell =
             predictive
@@ -310,12 +299,12 @@ main()
                 : std::string("workers=4/faults=shard-outage-crowd");
         t.row()
             .cell(predictive ? "outage+prewarm" : "shard-outage")
-            .cell(r.workload.invocations)
-            .cell(r.workload.failedInvocations)
+            .cell(fs.invocations)
+            .cell(fs.failedInvocations)
             .cell(cold_pct, 1)
             .cell(fs.coldP50(), 1)
             .cell(fs.coldP99(), 1)
-            .cell(r.workload.e2eLatencyMs.percentile(99), 1)
+            .cell(fs.e2eLatencyMs.percentile(99), 1)
             .cell(r.faults.stragglers)
             .cell(r.faults.requestErrors)
             .cell(r.faults.workerCrashes)
@@ -323,10 +312,9 @@ main()
             .cell(r.wall_s, 2)
             .cell(r.events_per_sec / 1e6, 1);
         json.row(cell, "cold_p99_ms", fs.coldP99());
-        json.row(cell, "e2e_p99_ms",
-                 r.workload.e2eLatencyMs.percentile(99));
+        json.row(cell, "e2e_p99_ms", fs.e2eLatencyMs.percentile(99));
         json.row(cell, "invocations",
-                 static_cast<double>(r.workload.invocations));
+                 static_cast<double>(fs.invocations));
         json.row(cell, "outage_stalls",
                  static_cast<double>(r.faults.outageStalls));
         json.row(cell, "store_stream_waits",

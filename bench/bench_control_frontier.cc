@@ -89,7 +89,6 @@ trafficConfig()
 
 struct CellResult
 {
-    cluster::TrafficWorkloadResult workload;
     cluster::FleetStats fleet;
     double wall_s = 0;
     double events_per_sec = 0;
@@ -121,7 +120,7 @@ runCell(cluster::ControlPolicyKind policy)
         if (policy == cluster::ControlPolicyKind::Oracle) {
             // Feed the clairvoyant schedule by replaying the exact
             // arrival streams TrafficWorkload will draw (same Rng
-            // stream names, same thinning), relative to now: staging
+            // streams, same thinning), relative to now: staging
             // is done, so run()'s own prepareAllSnapshots is a no-op
             // and the arrival loops start at this simulated instant.
             auto &oracle = static_cast<cluster::OraclePolicy &>(
@@ -130,8 +129,7 @@ runCell(cluster::ControlPolicyKind policy)
             oracle.setEpoch(sim.now());
             const cluster::TrafficEngine &eng = workload.engine();
             for (int fn = 0; fn < eng.functionCount(); ++fn) {
-                const std::string &name = eng.profile(fn).name;
-                Rng local(tcfg.seed, "traffic-arrivals/" + name);
+                Rng local = eng.arrivalStream(fn);
                 std::vector<Duration> offsets;
                 Duration t = 0;
                 while (true) {
@@ -140,10 +138,11 @@ runCell(cluster::ControlPolicyKind policy)
                         break;
                     offsets.push_back(t);
                 }
-                oracle.setSchedule(name, std::move(offsets));
+                oracle.setSchedule(eng.profile(fn).name,
+                                   std::move(offsets));
             }
         }
-        r.workload = co_await workload.run();
+        co_await workload.run();
     });
     auto host1 = std::chrono::steady_clock::now();
     r.fleet = c.fleetStats();
@@ -177,9 +176,9 @@ main()
         const auto &fs = r.fleet;
         const char *pname = cluster::controlPolicyName(policy);
         double cold_pct =
-            r.workload.invocations > 0
-                ? 100.0 * static_cast<double>(r.workload.coldStarts) /
-                      static_cast<double>(r.workload.invocations)
+            fs.invocations > 0
+                ? 100.0 * static_cast<double>(fs.coldStarts) /
+                      static_cast<double>(fs.invocations)
                 : 0;
         double accuracy =
             fs.preWarms > 0 ? 100.0 *
@@ -188,11 +187,11 @@ main()
                             : 0;
         double waste_mb_s = fs.wastedResidentByteSec / 1e6;
         std::string cell = std::string("workers=4/policy=") + pname;
-        double e2e_p99 = r.workload.e2eLatencyMs.percentile(99);
+        double e2e_p99 = fs.e2eLatencyMs.percentile(99);
         t.row()
             .cell(pname)
-            .cell(r.workload.invocations)
-            .cell(r.workload.coldStarts)
+            .cell(fs.invocations)
+            .cell(fs.coldStarts)
             .cell(cold_pct, 1)
             .cell(fs.coldP99(), 1)
             .cell(e2e_p99, 1)
@@ -209,7 +208,7 @@ main()
         json.row(cell, "e2e_p99_ms", e2e_p99);
         json.row(cell, "cold_pct", cold_pct);
         json.row(cell, "invocations",
-                 static_cast<double>(r.workload.invocations));
+                 static_cast<double>(fs.invocations));
         json.row(cell, "pre_warms",
                  static_cast<double>(fs.preWarms));
         json.row(cell, "pre_warm_hits",

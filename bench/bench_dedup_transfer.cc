@@ -54,7 +54,6 @@ struct Cell {
 };
 
 struct CellResult {
-    cluster::AzureWorkloadResult workload;
     cluster::FleetStats fleet;
     double wall_s = 0;
     double events_per_sec = 0;
@@ -91,7 +90,7 @@ runCell(int workers, const Cell &cell)
     CellResult r;
     auto host0 = std::chrono::steady_clock::now();
     bench::runScenario(sim, [&]() -> sim::Task<void> {
-        r.workload = co_await workload.run();
+        (void)co_await workload.run();
     });
     auto host1 = std::chrono::steady_clock::now();
     r.fleet = c.fleetStats();
@@ -147,8 +146,8 @@ main()
         std::string name = cellName(workers, cell);
         t.row()
             .cell(name)
-            .cell(r.workload.invocations)
-            .cell(100.0 * r.workload.coldFraction(), 1)
+            .cell(fs.invocations)
+            .cell(100.0 * fs.coldFraction(), 1)
             .cell(fs.coldP50(), 1)
             .cell(fs.coldP99(), 1)
             .cell(toMiB(r.bytesMoved()), 1)

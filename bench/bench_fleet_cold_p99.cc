@@ -66,7 +66,6 @@ struct ModeCell {
 };
 
 struct CellResult {
-    cluster::AzureWorkloadResult workload;
     cluster::FleetStats fleet;
     double wall_s = 0;
     double events_per_sec = 0;
@@ -97,7 +96,7 @@ runCell(int workers, cluster::RoutingPolicyKind policy,
     CellResult r;
     auto host0 = std::chrono::steady_clock::now();
     bench::runScenario(sim, [&]() -> sim::Task<void> {
-        r.workload = co_await workload.run();
+        (void)co_await workload.run();
     });
     auto host1 = std::chrono::steady_clock::now();
     r.fleet = c.fleetStats();
@@ -239,8 +238,8 @@ main()
                     .cell(static_cast<std::int64_t>(workers))
                     .cell(cluster::routingPolicyName(policy))
                     .cell(mode.label)
-                    .cell(r.workload.invocations)
-                    .cell(100.0 * r.workload.coldFraction(), 1)
+                    .cell(fs.invocations)
+                    .cell(100.0 * fs.coldFraction(), 1)
                     .cell(fs.coldP50(), 1)
                     .cell(fs.coldP99(), 1)
                     .cell(fs.snapshotBuilds)

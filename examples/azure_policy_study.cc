@@ -26,7 +26,15 @@ using namespace vhive;
 
 namespace {
 
-cluster::AzureWorkloadResult
+/** One sweep point: the fleet's result and the workload's memory
+ * integral. */
+struct PolicyRun
+{
+    cluster::FleetStats fleet;
+    cluster::AzureWorkloadResult memory;
+};
+
+PolicyRun
 runPolicy(core::ColdStartMode mode, Duration keep_alive,
           Duration horizon)
 {
@@ -42,7 +50,7 @@ runPolicy(core::ColdStartMode mode, Duration keep_alive,
     wl.horizon = horizon;
     cluster::AzureWorkload workload(sim, c, wl);
 
-    cluster::AzureWorkloadResult result;
+    PolicyRun result;
     struct T {
         static sim::Task<void>
         run(cluster::AzureWorkload &w,
@@ -51,8 +59,9 @@ runPolicy(core::ColdStartMode mode, Duration keep_alive,
             out = co_await w.run();
         }
     };
-    sim.spawn(T::run(workload, result));
+    sim.spawn(T::run(workload, result.memory));
     sim.run();
+    result.fleet = c.fleetStats();
     return result;
 }
 
@@ -81,12 +90,12 @@ main(int argc, char **argv)
                 .cell(std::to_string(ka / kSecond) + " s")
                 .cell(mode == core::ColdStartMode::Reap ? "REAP"
                                                         : "vanilla")
-                .cell(r.invocations)
-                .cell(r.coldFraction() * 100.0, 1)
-                .cell(r.e2eLatencyMs.percentile(50), 1)
-                .cell(r.e2eLatencyMs.percentile(99), 0)
-                .cell(r.avgResidentMb, 0)
-                .cell(r.memoryGbMin, 2);
+                .cell(r.fleet.invocations)
+                .cell(r.fleet.coldFraction() * 100.0, 1)
+                .cell(r.fleet.e2eLatencyMs.percentile(50), 1)
+                .cell(r.fleet.e2eLatencyMs.percentile(99), 0)
+                .cell(r.memory.avgResidentMb, 0)
+                .cell(r.memory.memoryGbMin, 2);
         }
     }
     t.print();

@@ -1,5 +1,6 @@
 #include "cluster/azure_workload.hh"
 
+#include <array>
 #include <cmath>
 
 #include "func/profile.hh"
@@ -7,16 +8,45 @@
 
 namespace vhive::cluster {
 
+namespace {
+
+/** Indices into func::functionBench() the pool-based mix cycles. */
+constexpr std::array<int, 7> kMixProfilePool = {0, 1, 2, 3, 4, 5, 7};
+static_assert(!kMixProfilePool.empty());
+
+/** Resident-memory sampling period of the GB-minute integral. */
+constexpr Duration kSamplePeriod = sec(5);
+
+} // namespace
+
+func::FunctionProfile
+mixProfile(const std::vector<func::FunctionClass> &class_mix,
+           std::uint64_t seed, int i)
+{
+    auto idx = static_cast<size_t>(i);
+    // A class-generated profile comes from its own named sub-stream,
+    // so the callers' streams see exactly the draws they always did.
+    if (!class_mix.empty())
+        return func::makeClassProfile(class_mix[idx % class_mix.size()],
+                                      seed, i);
+    return func::functionBench()[static_cast<size_t>(
+        kMixProfilePool[idx % kMixProfilePool.size()])];
+}
+
+Rng
+azureArrivalStream(std::uint64_t seed, const std::string &name)
+{
+    return Rng(seed, "azure-arrivals/" + name);
+}
+
 std::vector<AzureMixEntry>
 synthesizeAzureMix(const AzureWorkloadConfig &cfg)
 {
     VHIVE_ASSERT(cfg.functions >= 1);
-    VHIVE_ASSERT(!cfg.profilePool.empty() || !cfg.classMix.empty());
     VHIVE_ASSERT(cfg.minInterarrival > 0 &&
                  cfg.maxInterarrival >= cfg.minInterarrival);
 
     Rng rng(cfg.seed, "azure-workload");
-    const auto &pool = func::functionBench();
     double log_min =
         std::log(static_cast<double>(cfg.minInterarrival));
     double log_max =
@@ -24,20 +54,7 @@ synthesizeAzureMix(const AzureWorkloadConfig &cfg)
     std::vector<AzureMixEntry> mix;
     mix.reserve(static_cast<size_t>(cfg.functions));
     for (int i = 0; i < cfg.functions; ++i) {
-        func::FunctionProfile p;
-        if (!cfg.classMix.empty()) {
-            // Class-generated mix: the profile comes from its own
-            // named sub-stream, so the "azure-workload" stream below
-            // sees exactly the draws it always did.
-            func::FunctionClass cls =
-                cfg.classMix[static_cast<size_t>(i) %
-                             cfg.classMix.size()];
-            p = func::makeClassProfile(cls, cfg.seed, i);
-        } else {
-            int pool_idx = cfg.profilePool[static_cast<size_t>(i) %
-                                           cfg.profilePool.size()];
-            p = pool[static_cast<size_t>(pool_idx)];
-        }
+        func::FunctionProfile p = mixProfile(cfg.classMix, cfg.seed, i);
         p.name = "az_" + std::to_string(i) + "_" + p.name;
 
         // Log-uniform inter-arrival: most functions end up sporadic,
@@ -65,8 +82,8 @@ AzureWorkload::AzureWorkload(sim::Simulation &sim, Cluster &cluster,
 sim::Task<void>
 AzureWorkload::arrivalLoop(int idx, sim::Latch *done)
 {
-    Rng local(cfg.seed,
-              "azure-arrivals/" + names[static_cast<size_t>(idx)]);
+    const std::string &name = names[static_cast<size_t>(idx)];
+    Rng local = azureArrivalStream(cfg.seed, name);
     Duration mean = interarrival[static_cast<size_t>(idx)];
     Time deadline = sim.now() + cfg.horizon;
     while (true) {
@@ -75,10 +92,7 @@ AzureWorkload::arrivalLoop(int idx, sim::Latch *done)
         if (sim.now() + gap >= deadline)
             break;
         co_await sim.delay(gap);
-        Duration e2e =
-            co_await cluster.invoke(names[static_cast<size_t>(idx)]);
-        result.e2eLatencyMs.add(toMs(e2e));
-        ++result.invocations;
+        (void)co_await cluster.invoke(name);
     }
     done->arrive();
 }
@@ -87,11 +101,11 @@ sim::Task<void>
 AzureWorkload::memorySampler()
 {
     while (!samplerStopping) {
-        co_await sim.delay(cfg.samplePeriod);
+        co_await sim.delay(kSamplePeriod);
         memIntegralMbSec += toMiB(cluster.residentBytes()) *
-                            (static_cast<double>(cfg.samplePeriod) /
+                            (static_cast<double>(kSamplePeriod) /
                              static_cast<double>(kSecond));
-        sampledFor += cfg.samplePeriod;
+        sampledFor += kSamplePeriod;
     }
 }
 
@@ -99,30 +113,7 @@ sim::Task<AzureWorkloadResult>
 AzureWorkload::run()
 {
     co_await cluster.prepareAllSnapshots();
-
-    core::ColdStartMode mode = cluster.config().coldStartMode;
-    bool mode_needs_record = cluster.worker(0)
-                                 .orchestrator()
-                                 .loaders()
-                                 .loaderFor(mode)
-                                 .needsRecord();
-    if (cfg.preRecordWorkingSets && mode_needs_record &&
-        !cluster.config().sharedSnapshots) {
-        // One record-phase invocation per function per worker, off
-        // the measured window. (Shared staging already recorded once
-        // on each function's home worker; the other workers are meant
-        // to pull the staged artifacts remotely, in-window.)
-        for (const auto &n : names) {
-            for (int wi = 0; wi < cluster.workerCount(); ++wi) {
-                auto &orch = cluster.worker(wi).orchestrator();
-                orch.flushHostCaches();
-                core::InvokeOptions opts;
-                opts.forceCold = true;
-                (void)co_await orch.invoke(n, mode, opts);
-            }
-        }
-        cluster.resetStats();
-    }
+    co_await cluster.preRecordWorkingSets(names);
 
     cluster.startAutoscaler();
     sim.spawn(memorySampler());
@@ -135,12 +126,7 @@ AzureWorkload::run()
     samplerStopping = true;
     cluster.stopAutoscaler();
 
-    for (const auto &n : names) {
-        const auto &st = cluster.stats(n);
-        result.coldStarts += st.coldStarts;
-        result.warmHits += st.warmHits;
-        result.failedInvocations += st.failedInvocations;
-    }
+    AzureWorkloadResult result;
     result.avgResidentMb =
         sampledFor > 0 ? memIntegralMbSec /
                              (static_cast<double>(sampledFor) /

@@ -21,7 +21,6 @@
 #include "sim/simulation.hh"
 #include "sim/task.hh"
 #include "util/rng.hh"
-#include "util/stats.hh"
 #include "util/units.hh"
 
 namespace vhive::cluster {
@@ -41,38 +40,30 @@ struct AzureWorkloadConfig
     /** Simulated horizon. */
     Duration horizon = sec(1800);
 
-    /** Memory sampling period for the GB-minute integral. */
-    Duration samplePeriod = sec(5);
-
     /** Workload synthesis seed. */
     std::uint64_t seed = 0xa27e;
 
     /**
-     * Run REAP's one-time record phase for every function before the
-     * measured window (default). Deployed production functions have
-     * long since recorded their working sets; disable to study the
-     * cost of records landing inside the window.
-     */
-    bool preRecordWorkingSets = true;
-
-    /**
-     * Indices into func::functionBench() to draw profiles from
-     * (cycled). Defaults to the low/medium-weight functions so the
-     * mix resembles the short-running production population.
-     */
-    std::vector<int> profilePool = {0, 1, 2, 3, 4, 5, 7};
-
-    /**
-     * When non-empty, profiles are generated from these function
-     * classes instead of profilePool: function i is drawn by
-     * func::makeClassProfile(classMix[i % size], seed, i), cycling
-     * the list. Inter-arrival synthesis is unchanged (one uniform per
-     * function from the same "azure-workload" stream), so switching a
-     * mix between pool and classes perturbs nothing else. Empty
-     * (default) keeps the historical pool-based mix bit-identical.
+     * Profile synthesis (see mixProfile). Inter-arrival synthesis is
+     * the same either way (one uniform per function from the
+     * "azure-workload" stream), so switching a mix between the pool
+     * and classes perturbs nothing else. Empty (default) keeps the
+     * historical pool-based mix bit-identical.
      */
     std::vector<func::FunctionClass> classMix;
 };
+
+/**
+ * Profile of function @p i of a synthesized mix (before the caller
+ * prefixes its name). With @p class_mix empty it cycles the
+ * low/medium-weight FunctionBench functions, so the mix resembles the
+ * short-running production population; otherwise it draws
+ * func::makeClassProfile(class_mix[i % size], seed, i), cycling the
+ * list. Shared by the Azure mix and TrafficEngine.
+ */
+func::FunctionProfile mixProfile(
+    const std::vector<func::FunctionClass> &class_mix,
+    std::uint64_t seed, int i);
 
 /** One synthesized function of the Azure mix. */
 struct AzureMixEntry
@@ -82,8 +73,8 @@ struct AzureMixEntry
 };
 
 /**
- * Synthesize the deterministic function mix @p cfg describes: profile
- * picks cycle through cfg.profilePool and mean inter-arrivals are
+ * Synthesize the deterministic function mix @p cfg describes: profiles
+ * come from mixProfile and mean inter-arrivals are
  * log-uniform over [minInterarrival, maxInterarrival], all driven by
  * Rng(cfg.seed, "azure-workload") in deployment order. Shared by
  * AzureWorkload (sequential cluster) and cluster::ParallelFleet so the
@@ -92,29 +83,22 @@ struct AzureMixEntry
 std::vector<AzureMixEntry> synthesizeAzureMix(
     const AzureWorkloadConfig &cfg);
 
-/** Results of one workload run. */
+/**
+ * Arrival stream of function @p name in the mix seeded @p seed: the
+ * exponential inter-arrival gaps are drawn from it lazily, one per
+ * arrival. AzureWorkload and ParallelFleet draw the same stream.
+ */
+Rng azureArrivalStream(std::uint64_t seed, const std::string &name);
+
+/**
+ * What only the workload itself measures: the resident-memory
+ * integral, sampled every 5 simulated seconds. Invocation counts and
+ * latencies are the cluster's: Cluster::fleetStats().
+ */
 struct AzureWorkloadResult
 {
-    Samples e2eLatencyMs;     ///< all invocations
-    std::int64_t coldStarts = 0;
-    std::int64_t warmHits = 0;
-
-    /** Invocations reported failed after crash retries (fault runs
-     * only). Invariant: coldStarts + warmHits + failedInvocations ==
-     * invocations. */
-    std::int64_t failedInvocations = 0;
     double avgResidentMb = 0;  ///< time-averaged fleet memory
     double memoryGbMin = 0;    ///< integral of resident memory
-    std::int64_t invocations = 0;
-
-    double
-    coldFraction() const
-    {
-        auto total = coldStarts + warmHits;
-        return total ? static_cast<double>(coldStarts) /
-                           static_cast<double>(total)
-                     : 0.0;
-    }
 };
 
 /**
@@ -134,7 +118,8 @@ class AzureWorkload
         return names;
     }
 
-    /** Run the workload to completion and collect the results. */
+    /** Run the workload to completion and return the memory
+     * integral. */
     sim::Task<AzureWorkloadResult> run();
 
   private:
@@ -149,7 +134,6 @@ class AzureWorkload
     bool samplerStopping = false;
     double memIntegralMbSec = 0;
     Duration sampledFor = 0;
-    AzureWorkloadResult result;
 };
 
 } // namespace vhive::cluster

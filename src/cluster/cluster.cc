@@ -67,12 +67,6 @@ Cluster::setControlPolicy(ControlPolicyKind kind)
 }
 
 void
-Cluster::setRoutingPolicy(RoutingPolicyKind kind)
-{
-    activePolicy = &_policies.policyFor(kind);
-}
-
-void
 Cluster::installFaultPlan(sim::FaultPlan *plan)
 {
     if (_sharedStore)
@@ -118,6 +112,28 @@ Cluster::prepareAllSnapshots()
         for (auto &w : workers)
             co_await w->orchestrator().prepareSnapshot(entry.first);
     }
+}
+
+sim::Task<void>
+Cluster::preRecordWorkingSets(const std::vector<std::string> &names)
+{
+    bool mode_needs_record = workers.front()
+                                 ->orchestrator()
+                                 .loaders()
+                                 .loaderFor(cfg.coldStartMode)
+                                 .needsRecord();
+    if (!mode_needs_record || cfg.sharedSnapshots)
+        co_return;
+    for (const auto &n : names) {
+        for (auto &w : workers) {
+            auto &orch = w->orchestrator();
+            orch.flushHostCaches();
+            core::InvokeOptions opts;
+            opts.forceCold = true;
+            (void)co_await orch.invoke(n, cfg.coldStartMode, opts);
+        }
+    }
+    resetStats();
 }
 
 std::int64_t
@@ -226,10 +242,12 @@ Cluster::invoke(const std::string &name)
     dep.lastUsed[static_cast<size_t>(widx)] = sim.now();
     dep.stats.e2eLatencyMs.add(toMs(e2e));
     ++tally.invocations;
+    tally.e2eLatencyMs.add(toMs(e2e));
     if (bd.crashed) {
         // Retries exhausted: reported failed exactly once, counted in
         // neither coldStarts nor warmHits.
         ++dep.stats.failedInvocations;
+        ++tally.failedInvocations;
     } else if (bd.cold) {
         ++dep.stats.coldStarts;
         ++tele.coldStarts;

@@ -108,6 +108,19 @@ class Cluster : private FleetView
     sim::Task<void> prepareAllSnapshots();
 
     /**
+     * Run REAP's one-time record phase off the measured window, as
+     * deployed production functions recorded long ago: for each of
+     * @p names in the given order, on each worker, flush the host
+     * caches and force one cold invocation, then resetStats(). A no-op
+     * when the cold-start mode records nothing, and under
+     * sharedSnapshots, whose staging already recorded once on each
+     * home worker (the other workers are meant to pull the staged
+     * artifacts remotely, in-window).
+     */
+    sim::Task<void> preRecordWorkingSets(
+        const std::vector<std::string> &names);
+
+    /**
      * Start the autoscaler's keep-alive janitor (detached task). Call
      * once before driving traffic with scale-to-zero behaviour.
      */
@@ -154,7 +167,9 @@ class Cluster : private FleetView
     /** Total resident instance memory across the fleet (Sec. 4.3). */
     Bytes residentBytes() const;
 
-    /** Cluster-level stats for @p name. */
+    /** Cluster-level stats for @p name. Summed over every deployed
+     * function, coldStarts, warmHits, failedInvocations and
+     * e2eLatencyMs reproduce fleetStats()'s fleet-wide counts. */
     const FunctionClusterStats &stats(const std::string &name) const;
 
     /** Fleet-wide aggregate (cold percentiles, tiers, contention). */
@@ -173,15 +188,6 @@ class Cluster : private FleetView
     }
 
     const ClusterConfig &config() const { return cfg; }
-
-    /** The routing-strategy registry (extension point). */
-    RoutingPolicyRegistry &routingPolicies() { return _policies; }
-
-    /** Switch the active routing policy. */
-    void setRoutingPolicy(RoutingPolicyKind kind);
-
-    /** The active routing policy. */
-    RoutingPolicy &routingPolicy() { return *activePolicy; }
 
     /** The control-policy registry (extension point). */
     ControlPolicyRegistry &controlPolicies()
@@ -282,7 +288,7 @@ class Cluster : private FleetView
     int scaleHold = 0;
 
     /** What invoke() and the janitor accumulate: invocation counts,
-     * cold/warm latency samples and the waste integrals.
+     * latency samples and the waste integrals.
      * fleetStats() completes a copy from the workers' state. */
     FleetStats tally;
 

@@ -40,7 +40,6 @@ FleetConfig::sharedStoreParams() const
 {
     net::ShardedStoreParams sp;
     sp.shards = sharedStoreShards;
-    sp.shard = sharedStore;
     sp.placement = chunkPlacement;
     return sp;
 }

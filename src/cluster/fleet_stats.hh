@@ -26,7 +26,6 @@
 #include "core/worker.hh"
 #include "net/object_store.hh"
 #include "net/sharded_store.hh"
-#include "storage/eviction.hh"
 #include "util/stats.hh"
 #include "util/units.hh"
 
@@ -73,13 +72,11 @@ struct FleetConfig
      */
     bool sharedSnapshots = false;
 
-    /** Per-shard parameters of the shared store (sharedSnapshots). */
-    net::ObjectStoreParams sharedStore = net::ObjectStoreParams::remote();
-
     /**
      * Shards behind the fleet-shared store (sharedSnapshots; >= 1).
-     * Each shard has its own stream bound and stats; 1 keeps the
-     * historical single-store behaviour bit-identical.
+     * Each shard is a net::ObjectStoreParams::remote() store with its
+     * own stream bound and stats; 1 keeps the historical single-store
+     * behaviour bit-identical.
      */
     int sharedStoreShards = 1;
 
@@ -92,14 +89,10 @@ struct FleetConfig
      * DedupReap; 0 = unlimited, the historical behaviour). Chunks a
      * live manifest references are never evicted; the zero-ref pool
      * retirement and restaging leave behind is what budget pressure
-     * reclaims. Worker-side budgets (page cache, chunk cache, local
-     * SSD) live in `worker.reap`.
+     * reclaims, least recently used first. Worker-side budgets (page
+     * cache, chunk cache, local SSD) live in `worker.reap`.
      */
     Bytes registryChunkBudget = 0;
-
-    /** Victim selection for the budgeted fleet chunk index. */
-    storage::EvictionPolicyKind registryEvictionPolicy =
-        storage::EvictionPolicyKind::Lru;
 
     /**
      * Worker @p w's configuration: `worker` with its own seed stream
@@ -154,14 +147,26 @@ struct FleetStats
 {
     int workers = 0; ///< worker hosts [both]
 
+    /**
+     * @name Completion accounting. Every invocation lands in exactly
+     * one of coldStarts, warmHits or failedInvocations, and adds one
+     * e2eLatencyMs sample.
+     */
+    /// @{
     std::int64_t invocations = 0; ///< completed, incl. failed [both]
     std::int64_t coldStarts = 0;  ///< served by a cold start [both]
     std::int64_t warmHits = 0;    ///< served warm [both]
-    std::int64_t scaleDowns = 0;  ///< scale-to-zero sweeps [both]
+
+    /** Reported failed after exhausting crash retries (Cluster under
+     * a WorkerCrash plan; ParallelFleet has no failure path). [both] */
+    std::int64_t failedInvocations = 0;
 
     /** End-to-end latency of every invocation, in completion order
-     * (ms). [ParallelFleet] */
+     * (ms). [both] */
     Samples e2eLatencyMs;
+    /// @}
+
+    std::int64_t scaleDowns = 0;  ///< scale-to-zero sweeps [both]
 
     /** End-to-end latency of every cold start across the fleet (ms). [both] */
     Samples coldE2eMs;

@@ -1,6 +1,7 @@
 #include "cluster/parallel_fleet.hh"
 
 #include "core/loader/builtin_loaders.hh"
+#include "net/rpc.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -18,6 +19,9 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
       kernel(cfg.workers + 1 + (cfg.sharedSnapshots ? 1 : 0),
              cfg.simThreads)
 {
+    // Every port pays the cluster fabric hop, which is also the
+    // kernel's lookahead window.
+    const Duration hop = net::RpcParams{}.clusterHop;
     if (cfg.traffic) {
         // Traffic-driven mix: the engine's Zipf population, driven
         // open-loop (meanInterarrival unused on this path).
@@ -81,11 +85,11 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
         node->fromControl =
             std::make_unique<sim::CrossPort<WorkerMsg>>(
                 kernel, kernel.domain(0), kernel.domain(1 + w),
-                cfg.fabricHop);
+                hop);
         node->toControl =
             std::make_unique<sim::CrossPort<ControlMsg>>(
                 kernel, kernel.domain(1 + w), kernel.domain(0),
-                cfg.fabricHop);
+                hop);
         if (cfg.sharedSnapshots) {
             // Store ports + client must exist before the Worker: the
             // worker's loaders capture the client as their artifact
@@ -93,11 +97,11 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
             node->toStore =
                 std::make_unique<sim::CrossPort<StoreMsg>>(
                     kernel, kernel.domain(1 + w),
-                    kernel.domain(storeDomain()), cfg.fabricHop);
+                    kernel.domain(storeDomain()), hop);
             node->fromStore =
                 std::make_unique<sim::CrossPort<StoreReply>>(
                     kernel, kernel.domain(storeDomain()),
-                    kernel.domain(1 + w), cfg.fabricHop);
+                    kernel.domain(1 + w), hop);
             node->storeClient =
                 std::make_unique<StorePortClient>(*this, w);
             node->allAdopted =
@@ -425,13 +429,10 @@ ParallelFleet::workerMain(int w)
         for (const auto &entry : mix)
             co_await orch.prepareSnapshot(entry.profile.name);
 
-        bool mode_needs_record = orch.loaders()
-                                     .loaderFor(cfg.coldStartMode)
-                                     .needsRecord();
-        if (cfg.workload.preRecordWorkingSets && mode_needs_record) {
+        if (orch.loaders().loaderFor(cfg.coldStartMode).needsRecord()) {
             // One record-phase invocation per function, off the
-            // measured window — mirrors AzureWorkload::run's
-            // pre-record pass.
+            // measured window — mirrors
+            // Cluster::preRecordWorkingSets.
             for (const auto &entry : mix) {
                 orch.flushHostCaches();
                 core::InvokeOptions opts;
@@ -442,8 +443,7 @@ ParallelFleet::workerMain(int w)
         }
     }
 
-    node.toControl->send(ControlMsg{ControlMsg::Ready, 0, 0, false,
-                                    0, 0});
+    node.toControl->send(ControlMsg{ControlMsg::Ready});
     wsim.spawn(workerJanitor(w));
 
     while (true) {
@@ -463,8 +463,7 @@ ParallelFleet::workerMain(int w)
         bye.kind = StoreMsg::Bye;
         node.toStore->send(bye);
     }
-    node.toControl->send(ControlMsg{ControlMsg::Bye, 0, 0, false,
-                                    0, 0});
+    node.toControl->send(ControlMsg{ControlMsg::Bye});
 }
 
 sim::Task<void>
@@ -474,7 +473,12 @@ ParallelFleet::workerInvoke(int w, WorkerMsg msg)
     auto &orch = node.worker->orchestrator();
     const std::string &name =
         mix[static_cast<std::size_t>(msg.fnIdx)].profile.name;
+    Time &last_used = node.lastUsed[static_cast<std::size_t>(msg.fnIdx)];
 
+    ControlMsg reply;
+    reply.kind = ControlMsg::Done;
+    reply.reqId = msg.reqId;
+    reply.fnIdx = msg.fnIdx;
     if (msg.prefetch) {
         // Control-plane chunk prefetch: warm this worker's tier
         // caches ahead of the predicted window, shielding the bytes
@@ -482,20 +486,8 @@ ParallelFleet::workerInvoke(int w, WorkerMsg msg)
         // pinned policy's contract). No instance comes up and
         // keep-alive is untouched — only cache state moves.
         co_await orch.backgroundPrefetch(name, msg.pinUntil);
-        --node.liveInvokes;
-
-        ControlMsg reply;
-        reply.kind = ControlMsg::Done;
-        reply.reqId = msg.reqId;
-        reply.fnIdx = msg.fnIdx;
         reply.prefetch = true;
-        reply.idleNow = orch.idleInstanceCount(name);
-        reply.chunkResidency = orch.chunkResidency(name);
-        node.toControl->send(reply);
-        co_return;
-    }
-
-    if (msg.preWarm) {
+    } else if (msg.preWarm) {
         // Control-plane pre-warm: load an instance ahead of the
         // predicted arrival, don't serve anything. Refresh keep-alive
         // only when an instance actually came up — a no-op or crashed
@@ -503,43 +495,25 @@ ParallelFleet::workerInvoke(int w, WorkerMsg msg)
         auto pbd = co_await orch.preWarm(
             name, core::loader::preWarmModeFor(cfg.coldStartMode));
         if (pbd.total > 0 && !pbd.crashed)
-            node.lastUsed[static_cast<std::size_t>(msg.fnIdx)] =
-                kernel.sim(1 + w).now();
-        --node.liveInvokes;
-
-        ControlMsg reply;
-        reply.kind = ControlMsg::Done;
-        reply.reqId = msg.reqId;
-        reply.fnIdx = msg.fnIdx;
+            last_used = kernel.sim(1 + w).now();
         reply.preWarm = true;
-        reply.idleNow = orch.idleInstanceCount(name);
-        reply.chunkResidency = orch.chunkResidency(name);
-        node.toControl->send(reply);
-        co_return;
+    } else {
+        core::InvokeOptions opts;
+        opts.keepWarm = true;
+        auto bd = co_await orch.invoke(name, cfg.coldStartMode, opts);
+
+        // The worker keeps no pre-invoke locality flag: counting the
+        // artifact as local leaves the decision to the mode and the
+        // tier report.
+        if (cfg.sharedSnapshots && bd.cold &&
+            pulledStagedArtifact(cfg.coldStartMode, bd,
+                                 /*artifacts_were_local=*/true))
+            ++node.remoteFetches;
+        last_used = kernel.sim(1 + w).now();
+        reply.cold = bd.cold;
+        reply.preWarmHit = bd.preWarmHit;
     }
-
-    core::InvokeOptions opts;
-    opts.keepWarm = true;
-    auto bd = co_await orch.invoke(name, cfg.coldStartMode, opts);
-
-    // The worker keeps no pre-invoke locality flag: counting the
-    // artifact as local leaves the decision to the mode and the
-    // tier report.
-    if (cfg.sharedSnapshots && bd.cold &&
-        pulledStagedArtifact(cfg.coldStartMode, bd,
-                             /*artifacts_were_local=*/true))
-        ++node.remoteFetches;
-
-    node.lastUsed[static_cast<std::size_t>(msg.fnIdx)] =
-        kernel.sim(1 + w).now();
     --node.liveInvokes;
-
-    ControlMsg reply;
-    reply.kind = ControlMsg::Done;
-    reply.reqId = msg.reqId;
-    reply.fnIdx = msg.fnIdx;
-    reply.cold = bd.cold;
-    reply.preWarmHit = bd.preWarmHit;
     reply.idleNow = orch.idleInstanceCount(name);
     reply.chunkResidency = orch.chunkResidency(name);
     node.toControl->send(reply);
@@ -570,7 +544,6 @@ ParallelFleet::workerJanitor(int w)
                 msg.kind = ControlMsg::ScaledDown;
                 msg.fnIdx = static_cast<int>(fn);
                 msg.idleNow = orch.idleInstanceCount(name);
-                msg.stopped = stopped;
                 node.toControl->send(msg);
             }
         }
@@ -665,12 +638,7 @@ ParallelFleet::dispatch(int fn_idx, sim::Gate *done)
         activeControl->noteArrival(name, csim.now());
 
     std::int64_t id = nextReqId++;
-    PendingReq pr;
-    pr.t0 = csim.now();
-    pr.fnIdx = fn_idx;
-    pr.worker = widx;
-    pr.done = done;
-    pending.emplace(id, pr);
+    pending.emplace(id, PendingReq{csim.now(), done});
 
     // Optimistically claim the warm instance the route expects to
     // hit; the worker's Done reply re-syncs the true count.
@@ -694,9 +662,7 @@ ParallelFleet::arrivalLoop(int fn_idx, sim::Latch *done)
     sim::Simulation &csim = kernel.sim(0);
     const AzureMixEntry &entry =
         mix[static_cast<std::size_t>(fn_idx)];
-    // Same arrival stream construction as AzureWorkload::arrivalLoop.
-    Rng local(cfg.workload.seed,
-              "azure-arrivals/" + entry.profile.name);
+    Rng local = azureArrivalStream(cfg.workload.seed, entry.profile.name);
     Time deadline = csim.now() + cfg.workload.horizon;
 
     while (true) {
@@ -719,11 +685,9 @@ ParallelFleet::trafficArrivalLoop(int fn_idx, sim::Latch *done)
     // Open loop: arrivals fire on the engine's schedule whether or
     // not earlier invocations completed, so burst events genuinely
     // pile onto the fleet (a closed loop would self-throttle exactly
-    // when contention matters). Same stream names as TrafficWorkload.
+    // when contention matters). Same streams as TrafficWorkload.
     sim::Simulation &csim = kernel.sim(0);
-    const std::string &name =
-        mix[static_cast<std::size_t>(fn_idx)].profile.name;
-    Rng local(trafficEng->config().seed, "traffic-arrivals/" + name);
+    Rng local = trafficEng->arrivalStream(fn_idx);
     Time start = csim.now();
     Duration t = 0;
 
@@ -800,13 +764,7 @@ ParallelFleet::controlTickLoop()
             // for its Done like any invocation, so workers never see
             // traffic after Shutdown. It does not claim mirror state.
             std::int64_t id = nextReqId++;
-            PendingReq pr;
-            pr.t0 = csim.now();
-            pr.fnIdx = static_cast<int>(fn);
-            pr.worker = widx;
-            pr.preWarm = !prefetch;
-            pr.prefetch = prefetch;
-            pending.emplace(id, pr);
+            pending.emplace(id, PendingReq{csim.now(), nullptr});
 
             WorkerMsg msg;
             msg.kind = WorkerMsg::Invoke;
@@ -857,8 +815,7 @@ ParallelFleet::controlMain()
     }
 
     for (auto &node : nodes)
-        node->fromControl->send(
-            WorkerMsg{WorkerMsg::Shutdown, 0, 0});
+        node->fromControl->send(WorkerMsg{WorkerMsg::Shutdown});
     co_await byes.wait();
 }
 

@@ -71,7 +71,6 @@
 #include "cluster/snapshot_registry.hh"
 #include "cluster/traffic.hh"
 #include "core/worker.hh"
-#include "net/rpc.hh"
 #include "net/sharded_store.hh"
 #include "sim/fault.hh"
 #include "sim/parallel.hh"
@@ -106,15 +105,9 @@ struct ParallelFleetConfig : FleetConfig
      * When set, arrivals come from the TrafficEngine instead of the
      * Azure mix: the engine's profiles are deployed and driven
      * open-loop (burst events overlap in flight). The workload field
-     * above is ignored except for preRecordWorkingSets.
+     * above is then ignored.
      */
     std::optional<TrafficConfig> traffic;
-
-    /**
-     * Control-plane <-> worker fabric latency: the per-direction hop
-     * every request pays, and the kernel's lookahead window.
-     */
-    Duration fabricHop = net::RpcParams{}.clusterHop;
 
     /**
      * Store-fault specs applied to every worker's object store. A
@@ -195,9 +188,6 @@ class ParallelFleet
 
         /** Worker's idle-instance count for fnIdx after the event. */
         std::int64_t idleNow = 0;
-
-        /** Instances stopped (ScaledDown). */
-        std::int64_t stopped = 0;
 
         /** Done of a background prefetch request. */
         bool prefetch = false;
@@ -331,13 +321,7 @@ class ParallelFleet
     /** Control-side record of an in-flight request. */
     struct PendingReq {
         Time t0 = 0;
-        int fnIdx = 0;
-        int worker = 0;
         sim::Gate *done = nullptr;
-        bool cold = false;
-        bool preWarm = false;
-        bool prefetch = false;
-        Duration e2e = 0;
     };
 
     /** Mirrored worker state the routing policies consult. */

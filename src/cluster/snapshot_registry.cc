@@ -56,7 +56,7 @@ SnapshotRegistry::SnapshotRegistry(sim::Simulation &sim,
     VHIVE_ASSERT(workers > 0);
     if (cfg.registryChunkBudget > 0)
         sharedChunks.setBudget(cfg.registryChunkBudget,
-                               cfg.registryEvictionPolicy,
+                               storage::EvictionPolicyKind::Lru,
                                /*refcount_protected=*/true);
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "cluster/azure_workload.hh"
 #include "util/logging.hh"
 
 namespace vhive::cluster {
@@ -90,24 +91,12 @@ TrafficEngine::TrafficEngine(TrafficConfig config) : cfg(std::move(config))
     VHIVE_ASSERT(cfg.diurnal.amplitude >= 0 &&
                  cfg.diurnal.amplitude <= 0.95);
     VHIVE_ASSERT(cfg.diurnal.period > 0);
-    VHIVE_ASSERT(!cfg.profilePool.empty() || !cfg.classMix.empty());
 
     // Profiles: same synthesis scheme as the Azure mix, distinct name
     // prefix so traffic- and mix-driven fleets never collide.
-    const auto &pool = func::functionBench();
     profiles.reserve(static_cast<size_t>(cfg.functions));
     for (int i = 0; i < cfg.functions; ++i) {
-        func::FunctionProfile p;
-        if (!cfg.classMix.empty()) {
-            func::FunctionClass cls =
-                cfg.classMix[static_cast<size_t>(i) %
-                             cfg.classMix.size()];
-            p = func::makeClassProfile(cls, cfg.seed, i);
-        } else {
-            int pool_idx = cfg.profilePool[static_cast<size_t>(i) %
-                                           cfg.profilePool.size()];
-            p = pool[static_cast<size_t>(pool_idx)];
-        }
+        func::FunctionProfile p = mixProfile(cfg.classMix, cfg.seed, i);
         p.name = "tr_" + std::to_string(i) + "_" + p.name;
         profiles.push_back(std::move(p));
     }
@@ -137,7 +126,6 @@ TrafficEngine::TrafficEngine(TrafficConfig config) : cfg(std::move(config))
     // period.
     VHIVE_ASSERT(cfg.periodicFraction >= 0 &&
                  cfg.periodicFraction <= 1);
-    VHIVE_ASSERT(cfg.periodicJitter >= 0 && cfg.periodicJitter < 0.5);
     VHIVE_ASSERT(cfg.periodicMinPeriod > 0 &&
                  cfg.periodicMaxPeriod >= cfg.periodicMinPeriod);
     periods.assign(static_cast<size_t>(cfg.functions), 0);
@@ -264,7 +252,7 @@ TrafficEngine::nextArrival(int fn, Duration now, Rng &rng) const
         std::int64_t k =
             now < phase ? 0 : (now - phase) / period + 1;
         Duration jitter = static_cast<Duration>(
-            rng.uniform() * cfg.periodicJitter *
+            rng.uniform() * kPeriodicJitter *
             static_cast<double>(period));
         Duration t = phase + k * period + jitter;
         if (t <= now)
@@ -288,6 +276,12 @@ TrafficEngine::nextArrival(int fn, Duration now, Rng &rng) const
     }
 }
 
+Rng
+TrafficEngine::arrivalStream(int fn) const
+{
+    return Rng(cfg.seed, "traffic-arrivals/" + profile(fn).name);
+}
+
 // ---------------------------------------------------- TrafficWorkload
 
 TrafficWorkload::TrafficWorkload(sim::Simulation &sim, Cluster &cluster,
@@ -301,19 +295,16 @@ TrafficWorkload::TrafficWorkload(sim::Simulation &sim, Cluster &cluster,
 sim::Task<void>
 TrafficWorkload::fireOne(int fn)
 {
-    Duration e2e = co_await cluster.invoke(eng.profile(fn).name);
-    result.e2eLatencyMs.add(toMs(e2e));
-    ++result.invocations;
-    ++completed;
-    if (launchDone && completed == launched && drained)
+    (void)co_await cluster.invoke(eng.profile(fn).name);
+    --inFlight;
+    if (launchDone && inFlight == 0 && drained)
         drained->openGate();
 }
 
 sim::Task<void>
 TrafficWorkload::arrivalLoop(int fn, sim::Latch *loops_done)
 {
-    Rng local(eng.config().seed,
-              "traffic-arrivals/" + eng.profile(fn).name);
+    Rng local = eng.arrivalStream(fn);
     Time start = sim.now();
     Duration t = 0;
     while (true) {
@@ -323,39 +314,20 @@ TrafficWorkload::arrivalLoop(int fn, sim::Latch *loops_done)
         co_await sim.delay(start + t - sim.now());
         // Open loop: fire and move on. The invocation completes (or
         // fails) on its own task; run() waits for the stragglers.
-        ++launched;
+        ++inFlight;
         sim.spawn(fireOne(fn));
     }
     loops_done->arrive();
 }
 
-sim::Task<TrafficWorkloadResult>
+sim::Task<void>
 TrafficWorkload::run()
 {
     co_await cluster.prepareAllSnapshots();
-
-    core::ColdStartMode mode = cluster.config().coldStartMode;
-    bool mode_needs_record = cluster.worker(0)
-                                 .orchestrator()
-                                 .loaders()
-                                 .loaderFor(mode)
-                                 .needsRecord();
-    if (mode_needs_record && !cluster.config().sharedSnapshots) {
-        // Same off-window record pass as AzureWorkload: deployed
-        // production functions recorded long ago. (Shared staging
-        // already recorded on each home worker.)
-        for (int i = 0; i < eng.functionCount(); ++i) {
-            for (int wi = 0; wi < cluster.workerCount(); ++wi) {
-                auto &orch = cluster.worker(wi).orchestrator();
-                orch.flushHostCaches();
-                core::InvokeOptions opts;
-                opts.forceCold = true;
-                (void)co_await orch.invoke(eng.profile(i).name, mode,
-                                           opts);
-            }
-        }
-        cluster.resetStats();
-    }
+    std::vector<std::string> names;
+    for (int i = 0; i < eng.functionCount(); ++i)
+        names.push_back(eng.profile(i).name);
+    co_await cluster.preRecordWorkingSets(names);
 
     cluster.startAutoscaler();
 
@@ -365,20 +337,12 @@ TrafficWorkload::run()
     co_await loops_done.wait();
 
     launchDone = true;
-    if (completed < launched) {
+    if (inFlight > 0) {
         drained = std::make_unique<sim::Gate>(sim);
         co_await drained->wait();
     }
 
     cluster.stopAutoscaler();
-
-    for (int i = 0; i < eng.functionCount(); ++i) {
-        const auto &st = cluster.stats(eng.profile(i).name);
-        result.coldStarts += st.coldStarts;
-        result.warmHits += st.warmHits;
-        result.failedInvocations += st.failedInvocations;
-    }
-    co_return result;
 }
 
 } // namespace vhive::cluster

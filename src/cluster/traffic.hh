@@ -29,7 +29,6 @@
 #include "sim/sync.hh"
 #include "sim/task.hh"
 #include "util/rng.hh"
-#include "util/stats.hh"
 #include "util/units.hh"
 
 namespace vhive::cluster {
@@ -154,6 +153,13 @@ struct BurstSpec
     double fraction = 0.25;
 };
 
+/**
+ * Per-arrival uniform timer jitter of the periodic class, as a
+ * fraction of the period.
+ */
+inline constexpr double kPeriodicJitter = 0.05;
+static_assert(kPeriodicJitter >= 0 && kPeriodicJitter < 0.5);
+
 /** Configuration of the planet-scale traffic model. */
 struct TrafficConfig
 {
@@ -193,13 +199,9 @@ struct TrafficConfig
     Duration periodicMinPeriod = sec(60);
     Duration periodicMaxPeriod = sec(480);
 
-    /** Per-arrival uniform timer jitter, as a fraction of the period. */
-    double periodicJitter = 0.05;
-
     std::uint64_t seed = 0x7ea41c;
 
-    /** Profile synthesis: same semantics as AzureWorkloadConfig. */
-    std::vector<int> profilePool = {0, 1, 2, 3, 4, 5, 7};
+    /** Profile synthesis: as AzureWorkloadConfig::classMix. */
     std::vector<func::FunctionClass> classMix;
 };
 
@@ -272,6 +274,13 @@ class TrafficEngine
      */
     Duration nextArrival(int fn, Duration now, Rng &rng) const;
 
+    /**
+     * The Rng stream nextArrival() draws @p fn's arrivals from. Every
+     * consumer (TrafficWorkload, ParallelFleet, an oracle replaying
+     * the schedule) starts from it, so all see the same arrivals.
+     */
+    Rng arrivalStream(int fn) const;
+
   private:
     double diurnalFactor(Duration t) const;
 
@@ -285,22 +294,13 @@ class TrafficEngine
     std::vector<Duration> phases;   ///< timer phase in [0, period)
 };
 
-/** Results of one open-loop traffic run. */
-struct TrafficWorkloadResult
-{
-    Samples e2eLatencyMs;
-    std::int64_t invocations = 0;
-    std::int64_t coldStarts = 0;
-    std::int64_t warmHits = 0;
-    std::int64_t failedInvocations = 0;
-};
-
 /**
  * Drives a sequential Cluster with TrafficEngine arrivals, open-loop:
  * arrivals fire on schedule whether or not earlier invocations
  * completed, so flash crowds genuinely pile onto the shared data
  * plane (a closed loop would self-throttle exactly when contention
- * matters). Deploys the engine's profiles on construction.
+ * matters). Deploys the engine's profiles on construction. The run's
+ * counts and latencies are the cluster's: Cluster::fleetStats().
  */
 class TrafficWorkload
 {
@@ -311,7 +311,7 @@ class TrafficWorkload
     const TrafficEngine &engine() const { return eng; }
 
     /** Run to completion (all fired invocations finished). */
-    sim::Task<TrafficWorkloadResult> run();
+    sim::Task<void> run();
 
   private:
     sim::Task<void> arrivalLoop(int fn, sim::Latch *loops_done);
@@ -320,11 +320,11 @@ class TrafficWorkload
     sim::Simulation &sim;
     Cluster &cluster;
     TrafficEngine eng;
-    std::int64_t launched = 0;
-    std::int64_t completed = 0;
+
+    /** Fired invocations not yet returned (the drain condition). */
+    std::int64_t inFlight = 0;
     bool launchDone = false;
     std::unique_ptr<sim::Gate> drained;
-    TrafficWorkloadResult result;
 };
 
 } // namespace vhive::cluster

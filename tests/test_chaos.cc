@@ -43,6 +43,8 @@
 #include "sim/task.hh"
 #include "util/units.hh"
 
+#include "fleet_sums.hh"
+
 namespace vhive {
 namespace {
 
@@ -486,33 +488,40 @@ TEST(ChaosStaging, SingleFlightNeverDoubleStagesUnderStorm)
 
 // ------------------------------------------------- whole-workload runs
 
+/** A whole-workload run: the fleet result and its per-function sums. */
+struct AzureRun
+{
+    cluster::FleetStats fleet;
+    cluster::FunctionSums rows;
+};
+
 /**
  * Stage the fleet, then let @p arm add fault windows relative to the
  * post-staging time (faults land in the measured window, not on the
  * staging prologue), install the plan and drive the workload.
  */
 template <typename Arm>
-cluster::AzureWorkloadResult
+AzureRun
 runAzure(cluster::ClusterConfig ccfg, cluster::AzureWorkloadConfig wcfg,
          FaultPlan *plan, Arm &&arm)
 {
     Simulation sim;
     cluster::Cluster c(sim, ccfg);
     cluster::AzureWorkload w(sim, c, wcfg);
-    cluster::AzureWorkloadResult result;
     runScenario(sim, [&]() -> Task<void> {
         co_await c.prepareAllSnapshots();
         if (plan != nullptr) {
             arm(*plan, sim.now());
             c.installFaultPlan(plan);
         }
-        result = co_await w.run();
+        (void)co_await w.run();
         c.installFaultPlan(nullptr);
     });
-    return result;
+    return AzureRun{c.fleetStats(),
+                    cluster::sumFunctionStats(c, w.functionNames())};
 }
 
-cluster::AzureWorkloadResult
+AzureRun
 runAzure(cluster::ClusterConfig ccfg, cluster::AzureWorkloadConfig wcfg)
 {
     return runAzure(ccfg, wcfg, nullptr, [](FaultPlan &, Time) {});
@@ -534,7 +543,7 @@ TEST(ChaosWorkload, FaultFreeBitIdenticalWithDormantPlan)
     // Installing a plan whose windows never open must not change a
     // single sample: hook points draw nothing outside windows.
     cluster::ClusterConfig ccfg = tieredConfig(2);
-    auto base = runAzure(ccfg, shortMix());
+    cluster::FleetStats base = runAzure(ccfg, shortMix()).fleet;
     FaultPlan dormant(99);
     auto far_future = [](FaultPlan &p, Time base_t) {
         p.add(spec(FaultKind::StoreOutage, "*", base_t + sec(90000),
@@ -544,7 +553,8 @@ TEST(ChaosWorkload, FaultFreeBitIdenticalWithDormantPlan)
         p.add(spec(FaultKind::Straggler, "*", base_t + sec(90000),
                    base_t + sec(90060), 10.0, 0.5));
     };
-    auto dormant_run = runAzure(ccfg, shortMix(), &dormant, far_future);
+    cluster::FleetStats dormant_run =
+        runAzure(ccfg, shortMix(), &dormant, far_future).fleet;
 
     ASSERT_GT(base.invocations, 5);
     EXPECT_EQ(base.invocations, dormant_run.invocations);
@@ -569,9 +579,9 @@ TEST(ChaosWorkload, SameSeedSamePlanBitIdentical)
     };
 
     FaultPlan a(42), b(42), d(43);
-    auto ra = runAzure(ccfg, shortMix(), &a, arm);
-    auto rb = runAzure(ccfg, shortMix(), &b, arm);
-    auto rd = runAzure(ccfg, shortMix(), &d, arm);
+    cluster::FleetStats ra = runAzure(ccfg, shortMix(), &a, arm).fleet;
+    cluster::FleetStats rb = runAzure(ccfg, shortMix(), &b, arm).fleet;
+    cluster::FleetStats rd = runAzure(ccfg, shortMix(), &d, arm).fleet;
 
     // Same (seed, plan, workload): bit-identical histories.
     ASSERT_EQ(ra.e2eLatencyMs.values().size(),
@@ -641,18 +651,56 @@ TEST(ChaosWorkload, SweepInvariantsAcrossPlansClassesAndModes)
                 cluster::AzureWorkloadConfig wcfg = shortMix();
                 wcfg.classMix = mix;
                 FaultPlan plan(pm.seed);
-                auto r = runAzure(ccfg, wcfg, &plan, pm.arm);
-                EXPECT_GT(r.invocations, 0);
+                AzureRun r = runAzure(ccfg, wcfg, &plan, pm.arm);
+                EXPECT_GT(r.fleet.invocations, 0);
                 // Exactly-once completion accounting.
-                EXPECT_EQ(r.coldStarts + r.warmHits +
-                              r.failedInvocations,
-                          r.invocations);
+                EXPECT_EQ(r.rows.coldStarts + r.rows.warmHits +
+                              r.rows.failedInvocations,
+                          r.fleet.invocations);
                 EXPECT_EQ(static_cast<std::int64_t>(
-                              r.e2eLatencyMs.values().size()),
-                          r.invocations);
+                              r.fleet.e2eLatencyMs.values().size()),
+                          r.rows.invocations);
             }
         }
     }
+}
+
+TEST(ChaosWorkload, FleetStatsAccountsEveryCompletionOnce)
+{
+    // FleetStats is the one result of a fleet run, so the
+    // completes-or-fails-exactly-once invariant is checked on it: with
+    // no crash retries allowed, crashed cold starts are reported
+    // failed, and every invocation still lands in exactly one of
+    // cold/warm/failed with one e2e sample. Each fleet-wide term
+    // equals its sum over the per-function rows.
+    cluster::ClusterConfig ccfg = tieredConfig(2);
+    ccfg.maxColdStartRetries = 0;
+    FaultPlan plan(104);
+    auto crashes = [](FaultPlan &p, Time t) {
+        p.add(spec(FaultKind::WorkerCrash, "worker/*", t, t + sec(120),
+                   80.0, 0.5));
+    };
+    AzureRun r = runAzure(ccfg, shortMix(), &plan, crashes);
+    EXPECT_GT(plan.stats().workerCrashes, 0);
+    EXPECT_GT(r.fleet.failedInvocations, 0);
+    EXPECT_GT(r.fleet.coldStarts + r.fleet.warmHits, 0);
+    cluster::expectCompletionIdentity(r.fleet, r.rows);
+
+    // The parallel engine has no failure path: under store faults
+    // every invocation is served, cold or warm.
+    cluster::ParallelFleetConfig pcfg;
+    pcfg.workers = 3;
+    pcfg.workload = shortMix();
+    pcfg.faultSeed = 104;
+    pcfg.storeFaults.push_back(spec(FaultKind::Straggler, "store/*", 0,
+                                    sec(600), 8.0, 0.3));
+    cluster::ParallelFleet fleet(pcfg);
+    cluster::FleetStats fs = fleet.run();
+    EXPECT_GT(fs.invocations, 0);
+    EXPECT_EQ(fs.failedInvocations, 0);
+    EXPECT_EQ(fs.coldStarts + fs.warmHits + fs.failedInvocations,
+              fs.invocations);
+    EXPECT_EQ(fs.e2eLatencyMs.count(), fs.invocations);
 }
 
 TEST(ChaosWorkload, OutageOverFlashCrowdWithPreWarmsExactlyOnce)
@@ -693,7 +741,6 @@ TEST(ChaosWorkload, OutageOverFlashCrowdWithPreWarmsExactlyOnce)
 
     cluster::TrafficWorkload workload(sim, c, tcfg);
     FaultPlan plan(0xc0a7);
-    cluster::TrafficWorkloadResult r;
     runScenario(sim, [&]() -> Task<void> {
         co_await c.prepareAllSnapshots();
         // The whole shared store dark for exactly the crowd window:
@@ -705,18 +752,20 @@ TEST(ChaosWorkload, OutageOverFlashCrowdWithPreWarmsExactlyOnce)
                           base + crowd.start,
                           base + crowd.start + crowd.duration));
         c.installFaultPlan(&plan);
-        r = co_await workload.run();
+        co_await workload.run();
         c.installFaultPlan(nullptr);
     });
 
     cluster::FleetStats fs = c.fleetStats();
-    ASSERT_GT(r.invocations, 0);
+    cluster::FunctionSums rows = cluster::sumFunctionStats(
+        c, cluster::functionNames(workload.engine()));
+    ASSERT_GT(fs.invocations, 0);
     // Exactly-once completion accounting across the whole run.
-    EXPECT_EQ(r.coldStarts + r.warmHits + r.failedInvocations,
-              r.invocations);
+    EXPECT_EQ(rows.coldStarts + rows.warmHits + rows.failedInvocations,
+              fs.invocations);
     EXPECT_EQ(static_cast<std::int64_t>(
-                  r.e2eLatencyMs.values().size()),
-              r.invocations);
+                  fs.e2eLatencyMs.values().size()),
+              rows.invocations);
     // The control plane really was active across the outage, and its
     // loads are accounted separately from invocations: each pre-warm
     // produces at most one instance, which is later hit once or
@@ -725,7 +774,7 @@ TEST(ChaosWorkload, OutageOverFlashCrowdWithPreWarmsExactlyOnce)
     EXPECT_LE(fs.preWarmHits, fs.preWarms);
     EXPECT_LE(fs.preWarmHits + fs.wastedPreWarms, fs.preWarms);
     // A pre-warm hit is a warm hit served off a pre-warmed instance.
-    EXPECT_LE(fs.preWarmHits, r.warmHits);
+    EXPECT_LE(fs.preWarmHits, rows.warmHits);
     // The outage genuinely stalled requests during the crowd.
     EXPECT_GE(plan.stats().outageStalls, 1);
 }

@@ -23,7 +23,10 @@
 #include "func/profile.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
+#include "util/rng.hh"
 #include "util/units.hh"
+
+#include "fleet_sums.hh"
 
 namespace vhive {
 namespace {
@@ -309,16 +312,16 @@ runTrafficCluster(bool dormant_policy)
     tcfg.horizon = sec(150);
     cluster::TrafficWorkload workload(sim, c, tcfg);
 
-    ClusterRun r;
-    cluster::TrafficWorkloadResult wr;
     runScenario(sim, [&]() -> Task<void> {
-        wr = co_await workload.run();
+        co_await workload.run();
     });
-    r.invocations = wr.invocations;
-    r.coldStarts = wr.coldStarts;
-    r.warmHits = wr.warmHits;
+    cluster::FleetStats fs = c.fleetStats();
+    ClusterRun r;
+    r.invocations = fs.invocations;
+    r.coldStarts = fs.coldStarts;
+    r.warmHits = fs.warmHits;
     r.events = sim.eventsProcessed();
-    r.e2e = wr.e2eLatencyMs.values();
+    r.e2e = fs.e2eLatencyMs.values();
     return r;
 }
 
@@ -356,30 +359,99 @@ TEST(ControlCluster, ActivePolicyPreWarmsAndCutsColds)
         tcfg.aggregateRps = 0.4;
         tcfg.horizon = sec(240);
         cluster::TrafficWorkload workload(sim, c, tcfg);
-        cluster::TrafficWorkloadResult wr;
         runScenario(sim, [&]() -> Task<void> {
-            wr = co_await workload.run();
+            co_await workload.run();
         });
         cluster::FleetStats fs = c.fleetStats();
-        EXPECT_EQ(wr.coldStarts + wr.warmHits + wr.failedInvocations,
-                  wr.invocations);
-        return std::pair<std::int64_t, cluster::FleetStats>(
-            wr.coldStarts, fs);
+        cluster::FunctionSums rows = cluster::sumFunctionStats(
+            c, cluster::functionNames(workload.engine()));
+        EXPECT_EQ(rows.coldStarts + rows.warmHits +
+                      rows.failedInvocations,
+                  fs.invocations);
+        return fs;
     };
 
-    auto [cold_none, fs_none] =
-        run(cluster::ControlPolicyKind::None);
-    auto [cold_hybrid, fs_hybrid] =
+    cluster::FleetStats fs_none = run(cluster::ControlPolicyKind::None);
+    cluster::FleetStats fs_hybrid =
         run(cluster::ControlPolicyKind::HybridHistogram);
 
     EXPECT_EQ(fs_none.preWarms, 0);
     EXPECT_GT(fs_hybrid.preWarms, 0);
     EXPECT_GT(fs_hybrid.preWarmHits, 0);
     // The point of the layer: pre-warming converts cold starts.
-    EXPECT_LT(cold_hybrid, cold_none);
+    EXPECT_LT(fs_hybrid.coldStarts, fs_none.coldStarts);
     // And the waste accounting runs: an always-on fleet integrates
     // idle-warm byte-seconds under either policy.
     EXPECT_GT(fs_hybrid.wastedResidentByteSec, 0.0);
+}
+
+/**
+ * A small 4-worker shared-tiered fleet driven by TrafficWorkload
+ * under @p policy. The Oracle is fed the exact schedule: the arrival
+ * streams the workload will draw, replayed relative to the instant
+ * its arrival loops start (staging is done first, so run()'s own
+ * staging and record pass are no-ops).
+ */
+std::pair<cluster::FleetStats, cluster::FunctionSums>
+runPolicyFleet(cluster::ControlPolicyKind policy)
+{
+    Simulation sim;
+    cluster::ClusterConfig cfg;
+    cfg.workers = 4;
+    cfg.coldStartMode = ColdStartMode::TieredReap;
+    cfg.sharedSnapshots = true;
+    cfg.keepAlive = sec(15);
+    cfg.routingPolicy = cluster::RoutingPolicyKind::LocalityHash;
+    cfg.controlPolicy = policy;
+    cluster::Cluster c(sim, cfg);
+
+    cluster::TrafficConfig tcfg;
+    tcfg.functions = 8;
+    tcfg.tenants = 2;
+    tcfg.aggregateRps = 0.4;
+    tcfg.horizon = sec(240);
+    cluster::TrafficWorkload workload(sim, c, tcfg);
+    const cluster::TrafficEngine &eng = workload.engine();
+    runScenario(sim, [&]() -> Task<void> {
+        co_await c.prepareAllSnapshots();
+        if (policy == cluster::ControlPolicyKind::Oracle) {
+            auto &oracle = static_cast<cluster::OraclePolicy &>(
+                c.controlPolicies().policyFor(policy));
+            oracle.setEpoch(sim.now());
+            for (int fn = 0; fn < eng.functionCount(); ++fn) {
+                Rng local = eng.arrivalStream(fn);
+                std::vector<Duration> offsets;
+                for (Duration t = eng.nextArrival(fn, 0, local);
+                     t < tcfg.horizon;
+                     t = eng.nextArrival(fn, t, local))
+                    offsets.push_back(t);
+                oracle.setSchedule(eng.profile(fn).name,
+                                   std::move(offsets));
+            }
+        }
+        co_await workload.run();
+    });
+    return {c.fleetStats(),
+            cluster::sumFunctionStats(c, cluster::functionNames(eng))};
+}
+
+TEST(ControlCluster, NaiveKeepAliveAndOraclePreWarmAndAccount)
+{
+    for (cluster::ControlPolicyKind policy :
+         {cluster::ControlPolicyKind::NaiveKeepAlive,
+          cluster::ControlPolicyKind::Oracle}) {
+        SCOPED_TRACE(cluster::controlPolicyName(policy));
+        auto [fs, rows] = runPolicyFleet(policy);
+        EXPECT_GT(fs.invocations, 5);
+        cluster::expectCompletionIdentity(fs, rows);
+        EXPECT_GT(fs.preWarms, 0);
+        EXPECT_LE(fs.preWarmHits, fs.warmHits);
+        if (policy == cluster::ControlPolicyKind::Oracle) {
+            // Clairvoyance pays: some pre-warm lands before its
+            // arrival and serves it.
+            EXPECT_GT(fs.preWarmHits, 0);
+        }
+    }
 }
 
 // --------------------------------------------------- parallel kernel

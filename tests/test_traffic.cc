@@ -18,6 +18,8 @@
 #include "util/rng.hh"
 #include "util/units.hh"
 
+#include "fleet_sums.hh"
+
 namespace vhive::cluster {
 namespace {
 
@@ -213,7 +215,7 @@ TEST(TrafficEngine, PeriodicClassFiresOnTimerGrid)
                                               "periodic-test");
         Duration ta = 0, tb = 0;
         auto slack = static_cast<Duration>(
-            cfg.periodicJitter * static_cast<double>(period));
+            kPeriodicJitter * static_cast<double>(period));
         for (int i = 0; i < 12; ++i) {
             Duration prev = ta;
             ta = a.nextArrival(fn, ta, ra);
@@ -251,18 +253,29 @@ TEST(TrafficWorkload, OpenLoopDrivesAndDrains)
     tcfg.horizon = sec(120);
     TrafficWorkload wl(sim, cluster, tcfg);
 
-    TrafficWorkloadResult r;
-    sim.spawn([](TrafficWorkload &wl,
-                 TrafficWorkloadResult &out) -> sim::Task<void> {
-        out = co_await wl.run();
-    }(wl, r));
+    sim.spawn([](TrafficWorkload &wl) -> sim::Task<void> {
+        co_await wl.run();
+    }(wl));
     sim.run();
 
+    FleetStats r = cluster.fleetStats();
+    FunctionSums rows =
+        sumFunctionStats(cluster, functionNames(wl.engine()));
     EXPECT_GT(r.invocations, 0);
     // Open loop still completes every fired invocation.
-    EXPECT_EQ(r.coldStarts + r.warmHits + r.failedInvocations,
+    EXPECT_EQ(rows.coldStarts + rows.warmHits + rows.failedInvocations,
               r.invocations);
-    EXPECT_EQ(r.e2eLatencyMs.count(), r.invocations);
+    EXPECT_EQ(r.e2eLatencyMs.count(), rows.invocations);
+    // Every arrival the engine's streams schedule was fired and
+    // drained.
+    std::int64_t fired = 0;
+    for (int fn = 0; fn < wl.engine().functionCount(); ++fn) {
+        Rng local = wl.engine().arrivalStream(fn);
+        for (Duration t = wl.engine().nextArrival(fn, 0, local);
+             t < tcfg.horizon; t = wl.engine().nextArrival(fn, t, local))
+            ++fired;
+    }
+    EXPECT_EQ(r.invocations, fired);
 }
 
 } // namespace
