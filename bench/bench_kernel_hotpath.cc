@@ -1,7 +1,7 @@
 /**
  * @file
  * DES-kernel hot-path microbenchmark: wall-clock events/sec for the
- * event patterns that dominate every figure reproduction. Four
+ * event patterns that dominate every figure reproduction. Five
  * scenarios, each isolating one kernel path:
  *
  *  - delay-storm:       many tasks sleeping scattered future durations
@@ -12,6 +12,10 @@
  *                       frame allocation/release + detach registry).
  *  - semaphore-convoy:  64 tasks convoying over a 1-permit semaphore
  *                       (FIFO waiter queue + handoff wakeups).
+ *  - window-handoff:    four ParallelKernel domains passing tokens
+ *                       around a CrossPort ring on 2 sim threads,
+ *                       ~130 events per window (the pool's per-window
+ *                       hand-off and join).
  *
  * Every scenario reports simulated events processed, wall seconds
  * (best of repeats) and events/sec; `VHIVE_BENCH_JSON=<path>` exports
@@ -20,9 +24,12 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/common.hh"
+#include "sim/parallel.hh"
 #include "sim/simulation.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
@@ -60,8 +67,9 @@ stormTask(sim::Simulation &sim, int id, int rounds)
 }
 
 std::int64_t
-runDelayStorm(sim::Simulation &sim)
+runDelayStorm()
 {
+    sim::Simulation sim;
     const int tasks = 256, rounds = 2000;
     for (int i = 0; i < tasks; ++i)
         sim.spawn(stormTask(sim, i, rounds));
@@ -81,8 +89,9 @@ pingponger(sim::Channel<int> &in, sim::Channel<int> &out, int bounces)
 }
 
 std::int64_t
-runChannelPingpong(sim::Simulation &sim)
+runChannelPingpong()
 {
+    sim::Simulation sim;
     const int bounces = 400000;
     sim::Channel<int> a(sim), b(sim);
     sim.spawn(pingponger(a, b, bounces));
@@ -111,8 +120,9 @@ churnDriver(sim::Simulation &sim, int waves, int perWave)
 }
 
 std::int64_t
-runSpawnJoinChurn(sim::Simulation &sim)
+runSpawnJoinChurn()
 {
+    sim::Simulation sim;
     sim.spawn(churnDriver(sim, 8000, 32));
     sim.run();
     return sim.eventsProcessed();
@@ -131,14 +141,53 @@ convoyTask(sim::Simulation &sim, sim::Semaphore &sem, int rounds)
 }
 
 std::int64_t
-runSemaphoreConvoy(sim::Simulation &sim)
+runSemaphoreConvoy()
 {
+    sim::Simulation sim;
     const int tasks = 64, rounds = 4000;
     sim::Semaphore sem(sim, 1);
     for (int i = 0; i < tasks; ++i)
         sim.spawn(convoyTask(sim, sem, rounds));
     sim.run();
     return sim.eventsProcessed();
+}
+
+// ------------------------------------------------------ window handoff
+
+sim::Task<void>
+handoffNode(sim::Simulation &sim, sim::CrossPort<int> &in,
+            sim::CrossPort<int> &out, int hops)
+{
+    for (int h = 0; h < hops; ++h) {
+        int v = co_await in.recv();
+        for (int j = 0; j < 32; ++j)
+            co_await sim.delay(usec(0.25));
+        out.send(v + 1);
+    }
+}
+
+std::int64_t
+runWindowHandoff()
+{
+    // Every node holds one token at a time and all start in phase, so
+    // each 10 us window runs every domain (no solo stretches) for 33
+    // events: ~130 per window, as in the fleet-tiered-t2 e2e workload.
+    const int domains = 4, hops = 10000;
+    sim::ParallelKernel k(domains, 2);
+    std::vector<std::unique_ptr<sim::CrossPort<int>>> ports;
+    for (int d = 0; d < domains; ++d)
+        ports.push_back(std::make_unique<sim::CrossPort<int>>(
+            k, k.domain(d), k.domain((d + 1) % domains), usec(10)));
+    for (int d = 0; d < domains; ++d)
+        k.sim(d).spawn(handoffNode(
+            k.sim(d),
+            *ports[static_cast<std::size_t>((d + domains - 1) % domains)],
+            *ports[static_cast<std::size_t>(d)], hops));
+    for (auto &port : ports)
+        port->send(0);
+    k.run();
+    VHIVE_ASSERT(k.stats().soloWindows == 0);
+    return k.totalEventsProcessed();
 }
 
 // ------------------------------------------------------------- harness
@@ -150,9 +199,8 @@ measure(Fn scenario)
     const int repeats = 3;
     ScenarioResult best;
     for (int i = 0; i < repeats; ++i) {
-        sim::Simulation sim;
         auto t0 = std::chrono::steady_clock::now();
-        std::int64_t events = scenario(sim);
+        std::int64_t events = scenario();
         auto t1 = std::chrono::steady_clock::now();
         double wall = std::chrono::duration<double>(t1 - t0).count();
         if (best.events == 0 || wall < best.wallSec) {
@@ -176,13 +224,14 @@ main()
 
     struct Row {
         const char *name;
-        std::int64_t (*fn)(sim::Simulation &);
+        std::int64_t (*fn)();
     };
     const Row rows[] = {
         {"delay-storm", runDelayStorm},
         {"channel-pingpong", runChannelPingpong},
         {"spawn-join-churn", runSpawnJoinChurn},
         {"semaphore-convoy", runSemaphoreConvoy},
+        {"window-handoff", runWindowHandoff},
     };
 
     for (const Row &r : rows) {
@@ -197,9 +246,10 @@ main()
     }
     t.print();
 
-    std::printf("\nThe four scenarios isolate the kernel paths every "
+    std::printf("\nThe five scenarios isolate the kernel paths every "
                 "figure reproduction leans on:\nfuture-event queue ops, "
-                "same-timestamp wakeups, coroutine frame churn, and\n"
-                "FIFO semaphore handoff.\n");
+                "same-timestamp wakeups, coroutine frame churn,\n"
+                "FIFO semaphore handoff, and the parallel kernel's "
+                "window hand-off.\n");
     return 0;
 }

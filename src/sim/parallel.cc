@@ -2,6 +2,32 @@
 
 namespace vhive::sim {
 
+namespace {
+
+/**
+ * Pause iterations a waiting thread spins before it parks (pool) or
+ * starts yielding its core (coordinator). About 0.5 ms on a current
+ * x86 core (~25 ns per pause): long enough to span the coordinator's
+ * serial work between two multi-domain windows, which is microseconds,
+ * so those hand-offs never reach a futex; short enough that a solo
+ * stretch of a millisecond or more parks the pool rather than keeping
+ * its cores busy.
+ */
+constexpr int kSpinBudget = 20000;
+
+/** Tell the core this is a spin-wait loop. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+} // namespace
+
 ParallelKernel::ParallelKernel(int domains, int threads)
     : _threads(threads)
 {
@@ -14,11 +40,10 @@ ParallelKernel::ParallelKernel(int domains, int threads)
 
 ParallelKernel::~ParallelKernel()
 {
-    {
-        std::lock_guard<std::mutex> lk(_mtx);
-        _shutdown = true;
-    }
-    _cvStart.notify_all();
+    // The epoch bump that wakes the pool also publishes _shutdown.
+    _shutdown.store(true, std::memory_order_relaxed);
+    _epoch.fetch_add(1, std::memory_order_release);
+    _epoch.notify_all();
     for (auto &t : _pool)
         t.join();
 }
@@ -97,12 +122,11 @@ ParallelKernel::runSolo(int d, Time other_bound)
 }
 
 std::optional<std::size_t>
-ParallelKernel::claimWork(std::uint64_t epoch, std::size_t work_count)
+ParallelKernel::claimWork(std::uint32_t epoch, std::size_t work_count)
 {
-    const std::uint64_t tag = epoch & 0xffffffffu;
     std::uint64_t cur = _claim.load(std::memory_order_acquire);
     for (;;) {
-        if ((cur >> 32) != tag)
+        if ((cur >> 32) != epoch)
             return std::nullopt; // kernel moved to another window
         std::size_t i = static_cast<std::size_t>(cur & 0xffffffffu);
         if (i >= work_count)
@@ -114,6 +138,19 @@ ParallelKernel::claimWork(std::uint64_t epoch, std::size_t work_count)
     }
 }
 
+std::size_t
+ParallelKernel::runClaims(std::uint32_t epoch, Time window_end,
+                          std::size_t work_count)
+{
+    std::size_t done = 0;
+    while (auto i = claimWork(epoch, work_count)) {
+        _domains[static_cast<std::size_t>(_work[*i])]->_sim.runWindow(
+            window_end);
+        ++done;
+    }
+    return done;
+}
+
 void
 ParallelKernel::runWindowParallel(Time window_end)
 {
@@ -122,63 +159,68 @@ ParallelKernel::runWindowParallel(Time window_end)
         for (int i = 0; i < _threads - 1; ++i)
             _pool.emplace_back([this] { workerLoop(); });
     }
-    std::uint64_t epoch;
-    {
-        std::lock_guard<std::mutex> lk(_mtx);
-        _windowEnd = window_end;
-        _workCount = _work.size();
-        VHIVE_ASSERT(_workCount <= 0xffffffffu);
-        _pendingTasks = static_cast<int>(_work.size());
-        epoch = ++_epoch;
-        _claim.store((epoch & 0xffffffffu) << 32,
-                     std::memory_order_release);
-    }
-    _cvStart.notify_all();
+    const std::size_t work_count = _work.size();
+    VHIVE_ASSERT(work_count <= 0xffffffffu);
+    const std::uint32_t epoch =
+        _epoch.load(std::memory_order_relaxed) + 1;
+
+    // Retag the claim word before storing the window's end and count:
+    // a worker still on the previous epoch that reads either of them
+    // (acquire) then also sees the new tag, and its claims fail.
+    _claim.store(static_cast<std::uint64_t>(epoch) << 32,
+                 std::memory_order_release);
+    _windowEnd.store(window_end, std::memory_order_release);
+    _workCount.store(work_count, std::memory_order_release);
+    _pending.store(work_count, std::memory_order_relaxed);
+    _epoch.store(epoch, std::memory_order_release);
+    // No syscall unless some pool thread has parked.
+    _epoch.notify_all();
 
     // The coordinator is a full participant in the window.
-    int done = 0;
-    while (auto i = claimWork(epoch, _workCount)) {
-        _domains[static_cast<std::size_t>(_work[*i])]->_sim.runWindow(
-            window_end);
-        ++done;
+    std::size_t done = runClaims(epoch, window_end, work_count);
+    _pending.fetch_sub(done, std::memory_order_relaxed);
+    for (int spins = 0; _pending.load(std::memory_order_acquire) != 0;) {
+        if (spins < kSpinBudget) {
+            ++spins;
+            cpuRelax();
+        } else {
+            std::this_thread::yield();
+        }
     }
-
-    std::unique_lock<std::mutex> lk(_mtx);
-    _pendingTasks -= done;
-    _cvDone.wait(lk, [this] { return _pendingTasks == 0; });
     ++_stats.multiDomainWindows;
+}
+
+std::uint32_t
+ParallelKernel::awaitWindow(std::uint32_t seen)
+{
+    for (int spins = 0; spins < kSpinBudget; ++spins) {
+        std::uint32_t e = _epoch.load(std::memory_order_acquire);
+        if (e != seen)
+            return e;
+        cpuRelax();
+    }
+    _epoch.wait(seen, std::memory_order_acquire);
+    return _epoch.load(std::memory_order_acquire);
 }
 
 void
 ParallelKernel::workerLoop()
 {
-    std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lk(_mtx);
+    std::uint32_t seen = 0;
     for (;;) {
-        _cvStart.wait(lk,
-                      [&] { return _shutdown || _epoch != seen; });
-        if (_shutdown)
+        seen = awaitWindow(seen);
+        if (_shutdown.load(std::memory_order_relaxed))
             return;
-        seen = _epoch;
-        Time window_end = _windowEnd;
-        std::size_t work_count = _workCount;
-        lk.unlock();
-
-        // claimWork validates `seen` against the claim word, so if
-        // this thread stalls here until the coordinator has opened a
-        // newer window, every claim fails and the loop falls through
-        // without touching the rewritten work list.
-        int done = 0;
-        while (auto i = claimWork(seen, work_count)) {
-            _domains[static_cast<std::size_t>(_work[*i])]
-                ->_sim.runWindow(window_end);
-            ++done;
-        }
-
-        lk.lock();
-        _pendingTasks -= done;
-        if (_pendingTasks == 0)
-            _cvDone.notify_one();
+        // These may already belong to a newer window than `seen` if
+        // this thread stalled here; claimWork validates `seen` against
+        // the claim word, so every claim then fails and the loop falls
+        // through without touching the rewritten work list.
+        Time window_end = _windowEnd.load(std::memory_order_acquire);
+        std::size_t work_count =
+            _workCount.load(std::memory_order_acquire);
+        std::size_t done = runClaims(seen, window_end, work_count);
+        if (done > 0)
+            _pending.fetch_sub(done, std::memory_order_release);
     }
 }
 

@@ -50,10 +50,26 @@
  * (epoch | next index) and every claim validates the epoch in the
  * same CAS that advances the index, so a worker still holding state
  * cached from an earlier window can never claim — or even read — the
- * current window's work list. Domain state hand-off between a
- * window's worker thread and the coordinator is ordered by the pool
- * mutex, so the kernel is ThreadSanitizer-clean. Each domain's
- * coroutine frames
+ * current window's work list.
+ *
+ * Windows are handed off without a lock. The coordinator retags the
+ * claim word, stores the window end, work count and pending count,
+ * then publishes the window by a release store of an atomic epoch.
+ * Pool threads spin on the epoch for kSpinBudget pause iterations
+ * (about half a millisecond on a current x86 core) and only then park
+ * in std::atomic::wait. Back-to-back multi-domain windows, a few
+ * microseconds apart, therefore meet a spinning pool and make no
+ * syscall; a long solo stretch parks the pool instead of burning its
+ * cores. Completion is an atomic pending count that the coordinator
+ * spins on, yielding its core once the same budget is spent. Every
+ * cross-thread hand-off of domain state is a release/acquire pair
+ * (epoch or claim word in, pending count out), so the kernel is
+ * ThreadSanitizer-clean. None of this touches what a window contains:
+ * window bounds, work lists and delivery order are computed by the
+ * coordinator alone from simulated state, so results stay
+ * bit-identical however the pool's threads are scheduled.
+ *
+ * Each domain's coroutine frames
  * come from the running thread's FramePool arena; frames may be freed
  * on a different thread's arena than they were allocated from, which
  * FramePool supports by design.
@@ -64,12 +80,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -220,6 +234,13 @@ class ParallelKernel
 
     void workerLoop();
 
+    /** Spin, then park, until the epoch moves past @p seen. */
+    std::uint32_t awaitWindow(std::uint32_t seen);
+
+    /** Claim and run _work items of window @p epoch; returns how many. */
+    std::size_t runClaims(std::uint32_t epoch, Time window_end,
+                          std::size_t work_count);
+
     /**
      * Claim the next _work index for window @p epoch, or nothing when
      * the list is exhausted or the kernel has moved on to a different
@@ -227,7 +248,7 @@ class ParallelKernel
      * so a claimant holding stale window state can neither consume
      * nor skip an index of the current window.
      */
-    std::optional<std::size_t> claimWork(std::uint64_t epoch,
+    std::optional<std::size_t> claimWork(std::uint32_t epoch,
                                          std::size_t work_count);
 
     static Time
@@ -262,28 +283,37 @@ class ParallelKernel
 
     /** @name Worker pool (created lazily on the first run() needing it). */
     /// @{
-    std::vector<std::thread> _pool;
-    std::mutex _mtx;
-    std::condition_variable _cvStart;
-    std::condition_variable _cvDone;
     std::vector<int> _work;
-    std::size_t _workCount = 0;
 
     /**
-     * Packed claim word: window epoch (mod 2^32) in the upper 32
-     * bits, next _work index in the lower 32. Guards against a worker
-     * preempted between waking for window N and its first claim: by
-     * the time it resumes in window N+1 the stored epoch has changed,
-     * so its claims fail instead of reading the rewritten _work with
-     * window N's count and window end. (Aliasing a wrapped epoch
-     * would require sleeping through 2^32 full windows, each a locked
-     * hand-off.)
+     * Packed claim word: window epoch in the upper 32 bits, next
+     * _work index in the lower 32. Guards against a worker preempted
+     * between seeing window N and its first claim: by the time it
+     * resumes in window N+1 the stored epoch has changed, so its
+     * claims fail instead of reading the rewritten _work. It is
+     * retagged before the next window's end and count are stored, so
+     * a stale worker that reads those never passes a claim either.
+     * (Aliasing a wrapped epoch would require a worker to stall
+     * through 2^32 full windows.)
      */
     std::atomic<std::uint64_t> _claim{0};
-    int _pendingTasks = 0;
-    Time _windowEnd = 0;
-    std::uint64_t _epoch = 0;
-    bool _shutdown = false;
+
+    /**
+     * The current window's end and work count. A thread still holding
+     * an older epoch may read newer values; its claims then fail.
+     */
+    std::atomic<Time> _windowEnd{0};
+    std::atomic<std::size_t> _workCount{0};
+
+    /** Work items of the current window not yet finished. */
+    std::atomic<std::size_t> _pending{0};
+
+    /** Publishes a window (or shutdown) to the pool; waited on. */
+    std::atomic<std::uint32_t> _epoch{0};
+    std::atomic<bool> _shutdown{false};
+
+    /** Declared last: joined in the destructor before the rest go. */
+    std::vector<std::thread> _pool;
     /// @}
 };
 

@@ -150,10 +150,6 @@ class MicroVm
     const func::FunctionProfile &profile() const { return _profile; }
 
   private:
-    sim::Task<void> executeTrace(const func::InvocationTrace &trace,
-                                 bool conn_phase_only, bool body_only,
-                                 InvocationBreakdown *bd);
-
     sim::Simulation &sim;
     storage::FileStore &store;
     host::CpuPool &cpus;

@@ -211,6 +211,166 @@ TEST(ParallelKernel, SoloFastPathCoversSingleActiveDomain)
     EXPECT_GT(k.stats().soloWindows, 0);
 }
 
+/**
+ * Ring exchange with a long solo stretch in the middle: every domain
+ * sends @p rounds values to its ring successor, then domain 0 alone
+ * runs @p solo_events local events while the others wait for its "go",
+ * then the ring exchanges @p rounds more. Each domain logs what it
+ * receives into its own row, so the rows need no locking.
+ */
+struct ParkRing {
+    ParallelKernel kernel;
+    std::vector<std::unique_ptr<CrossPort<int>>> ring;
+    std::vector<std::unique_ptr<CrossPort<int>>> go; // 0 -> d, d >= 1
+    std::vector<std::vector<std::pair<Time, int>>> received;
+
+    ParkRing(int domains, int threads)
+        : kernel(domains, threads),
+          received(static_cast<std::size_t>(domains))
+    {
+        for (int d = 0; d < domains; ++d)
+            ring.push_back(std::make_unique<CrossPort<int>>(
+                kernel, kernel.domain(d),
+                kernel.domain((d + 1) % domains), usec(100)));
+        for (int d = 1; d < domains; ++d)
+            go.push_back(std::make_unique<CrossPort<int>>(
+                kernel, kernel.domain(0), kernel.domain(d), usec(100)));
+    }
+};
+
+Task<void>
+parkRingSender(ParkRing &r, int d, int rounds, int solo_events)
+{
+    Simulation &sim = r.kernel.sim(d);
+    CrossPort<int> &out = *r.ring[static_cast<std::size_t>(d)];
+    for (int i = 0; i < rounds; ++i) {
+        co_await sim.delay(usec(20 + (d * 7 + i) % 13));
+        out.send(i);
+    }
+    if (d == 0) {
+        for (int i = 0; i < solo_events; ++i)
+            co_await sim.delay(100 * kNanosecond);
+        for (auto &port : r.go)
+            port->send(1);
+    } else {
+        co_await r.go[static_cast<std::size_t>(d - 1)]->recv();
+    }
+    for (int i = 0; i < rounds; ++i) {
+        co_await sim.delay(usec(20 + (d * 5 + i) % 11));
+        out.send(rounds + i);
+    }
+}
+
+Task<void>
+parkRingReceiver(ParkRing &r, int d, int count)
+{
+    int domains = r.kernel.domainCount();
+    CrossPort<int> &in =
+        *r.ring[static_cast<std::size_t>((d + domains - 1) % domains)];
+    auto &row = r.received[static_cast<std::size_t>(d)];
+    for (int i = 0; i < count; ++i) {
+        int v = co_await in.recv();
+        row.emplace_back(r.kernel.sim(d).now(), v);
+    }
+}
+
+/** Everything thread count must not change about one ParkRing run. */
+struct ParkRingOutcome {
+    std::vector<std::vector<std::pair<Time, int>>> received;
+    std::vector<Time> clocks;
+    std::vector<std::int64_t> events;
+    ParallelKernel::Stats stats;
+};
+
+ParkRingOutcome
+runParkRing(int domains, int threads, int rounds, int solo_events)
+{
+    ParkRing r(domains, threads);
+    for (int d = 0; d < domains; ++d) {
+        r.kernel.sim(d).spawn(parkRingSender(r, d, rounds, solo_events));
+        r.kernel.sim(d).spawn(parkRingReceiver(r, d, 2 * rounds));
+    }
+    r.kernel.run();
+    ParkRingOutcome o{std::move(r.received), {}, {}, r.kernel.stats()};
+    for (int d = 0; d < domains; ++d) {
+        o.clocks.push_back(r.kernel.sim(d).now());
+        o.events.push_back(r.kernel.sim(d).eventsProcessed());
+    }
+    return o;
+}
+
+TEST(ParallelKernel, PoolParksThroughSoloStretchAndResumes)
+{
+    // Domain 0's solo stretch of 100k events outlasts the pool's spin
+    // budget in host time, so pool threads park; the second ring
+    // phase must wake them and run exactly as one thread does.
+    const int domains = 5, rounds = 1000, solo = 100000;
+    ParkRingOutcome ref = runParkRing(domains, 1, rounds, solo);
+    for (const auto &row : ref.received)
+        ASSERT_EQ(row.size(), 2u * rounds);
+    EXPECT_GE(ref.events[0], solo);
+    EXPECT_GT(ref.stats.soloWindows, 0);
+    // A window is one 100 us port latency wide and spans about four
+    // sends per domain, so each phase runs ~250 pool windows.
+    EXPECT_GT(ref.stats.multiDomainWindows, 400);
+    for (int threads : {2, 4, 8}) {
+        SCOPED_TRACE(testing::Message() << "threads=" << threads);
+        ParkRingOutcome o = runParkRing(domains, threads, rounds, solo);
+        EXPECT_EQ(o.received, ref.received);
+        EXPECT_EQ(o.clocks, ref.clocks);
+        EXPECT_EQ(o.events, ref.events);
+        EXPECT_EQ(o.stats.windows, ref.stats.windows);
+        EXPECT_EQ(o.stats.multiDomainWindows,
+                  ref.stats.multiDomainWindows);
+        EXPECT_EQ(o.stats.soloWindows, ref.stats.soloWindows);
+        EXPECT_EQ(o.stats.messages, ref.stats.messages);
+    }
+}
+
+/** Domain 0 runs @p events local events after the ring has drained. */
+Task<void>
+soloTail(Simulation &sim, int events)
+{
+    co_await sim.delay(msec(100));
+    for (int i = 0; i < events; ++i)
+        co_await sim.delay(100 * kNanosecond);
+}
+
+TEST(ParallelKernel, ShutdownWhileSpinningOrParked)
+{
+    // ~100 kernel lifetimes per thread count. Even iterations end
+    // right after their last multi-domain window, so the destructor
+    // meets a spinning pool; odd ones end in a solo tail longer than
+    // the spin budget, so it meets a parked one. Each run must still
+    // match the single-threaded reference.
+    auto runOnce = [](int threads, bool parked) {
+        ParallelKernel k(3, threads);
+        std::vector<std::unique_ptr<CrossPort<int>>> ports;
+        for (int d = 0; d < 3; ++d)
+            ports.push_back(std::make_unique<CrossPort<int>>(
+                k, k.domain(d), k.domain((d + 1) % 3), usec(100)));
+        // Every domain has local timers until its last send, so the
+        // windows up to there all run on the pool.
+        for (int d = 0; d < 3; ++d)
+            k.sim(d).spawn(chatterWorker(
+                k.sim(d), *ports[static_cast<std::size_t>(d)], d, 8));
+        if (parked)
+            k.sim(0).spawn(soloTail(k.sim(0), 100000));
+        k.run();
+        return std::pair{k.totalEventsProcessed(), k.stats().windows};
+    };
+    const auto ref_spinning = runOnce(1, false);
+    const auto ref_parked = runOnce(1, true);
+    for (int threads : {4, 8}) {
+        for (int i = 0; i < 100; ++i) {
+            bool parked = i % 2 == 1;
+            EXPECT_EQ(runOnce(threads, parked),
+                      parked ? ref_parked : ref_spinning)
+                << "threads=" << threads << " iteration=" << i;
+        }
+    }
+}
+
 } // namespace
 } // namespace vhive::sim
 
