@@ -1,7 +1,7 @@
 /**
  * @file
  * DES-kernel hot-path microbenchmark: wall-clock events/sec for the
- * event patterns that dominate every figure reproduction. Five
+ * event patterns that dominate every figure reproduction. Six
  * scenarios, each isolating one kernel path:
  *
  *  - delay-storm:       many tasks sleeping scattered future durations
@@ -16,6 +16,9 @@
  *                       around a CrossPort ring on 2 sim threads,
  *                       ~130 events per window (the pool's per-window
  *                       hand-off and join).
+ *  - access-run:        one MicroVm serving a trace whose pages are all
+ *                       present, so each access run costs one touch and
+ *                       one exec (the vCPU loop of a warm instance).
  *
  * Every scenario reports simulated events processed, wall seconds
  * (best of repeats) and events/sec; `VHIVE_BENCH_JSON=<path>` exports
@@ -29,12 +32,18 @@
 #include <vector>
 
 #include "bench/common.hh"
+#include "func/profile.hh"
+#include "func/trace_gen.hh"
+#include "host/cpu_pool.hh"
 #include "sim/parallel.hh"
 #include "sim/simulation.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
+#include "storage/disk.hh"
+#include "storage/file_store.hh"
 #include "util/table.hh"
 #include "util/units.hh"
+#include "vmm/microvm.hh"
 
 using namespace vhive;
 
@@ -190,6 +199,45 @@ runWindowHandoff()
     return k.totalEventsProcessed();
 }
 
+// ---------------------------------------------------------- access run
+
+sim::Task<void>
+serveWarm(vmm::MicroVm &vm, const func::InvocationTrace &trace,
+          int invocations)
+{
+    co_await vm.bootFromScratch(func::InvocationTrace{});
+    // Every page the trace touches is resident before the first serve.
+    vm.guestMemory().installRange(0, trace.totalPages());
+    for (int i = 0; i < invocations; ++i)
+        (void)co_await vm.serveInvocation(trace, nullptr);
+}
+
+std::int64_t
+runAccessRun()
+{
+    // 512 four-page runs with 1 us of compute each, served 1000 times:
+    // ~1M events, two per run.
+    const int runs = 512, pages_per_run = 4, invocations = 1000;
+    sim::Simulation sim;
+    storage::DiskDevice ssd(sim, storage::DiskParams::ssd());
+    storage::FileStore fs(sim, ssd);
+    host::CpuPool cpus(sim, 4);
+    vmm::MicroVm vm(sim, fs, cpus, func::profileByName("helloworld"));
+    func::InvocationTrace trace;
+    for (int r = 0; r < runs; ++r) {
+        func::AccessRun run;
+        run.page = r * pages_per_run;
+        run.pages = pages_per_run;
+        run.computeAfter = usec(1);
+        trace.runs.push_back(run);
+    }
+    trace.stablePageCount = runs * pages_per_run;
+    sim.spawn(serveWarm(vm, trace, invocations));
+    sim.run();
+    VHIVE_ASSERT(vm.guestMemory().stats().majorFaults == 0);
+    return sim.eventsProcessed();
+}
+
 // ------------------------------------------------------------- harness
 
 template <typename Fn>
@@ -232,6 +280,7 @@ main()
         {"spawn-join-churn", runSpawnJoinChurn},
         {"semaphore-convoy", runSemaphoreConvoy},
         {"window-handoff", runWindowHandoff},
+        {"access-run", runAccessRun},
     };
 
     for (const Row &r : rows) {
@@ -246,10 +295,10 @@ main()
     }
     t.print();
 
-    std::printf("\nThe five scenarios isolate the kernel paths every "
+    std::printf("\nThe six scenarios isolate the kernel paths every "
                 "figure reproduction leans on:\nfuture-event queue ops, "
                 "same-timestamp wakeups, coroutine frame churn,\n"
-                "FIFO semaphore handoff, and the parallel kernel's "
-                "window hand-off.\n");
+                "FIFO semaphore handoff, the parallel kernel's window "
+                "hand-off, and a warm\nvCPU's touch-and-compute loop.\n");
     return 0;
 }

@@ -238,9 +238,8 @@ ParallelFleet::StorePortClient::shardOf(net::PlacementKey key) const
 {
     const WorkerNode &node =
         *fleet.nodes[static_cast<std::size_t>(w)];
-    auto it = node.chunkHomes.find(key.content);
-    if (it != node.chunkHomes.end())
-        return it->second;
+    if (int s = node.chunkHomes.find(key.content); s >= 0)
+        return s;
     return net::hashShardOf(key.content, fleet.cfg.sharedStoreShards);
 }
 
@@ -248,6 +247,33 @@ int
 ParallelFleet::StorePortClient::shardCount() const
 {
     return fleet.cfg.sharedStoreShards;
+}
+
+ParallelFleet::PlacementAudit
+ParallelFleet::auditPlacements() const
+{
+    PlacementAudit audit;
+    if (!cfg.sharedSnapshots)
+        return audit;
+    for (const auto &node : nodes) {
+        const auto &orch = node->worker->orchestrator();
+        for (const AzureMixEntry &entry : mix) {
+            const std::string &name = entry.profile.name;
+            auto m = orch.manifests(name);
+            if (!m)
+                continue;
+            const std::uint64_t scope = net::placementScope(name);
+            for (const storage::ChunkManifest *man :
+                 {&m->vmmState, &m->ws})
+                for (const storage::ChunkRef &c : man->chunks) {
+                    ++audit.checked;
+                    if (node->storeClient->shardOf({c.hash, scope}) !=
+                        sharedStore->shardOf({c.hash, scope}))
+                        ++audit.disagreeing;
+                }
+        }
+    }
+    return audit;
 }
 
 sim::Task<void>
@@ -328,19 +354,16 @@ ParallelFleet::storeStage(StoreMsg msg)
 
     auto adopt = std::make_shared<AdoptPayload>();
     adopt->stage = msg.stage;
-    if (build.manifests) {
-        // Every chunk's placement rides the Adopt broadcast so workers
-        // group future batches by the true owning shard. putChunk
-        // records a placement before it first suspends, so every
-        // chunk — uploaded here or by a concurrent pass — has its
-        // final placement by now.
-        std::uint64_t scope = net::placementScope(name);
-        for (const storage::ChunkManifest *man :
-             {&build.manifests->vmmState, &build.manifests->ws})
-            for (const storage::ChunkRef &c : man->chunks)
-                adopt->placements.emplace_back(
-                    c.hash, sharedStore->shardOf({c.hash, scope}));
-    }
+    // Ship the placements logged since the previous Adopt. putChunk
+    // logs a placement before it first suspends, so every chunk of
+    // this build, uploaded here or by a concurrent pass, is logged by
+    // now: in this delta or an earlier one, which the worker's FIFO
+    // port delivered first.
+    const auto &log = sharedStore->placements();
+    adopt->placements.assign(
+        log.begin() + static_cast<std::ptrdiff_t>(shippedPlacements),
+        log.end());
+    shippedPlacements = log.size();
 
     StoreReply r;
     r.kind = StoreReply::Adopt;
@@ -390,9 +413,12 @@ ParallelFleet::workerStorePump(int w)
           }
           case StoreReply::Adopt: {
             // Placements first: any cold start racing the adoption
-            // must already group its batches by the true shard.
+            // must already group its batches by the true shard. The
+            // deltas are disjoint, so every entry is new here.
+            node.chunkHomes.reserve(node.chunkHomes.size() +
+                                    r.adopt->placements.size());
             for (const auto &[hash, shard] : r.adopt->placements)
-                node.chunkHomes.emplace(hash, shard);
+                node.chunkHomes.insert(hash, shard);
             const StagePayload &p = *r.adopt->stage;
             orch.adoptStagedArtifacts(
                 mix[static_cast<std::size_t>(p.fnIdx)].profile.name,

@@ -37,11 +37,12 @@
  * its store-side pass (outage stall, crash-retry upload —
  * chunk-deduplicated under DedupReap, sharded by
  * net::ShardedObjectStore — and the staging counters), then
- * broadcasts Adopt metadata, sharing the immutable build plus chunk
- * shard placements, to every worker. Workers signal Ready only after
- * adopting the whole population, so traffic never races staging. All
- * of it flows through ports, so digests stay bit-identical across sim
- * thread counts.
+ * broadcasts Adopt metadata, sharing the immutable build plus the
+ * chunk shard placements logged since the previous Adopt, to every
+ * worker. Workers signal Ready only after adopting the whole
+ * population, so traffic never races staging. All of it flows
+ * through ports, so digests stay bit-identical across sim thread
+ * counts.
  *
  * Without sharedSnapshots every mode — including RemoteReap and
  * DedupReap — runs per-worker (each worker stages into its own store,
@@ -156,6 +157,25 @@ class ParallelFleet
         return kernel.stats();
     }
 
+    /** What auditPlacements() compared. */
+    struct PlacementAudit {
+        /** (worker, chunk) pairs checked. */
+        std::int64_t checked = 0;
+
+        /** Pairs whose worker-side shard differs from the store's. */
+        std::int64_t disagreeing = 0;
+    };
+
+    /**
+     * After run(): compare, for every worker and every chunk of every
+     * manifest it adopted, the shard the worker's store client groups
+     * the chunk under with the shard the shared store routes it to.
+     * The Adopt deltas make them agree (see AdoptPayload::placements),
+     * so disagreeing is zero; both counts are zero without
+     * sharedSnapshots or chunked staging.
+     */
+    PlacementAudit auditPlacements() const;
+
   private:
     /** Control -> worker commands. */
     struct WorkerMsg {
@@ -224,7 +244,13 @@ class ParallelFleet
         /** The home worker's build, shared as shipped. */
         std::shared_ptr<const StagePayload> stage;
 
-        /** Chunk shard placements (content hash -> shard). */
+        /**
+         * The store's placement log (content hash -> shard) since the
+         * previous Adopt. Placements never change once logged, and
+         * every chunk of this build is placed before its Adopt is
+         * sent, so a worker that inserts every delta it receives
+         * answers shardOf() for each adopted chunk as the store does.
+         */
         std::vector<std::pair<std::uint64_t, int>> placements;
     };
 
@@ -293,8 +319,12 @@ class ParallelFleet
         std::unordered_map<std::int64_t, sim::Gate *> storePending;
         std::int64_t nextStoreReq = 0;
 
-        /** Adopted chunk placements (content hash -> shard). */
-        std::unordered_map<std::uint64_t, int> chunkHomes;
+        /**
+         * Every placement shipped in the Adopts received so far
+         * (content hash -> shard): a superset of the chunks of the
+         * adopted manifests.
+         */
+        net::PlacementTable chunkHomes;
 
         /** Functions adopted; Ready fires when all of mix arrived. */
         std::int64_t adopted = 0;
@@ -396,6 +426,9 @@ class ParallelFleet
     std::unique_ptr<net::ShardedObjectStore> sharedStore;
     std::unique_ptr<sim::FaultPlan> sharedFaults;
     std::unique_ptr<SnapshotRegistry> registry;
+
+    /** Prefix of sharedStore->placements() already sent in an Adopt. */
+    std::size_t shippedPlacements = 0;
     /// @}
 
     /** @name Control-domain state (domain 0 only). */

@@ -3,7 +3,7 @@
 namespace vhive::host {
 
 sim::Task<void>
-CpuPool::exec(Duration cpu_time)
+CpuPool::execQueued(Duration cpu_time)
 {
     co_await sem.acquire();
     sim::SemaphoreGuard guard(sem);

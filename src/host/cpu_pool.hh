@@ -9,6 +9,8 @@
 #ifndef VHIVE_HOST_CPU_POOL_HH
 #define VHIVE_HOST_CPU_POOL_HH
 
+#include <coroutine>
+
 #include "sim/simulation.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
@@ -31,8 +33,14 @@ class CpuPool
     CpuPool(const CpuPool &) = delete;
     CpuPool &operator=(const CpuPool &) = delete;
 
-    /** Run @p cpu_time of work on one core (queueing if none free). */
-    sim::Task<void> exec(Duration cpu_time);
+    class Exec;
+
+    /**
+     * Run @p cpu_time of work on one core (queueing if none free).
+     * Awaiting it allocates no coroutine frame when a core is free
+     * (see Exec).
+     */
+    Exec exec(Duration cpu_time);
 
     /** Total cores in the pool. */
     int cores() const { return _cores; }
@@ -44,10 +52,67 @@ class CpuPool
     std::int64_t runQueueLength() const { return sem.queueLength(); }
 
   private:
+    /** exec() that must queue for a core, or has no time to run. */
+    sim::Task<void> execQueued(Duration cpu_time);
+
     sim::Simulation &sim;
     int _cores;
     sim::Semaphore sem;
 };
+
+/**
+ * Awaitable of CpuPool::exec(). When the work takes time and a core is
+ * free at co_await, the awaiter takes the core, resumes its caller
+ * after the work and gives the core back as the caller resumes: the
+ * same acquire, event and release, in the same order, as execQueued()
+ * on a free core, without its frame. Otherwise (a full pool, or no
+ * work time) it awaits execQueued().
+ */
+class CpuPool::Exec
+{
+  public:
+    bool await_ready() const noexcept { return false; }
+
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> caller)
+    {
+        if (cpuTime > 0 && pool.sem.tryAcquire()) {
+            holdsCore = true;
+            pool.sim.scheduleAfter(caller, cpuTime);
+            return std::noop_coroutine();
+        }
+        queued = pool.execQueued(cpuTime);
+        return queued.operator co_await().await_suspend(caller);
+    }
+
+    void
+    await_resume()
+    {
+        if (holdsCore)
+            pool.sem.release();
+        else
+            queued.operator co_await().await_resume();
+    }
+
+  private:
+    friend class CpuPool;
+
+    Exec(CpuPool &pool, Duration cpu_time)
+        : pool(pool), cpuTime(cpu_time)
+    {
+    }
+
+    CpuPool &pool;
+    Duration cpuTime;
+    bool holdsCore = false;
+    sim::Task<void> queued;
+};
+
+inline CpuPool::Exec
+CpuPool::exec(Duration cpu_time)
+{
+    return Exec(*this, cpu_time);
+}
 
 /** Platform-wide host configuration (the paper's evaluation server). */
 struct HostConfig

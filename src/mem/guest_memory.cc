@@ -59,10 +59,8 @@ GuestMemory::installRange(std::int64_t page, std::int64_t n_pages)
 }
 
 sim::Task<void>
-GuestMemory::touchRun(std::int64_t page, std::int64_t n_pages)
+GuestMemory::touchMissing(std::int64_t page, std::int64_t n_pages)
 {
-    VHIVE_ASSERT(page >= 0 && n_pages >= 1 &&
-                 page + n_pages <= _totalPages);
     _stats.pagesTouched += n_pages;
 
     // Walk the run, splitting into present and missing subranges.

@@ -19,12 +19,14 @@
 #ifndef VHIVE_MEM_GUEST_MEMORY_HH
 #define VHIVE_MEM_GUEST_MEMORY_HH
 
+#include <coroutine>
 #include <cstdint>
 
 #include "mem/uffd.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
 #include "storage/file_store.hh"
+#include "util/logging.hh"
 #include "util/page_set.hh"
 #include "util/units.hh"
 
@@ -80,12 +82,17 @@ class GuestMemory
      */
     void backUffd(storage::FileId memory_file, UserFaultFd *uffd);
 
+    class TouchRun;
+
     /**
      * Touch @p n_pages contiguous pages starting at @p page: the only
      * access path for vCPU execution. Present pages cost a TLB-ish
      * nothing; missing pages pay the backing-mode specific fault cost.
+     * Awaiting a run whose pages are all present, or all missing
+     * under anonymous backing, allocates no coroutine frame (see
+     * TouchRun).
      */
-    sim::Task<void> touchRun(std::int64_t page, std::int64_t n_pages);
+    TouchRun touchRun(std::int64_t page, std::int64_t n_pages);
 
     /**
      * Install pages without faulting (monitor/prefetcher side), e.g.
@@ -112,6 +119,12 @@ class GuestMemory
     void resetStats() { _stats = GuestMemoryStats{}; }
 
   private:
+    /**
+     * touchRun() of a run TouchRun cannot settle with one wait: the
+     * general fault walk over present and missing subranges.
+     */
+    sim::Task<void> touchMissing(std::int64_t page, std::int64_t n_pages);
+
     sim::Task<void> faultAnonymous(std::int64_t page, std::int64_t n);
     sim::Task<void> faultLazyFile(std::int64_t page, std::int64_t n);
     sim::Task<void> faultUffd(std::int64_t page, std::int64_t n);
@@ -131,6 +144,79 @@ class GuestMemory
     /** Cost of touching an already-present page run. */
     static constexpr Duration kPresentTouch = static_cast<Duration>(100);
 };
+
+/**
+ * Awaitable of GuestMemory::touchRun(). A run is decided at co_await
+ * with one bitmap scan. Two kinds of run cost one timed wait and no
+ * coroutine frame: a run whose pages are all present (most runs of a
+ * restored instance's trace), which resumes the caller after
+ * kPresentTouch per page, and a run whose pages are all missing under
+ * anonymous backing (a cold boot), which resumes it after
+ * kZeroFillPerPage per page and installs the pages as it resumes. Each
+ * is the one event touchMissing() would schedule for the run, at the
+ * same time and in the same order, with the same stats and the same
+ * install instant, so simulated time is unchanged. Any other run is
+ * awaited through touchMissing().
+ */
+class GuestMemory::TouchRun
+{
+  public:
+    bool await_ready() const noexcept { return false; }
+
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> caller)
+    {
+        const std::int64_t end = page + n;
+        if (gm.present.runEnd(page, end) == end) {
+            if (gm.present.contains(page)) {
+                gm._stats.pagesTouched += n;
+                gm._stats.minorFaults += n;
+                gm.sim.scheduleAfter(caller, kPresentTouch * n);
+                return std::noop_coroutine();
+            }
+            if (gm._mode == BackingMode::Anonymous) {
+                gm._stats.pagesTouched += n;
+                ++gm._stats.majorFaults;
+                zeroFilled = true;
+                gm.sim.scheduleAfter(caller, kZeroFillPerPage * n);
+                return std::noop_coroutine();
+            }
+        }
+        missing = gm.touchMissing(page, n);
+        return missing.operator co_await().await_suspend(caller);
+    }
+
+    void
+    await_resume()
+    {
+        if (zeroFilled)
+            gm.present.insertRange(page, n);
+        else if (missing.valid())
+            missing.operator co_await().await_resume();
+    }
+
+  private:
+    friend class GuestMemory;
+
+    TouchRun(GuestMemory &gm, std::int64_t page, std::int64_t n)
+        : gm(gm), page(page), n(n)
+    {
+    }
+
+    GuestMemory &gm;
+    std::int64_t page;
+    std::int64_t n;
+    bool zeroFilled = false;
+    sim::Task<void> missing;
+};
+
+inline GuestMemory::TouchRun
+GuestMemory::touchRun(std::int64_t page, std::int64_t n_pages)
+{
+    VHIVE_ASSERT(page >= 0 && n_pages >= 1 &&
+                 page + n_pages <= _totalPages);
+    return TouchRun(*this, page, n_pages);
+}
 
 } // namespace vhive::mem
 

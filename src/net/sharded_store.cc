@@ -64,9 +64,8 @@ ShardedObjectStore::shardOf(PlacementKey key) const
     if (_shards.size() == 1)
         return 0;
     if (_params.placement == ChunkPlacementPolicy::OverlapAware) {
-        auto it = _homes.find(key.content);
-        if (it != _homes.end())
-            return it->second;
+        if (int s = _homes.find(key.content); s >= 0)
+            return s;
     }
     return hashShard(key.content);
 }
@@ -75,7 +74,7 @@ void
 ShardedObjectStore::recordPlacement(std::uint64_t content, int shard)
 {
     VHIVE_ASSERT(shard >= 0 && shard < shardCount());
-    if (_homes.emplace(content, shard).second)
+    if (_homes.insert(content, shard))
         _placementLog.emplace_back(content, shard);
 }
 
@@ -103,10 +102,8 @@ ShardedObjectStore::putChunk(Bytes stored_bytes, PlacementKey key)
     int s;
     if (_params.placement == ChunkPlacementPolicy::OverlapAware &&
         _shards.size() > 1) {
-        auto it = _homes.find(key.content);
-        if (it != _homes.end()) {
-            s = it->second;
-        } else {
+        s = _homes.find(key.content);
+        if (s < 0) {
             // First store wins: co-locate with the uploading
             // function's scope shard.
             s = hashShard(key.scope != 0 ? key.scope : key.content);

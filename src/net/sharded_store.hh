@@ -14,11 +14,11 @@
 #define VHIVE_NET_SHARDED_STORE_HH
 
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "net/object_store.hh"
+#include "net/placement_table.hh"
 
 namespace vhive::net {
 
@@ -118,8 +118,10 @@ class ShardedObjectStore final : public ArtifactStore
 
     /**
      * Chunk placement decisions taken so far (content hash -> shard),
-     * in insertion order. The parallel fleet ships these to workers so
-     * client-side batch grouping matches server-side routing.
+     * in insertion order, each chunk once. A placement never changes
+     * after it is logged, so the parallel fleet ships each Adopt only
+     * the entries logged since the previous one, and client-side batch
+     * grouping matches server-side routing.
      */
     const std::vector<std::pair<std::uint64_t, int>> &placements() const
     {
@@ -136,7 +138,7 @@ class ShardedObjectStore final : public ArtifactStore
     std::vector<std::unique_ptr<ObjectStore>> _shards;
 
     /** OverlapAware placement table: content hash -> owning shard. */
-    std::unordered_map<std::uint64_t, int> _homes;
+    PlacementTable _homes;
 
     /** Placement decisions in the order they were made. */
     std::vector<std::pair<std::uint64_t, int>> _placementLog;

@@ -115,15 +115,7 @@ class Semaphore
     {
         struct Awaiter {
             Semaphore &sem;
-            bool
-            await_ready()
-            {
-                if (sem.available > 0) {
-                    --sem.available;
-                    return true;
-                }
-                return false;
-            }
+            bool await_ready() { return sem.tryAcquire(); }
             void
             await_suspend(std::coroutine_handle<> h)
             {
@@ -132,6 +124,16 @@ class Semaphore
             void await_resume() const noexcept {}
         };
         return Awaiter{*this};
+    }
+
+    /** Take one permit if one is free, without queueing. */
+    bool
+    tryAcquire()
+    {
+        if (available <= 0)
+            return false;
+        --available;
+        return true;
     }
 
     /** Return one permit, waking the oldest waiter (if any). */

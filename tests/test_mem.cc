@@ -56,6 +56,139 @@ TEST(CpuPool, SerializesBeyondCoreCount)
     EXPECT_EQ(pool.idleCores(), 2);
 }
 
+TEST(CpuPool, CompletionTimesAndOrderArePinned)
+{
+    // More execs than cores, zero-duration execs on a full pool and
+    // execs on a free core: every completion keeps its time and its
+    // place in the order. A core handed over on release goes to the
+    // oldest queued exec at the releasing instant.
+    Simulation sim;
+    host::CpuPool pool(sim, 2);
+    std::vector<std::pair<int, Time>> done;
+    struct Job {
+        static Task<void>
+        run(Simulation &sim, host::CpuPool &pool, int id, Duration start,
+            Duration cpu, std::vector<std::pair<int, Time>> *done)
+        {
+            co_await sim.delay(start);
+            co_await pool.exec(cpu);
+            done->emplace_back(id, sim.now());
+        }
+    };
+    const struct {
+        Duration start, cpu;
+    } jobs[] = {
+        {0, usec(10)}, // 0: first core
+        {0, usec(30)}, // 1: second core
+        {0, 0},        // 2: zero time, full pool: queues
+        {0, usec(5)},  // 3: queues
+        {0, 0},        // 4: zero time, queues
+        {usec(12), 0}, // 5: zero time, pool still full: queues
+        {usec(20), 0}, // 6: zero time on a free core
+        {usec(20), usec(4)}, // 7: a free core
+    };
+    for (int i = 0; i < 8; ++i)
+        sim.spawn(Job::run(sim, pool, i, jobs[i].start, jobs[i].cpu,
+                           &done));
+    EXPECT_EQ(sim.run(), usec(30));
+    const std::vector<std::pair<int, Time>> expected = {
+        {0, usec(10)}, {2, usec(10)}, {3, usec(15)}, {4, usec(15)},
+        {5, usec(15)}, {6, usec(20)}, {7, usec(24)}, {1, usec(30)},
+    };
+    EXPECT_EQ(done, expected);
+    EXPECT_EQ(pool.idleCores(), 2);
+    EXPECT_EQ(pool.runQueueLength(), 0);
+}
+
+TEST(GuestMemory, TouchRunStatsAndTimeArePinned)
+{
+    // Wholly present, partly present and last-page runs: each touch's
+    // simulated cost (100 ns per present page, 1 us per zero-filled
+    // page) and the stats it books.
+    Fixture fx;
+    GuestMemory gm(fx.sim, fx.fs, 256);
+    gm.backAnonymous();
+    gm.installRange(0, 64);
+    struct Step {
+        std::int64_t install, page, pages;
+    };
+    const Step steps[] = {
+        {0, 0, 64},   // wholly present
+        {0, 32, 64},  // present head, missing tail
+        {0, 250, 6},  // missing, ends at the last page
+        {0, 250, 6},  // the same run, now present
+        {10, 96, 20}, // missing, present (installed), missing
+    };
+    std::vector<Time> at;
+    std::vector<GuestMemoryStats> stats;
+    struct T {
+        static Task<void>
+        run(Simulation &sim, GuestMemory &gm, const Step *steps, int n,
+            std::vector<Time> *at, std::vector<GuestMemoryStats> *stats)
+        {
+            for (int i = 0; i < n; ++i) {
+                if (steps[i].install > 0)
+                    gm.installRange(100, steps[i].install);
+                co_await gm.touchRun(steps[i].page, steps[i].pages);
+                at->push_back(sim.now());
+                stats->push_back(gm.stats());
+            }
+        }
+    };
+    fx.sim.spawn(T::run(fx.sim, gm, steps, 5, &at, &stats));
+    fx.sim.run();
+    EXPECT_EQ(at, (std::vector<Time>{6400, 41600, 47600, 48200, 59200}));
+    // {majorFaults, minorFaults, pagesTouched, pagesInstalledByMonitor}
+    const std::int64_t expected[5][4] = {
+        {0, 64, 64, 64},   {1, 96, 128, 64},   {2, 96, 134, 64},
+        {2, 102, 140, 64}, {4, 112, 160, 74},
+    };
+    ASSERT_EQ(stats.size(), 5u);
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_EQ(stats[i].majorFaults, expected[i][0]) << "step " << i;
+        EXPECT_EQ(stats[i].minorFaults, expected[i][1]) << "step " << i;
+        EXPECT_EQ(stats[i].pagesTouched, expected[i][2]) << "step " << i;
+        EXPECT_EQ(stats[i].pagesInstalledByMonitor, expected[i][3])
+            << "step " << i;
+    }
+    EXPECT_EQ(gm.presentPages(), 122);
+}
+
+TEST(GuestMemory, ConcurrentTouchesWakeInStartOrder)
+{
+    // Two wholly present runs, one partly present run and one wholly
+    // missing run started at the same instant: equal-time wake-ups
+    // keep their start order, and zero-filled pages are present on
+    // wake-up.
+    Fixture fx;
+    GuestMemory gm(fx.sim, fx.fs, 64);
+    gm.backAnonymous();
+    gm.installRange(0, 10);
+    std::vector<std::pair<int, Time>> done;
+    struct T {
+        static Task<void>
+        run(Simulation &sim, GuestMemory &gm, int id, std::int64_t pages,
+            std::vector<std::pair<int, Time>> *done)
+        {
+            const std::int64_t first = id == 3 ? 30 : 0;
+            co_await gm.touchRun(first, pages);
+            EXPECT_TRUE(gm.isPresent(first + pages - 1));
+            done->emplace_back(id, sim.now());
+        }
+    };
+    fx.sim.spawn(T::run(fx.sim, gm, 0, 20, &done));
+    fx.sim.spawn(T::run(fx.sim, gm, 1, 10, &done));
+    fx.sim.spawn(T::run(fx.sim, gm, 2, 10, &done));
+    fx.sim.spawn(T::run(fx.sim, gm, 3, 1, &done));
+    fx.sim.run();
+    const std::vector<std::pair<int, Time>> expected = {
+        {1, 1000}, {2, 1000}, {3, 1000}, {0, 11000}};
+    EXPECT_EQ(done, expected);
+    EXPECT_EQ(gm.stats().minorFaults, 30);
+    EXPECT_EQ(gm.stats().majorFaults, 2);
+    EXPECT_EQ(gm.presentPages(), 21);
+}
+
 TEST(GuestMemory, AnonymousTouchMaterializesPages)
 {
     Fixture fx;

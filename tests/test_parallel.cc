@@ -10,12 +10,15 @@
 
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/parallel_fleet.hh"
+#include "net/placement_table.hh"
 #include "sim/parallel.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
+#include "util/rng.hh"
 #include "util/units.hh"
 
 namespace vhive::sim {
@@ -428,9 +431,9 @@ TEST(ParallelFleet, BitIdenticalAcrossThreadCounts)
     }
 }
 
-ParallelFleetResult
-runSharedScenario(core::ColdStartMode mode, int threads, int shards,
-                  bool traffic)
+ParallelFleetConfig
+sharedScenarioConfig(core::ColdStartMode mode, int threads, int shards,
+                     bool traffic)
 {
     ParallelFleetConfig cfg;
     cfg.workers = 4;
@@ -463,7 +466,15 @@ runSharedScenario(core::ColdStartMode mode, int threads, int shards,
         cfg.workload.maxInterarrival = sec(20);
         cfg.workload.horizon = sec(120);
     }
-    ParallelFleet fleet(cfg);
+    return cfg;
+}
+
+ParallelFleetResult
+runSharedScenario(core::ColdStartMode mode, int threads, int shards,
+                  bool traffic)
+{
+    ParallelFleet fleet(
+        sharedScenarioConfig(mode, threads, shards, traffic));
     return fleet.run();
 }
 
@@ -507,6 +518,73 @@ TEST(ParallelFleet, SharedDedupBitIdenticalAcrossThreadCounts)
             core::ColdStartMode::DedupReap, threads, 4, false);
         EXPECT_EQ(r.digest(), ref_digest) << "threads=" << threads;
     }
+}
+
+TEST(ParallelFleet, WorkersRouteAdoptedChunksLikeTheStore)
+{
+    // Each Adopt ships only the store's placement log since the
+    // previous one, yet every worker must group every chunk of every
+    // manifest it adopted under the shard the store routes it to.
+    for (auto placement : {net::ChunkPlacementPolicy::Hash,
+                           net::ChunkPlacementPolicy::OverlapAware}) {
+        for (int threads : {1, 2, 4}) {
+            ParallelFleetConfig cfg = sharedScenarioConfig(
+                core::ColdStartMode::DedupReap, threads, 4, false);
+            cfg.chunkPlacement = placement;
+            ParallelFleet fleet(cfg);
+            ASSERT_GT(fleet.run().invocations, 0);
+            ParallelFleet::PlacementAudit audit =
+                fleet.auditPlacements();
+            EXPECT_GT(audit.checked, 0);
+            EXPECT_EQ(audit.disagreeing, 0)
+                << net::placementPolicyName(placement)
+                << " threads=" << threads;
+        }
+    }
+}
+
+TEST(PlacementTable, MatchesUnorderedMapUnderInsertIfAbsent)
+{
+    // Random insert-if-absent sequences, several growths deep: the
+    // first value recorded for a key wins, keys never inserted read
+    // absent, and the size is exact after every insert.
+    for (std::uint64_t seed : {1, 2, 3, 4}) {
+        Rng rng(seed);
+        net::PlacementTable table;
+        std::unordered_map<std::uint64_t, int> ref;
+        // A small key universe forces repeats; strided keys (equal
+        // low bits) and key 0 probe the hash and the empty marker.
+        auto draw = [&rng] {
+            switch (rng.uniformInt(0, 2)) {
+              case 0:
+                return static_cast<std::uint64_t>(
+                    rng.uniformInt(0, 3000));
+              case 1:
+                return static_cast<std::uint64_t>(
+                           rng.uniformInt(0, 3000))
+                       << 32;
+              default:
+                return rng.next();
+            }
+        };
+        for (int i = 0; i < 6000; ++i) {
+            std::uint64_t key = draw();
+            int shard = static_cast<int>(rng.uniformInt(0, 15));
+            bool fresh = ref.emplace(key, shard).second;
+            ASSERT_EQ(table.insert(key, shard), fresh) << "op " << i;
+            ASSERT_EQ(table.size(), ref.size()) << "op " << i;
+        }
+        EXPECT_GT(ref.size(), 2000u);
+        for (const auto &[key, shard] : ref)
+            EXPECT_EQ(table.find(key), shard);
+        for (int i = 0; i < 2000; ++i) {
+            std::uint64_t key = draw();
+            EXPECT_EQ(table.find(key),
+                      ref.count(key) ? ref.at(key) : -1);
+        }
+    }
+    // An empty table reads every key absent.
+    EXPECT_EQ(net::PlacementTable().find(0), -1);
 }
 
 TEST(ParallelFleet, TrafficDrivenSharedBitIdentical)
