@@ -26,7 +26,8 @@
  * Part 2 sweeps the multi-core kernel (cluster::ParallelFleet over
  * sim::ParallelKernel): workers x sim threads, REAP mode. Simulated
  * results must be bit-identical across thread counts — the digest
- * column compares every cell against its threads=1 reference — while
+ * column compares every cell against its threads=1 reference, and any
+ * MISMATCH makes the bench exit 1 once its tables are printed — while
  * wall_s and Mev/s show the parallel speedup. VHIVE_FLEET_MAX_THREADS
  * caps the thread axis (CI runners have few cores).
  *
@@ -270,6 +271,8 @@ main()
 
     Table pt({"workers", "threads", "inv", "cold%", "p50_ms", "p99_ms",
               "digest", "windows", "wall_s", "Mev/s", "speedup"});
+    // A cell that differs from its threads=1 reference fails the run.
+    bool mismatch = false;
     for (int workers : {1, 4, 16, 64}) {
         if (workers > max_workers)
             continue;
@@ -286,6 +289,7 @@ main()
                 ref_wall = c.wall_s;
             } else {
                 match = d == ref_digest ? "match" : "MISMATCH";
+                mismatch = mismatch || d != ref_digest;
             }
             std::string cell = "pworkers=" + std::to_string(workers) +
                                "/threads=" + std::to_string(threads) +
@@ -395,5 +399,5 @@ main()
         "that locality for\nbalance. Fleet percentiles, per-tier "
         "hits and stream contention come from\n"
         "Cluster::fleetStats().\n");
-    return 0;
+    return mismatch ? 1 : 0;
 }

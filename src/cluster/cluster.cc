@@ -19,22 +19,12 @@ namespace {
  */
 struct InFlightGuard
 {
-    explicit InFlightGuard(std::int64_t &c) : count(&c) { ++*count; }
-    ~InFlightGuard() { release(); }
+    explicit InFlightGuard(std::int64_t &c) : count(c) { ++count; }
+    ~InFlightGuard() { --count; }
     InFlightGuard(const InFlightGuard &) = delete;
     InFlightGuard &operator=(const InFlightGuard &) = delete;
 
-    void
-    release()
-    {
-        if (count != nullptr) {
-            --*count;
-            count = nullptr;
-        }
-    }
-
-  private:
-    std::int64_t *count;
+    std::int64_t &count;
 };
 
 } // namespace
@@ -49,7 +39,8 @@ Cluster::Cluster(sim::Simulation &sim, ClusterConfig config)
     for (int i = 0; i < cfg.workers; ++i)
         workers.push_back(std::make_unique<core::Worker>(
             sim, cfg.workerConfig(i), _sharedStore.get()));
-    telemetry.resize(workers.size());
+    rows.resize(workers.size());
+    inFlightCounts.assign(workers.size(), 0);
     if (cfg.sharedSnapshots)
         _registry = std::make_unique<SnapshotRegistry>(
             sim, *_sharedStore, cfg, cfg.workers);
@@ -117,23 +108,13 @@ Cluster::prepareAllSnapshots()
 sim::Task<void>
 Cluster::preRecordWorkingSets(const std::vector<std::string> &names)
 {
-    bool mode_needs_record = workers.front()
-                                 ->orchestrator()
-                                 .loaders()
-                                 .loaderFor(cfg.coldStartMode)
-                                 .needsRecord();
-    if (!mode_needs_record || cfg.sharedSnapshots)
+    if (cfg.sharedSnapshots)
         co_return;
-    for (const auto &n : names) {
-        for (auto &w : workers) {
-            auto &orch = w->orchestrator();
-            orch.flushHostCaches();
-            core::InvokeOptions opts;
-            opts.forceCold = true;
-            (void)co_await orch.invoke(n, cfg.coldStartMode, opts);
-        }
-    }
-    resetStats();
+    std::vector<core::Orchestrator *> orchs;
+    for (auto &w : workers)
+        orchs.push_back(&w->orchestrator());
+    if (co_await recordOffWindow(orchs, names, cfg.coldStartMode))
+        resetStats();
 }
 
 std::int64_t
@@ -147,7 +128,7 @@ Cluster::idleInstances(int worker, const std::string &name) const
 std::int64_t
 Cluster::inFlight(int worker) const
 {
-    return telemetry[static_cast<size_t>(worker)].inFlight;
+    return inFlightCounts[static_cast<size_t>(worker)];
 }
 
 Bytes
@@ -216,17 +197,15 @@ Cluster::invoke(const std::string &name)
         widx = activePolicy->route(RouteContext{name, *this});
         VHIVE_ASSERT(widx >= 0 && widx < workerCount());
         auto &orch = workers[static_cast<size_t>(widx)]->orchestrator();
-        WorkerTelemetry &tele = telemetry[static_cast<size_t>(widx)];
 
         // Whether the cold start (if any) will pull staged artifacts
         // through the remote tier rather than a local copy.
         artifacts_were_local =
             _registry == nullptr || orch.artifactsLocal(name);
 
-        InFlightGuard in_flight(tele.inFlight);
-        tele.inFlightPeak = std::max(tele.inFlightPeak, tele.inFlight);
+        // Released at the end of the attempt, before anything suspends.
+        InFlightGuard in_flight(inFlightCounts[static_cast<size_t>(widx)]);
         bd = co_await orch.invoke(name, cfg.coldStartMode, opts);
-        in_flight.release();
 
         if (!bd.crashed || attempt >= cfg.maxColdStartRetries)
             break;
@@ -238,7 +217,7 @@ Cluster::invoke(const std::string &name)
     co_await sim.delay(rpc.clusterHop); // response hop
     Duration e2e = sim.now() - t0;
 
-    WorkerTelemetry &tele = telemetry[static_cast<size_t>(widx)];
+    rows[static_cast<size_t>(widx)].note(bd);
     dep.lastUsed[static_cast<size_t>(widx)] = sim.now();
     dep.stats.e2eLatencyMs.add(toMs(e2e));
     ++tally.invocations;
@@ -250,18 +229,13 @@ Cluster::invoke(const std::string &name)
         ++tally.failedInvocations;
     } else if (bd.cold) {
         ++dep.stats.coldStarts;
-        ++tele.coldStarts;
         ++tally.coldStarts;
         tally.coldE2eMs.add(toMs(e2e));
-        for (const auto &t : bd.tierHits)
-            mergeTierRow(tele.tierHits, t);
-        tele.wastedPrefetchPages += bd.wastedPrefetch;
         if (_registry && pulledStagedArtifact(cfg.coldStartMode, bd,
                                               artifacts_were_local))
             _registry->noteRemoteFetch(name, widx);
     } else {
         ++dep.stats.warmHits;
-        ++tele.warmHits;
         ++tally.warmHits;
         tally.warmE2eMs.add(toMs(e2e));
     }
@@ -333,47 +307,13 @@ Cluster::fleetStats() const
 {
     FleetStats fs = tally;
     fs.workers = workerCount();
-    for (size_t i = 0; i < workers.size(); ++i) {
-        WorkerFleetRow row = telemetry[i];
-        row.worker = static_cast<int>(i);
-        row.residentBytes =
-            workers[i]->orchestrator().totalResidentBytes();
-        fs.residentBytes += row.residentBytes;
-        fs.wastedPrefetchPages += row.wastedPrefetchPages;
-        for (const auto &t : row.tierHits)
-            mergeTierRow(fs.tierHits, t);
-        fs.perWorker.push_back(std::move(row));
-    }
-    for (const auto &w : workers) {
-        const auto &orch = w->orchestrator();
-        fs.wastedPreWarms += orch.wastedPreWarms();
-        fs.bgPrefetches += orch.backgroundPrefetches();
-        addWorkerEconomics(fs, orch);
-        for (const auto &entry : deployments) {
-            const core::FunctionStats &st = orch.stats(entry.first);
-            fs.preWarms += st.preWarms;
-            fs.preWarmHits += st.preWarmHits;
-            if (_registry == nullptr) {
-                // Worker-local staging: delta accounting lives in the
-                // per-function stats (the registry's under sharing).
-                fs.restages += st.deltaRestages;
-                fs.deltaChunksUploaded += st.deltaChunksUploaded;
-                fs.deltaBytesUploaded += st.deltaBytesUploaded;
-            }
-        }
-    }
-    if (_sharedStore) {
-        fs.store = _sharedStore->stats();
-        fs.storeShards = _sharedStore->shardStats();
-    } else {
-        for (const auto &w : workers)
-            mergeStoreStats(fs.store, w->objectStore().stats());
-    }
+    for (size_t i = 0; i < workers.size(); ++i)
+        addWorkerFold(fs, static_cast<int>(i), *workers[i], rows[i],
+                      cfg.sharedSnapshots);
     if (_registry) {
         addRegistryStaging(fs, *_registry);
-    } else {
-        for (const auto &w : workers)
-            fs.snapshotBuilds += w->orchestrator().snapshotBuilds();
+        fs.store = _sharedStore->stats();
+        fs.storeShards = _sharedStore->shardStats();
     }
     return fs;
 }
@@ -383,14 +323,9 @@ Cluster::resetStats()
 {
     for (auto &entry : deployments)
         entry.second.stats = FunctionClusterStats{};
-    for (auto &tele : telemetry) {
-        std::int64_t in_flight = tele.inFlight;
-        tele = WorkerTelemetry{};
-        // Live invocations stay counted, and remain the floor of the
-        // post-reset peak (the worker demonstrably carries them now).
-        tele.inFlight = in_flight;
-        tele.inFlightPeak = in_flight;
-    }
+    // Live invocations stay counted: the in-flight counts are routing
+    // state, not statistics.
+    rows.assign(workers.size(), WorkerFleetRow{});
     tally = FleetStats{};
 }
 
@@ -471,18 +406,10 @@ Cluster::janitor()
     while (!autoscalerStopping) {
         co_await sim.delay(cfg.scalePeriod);
 
-        // Warm-pool waste accounting: integrate idle-warm bytes and
-        // instance counts over the tick. Pure arithmetic, no
-        // suspension — runs identically with or without a policy, so
+        // Warm-pool waste accounting over the tick; no suspension, so
         // a dormant control plane stays bit-identical to none.
-        double dt = static_cast<double>(cfg.scalePeriod) / 1e9;
-        for (const auto &w : workers) {
-            const auto &orch = w->orchestrator();
-            tally.wastedResidentByteSec +=
-                static_cast<double>(orch.idleResidentBytes()) * dt;
-            tally.idleWarmInstanceSec +=
-                static_cast<double>(orch.idleInstanceTotal()) * dt;
-        }
+        for (size_t i = 0; i < workers.size(); ++i)
+            rows[i].noteIdle(workers[i]->orchestrator(), cfg.scalePeriod);
 
         if (activeControl != nullptr)
             controlTick();

@@ -109,9 +109,9 @@ class Cluster : private FleetView
 
     /**
      * Run REAP's one-time record phase off the measured window, as
-     * deployed production functions recorded long ago: for each of
-     * @p names in the given order, on each worker, flush the host
-     * caches and force one cold invocation, then resetStats(). A no-op
+     * deployed production functions recorded long ago
+     * (recordOffWindow over @p names and the fleet), then
+     * resetStats(). A no-op
      * when the cold-start mode records nothing, and under
      * sharedSnapshots, whose staging already recorded once on each
      * home worker (the other workers are meant to pull the staged
@@ -234,13 +234,6 @@ class Cluster : private FleetView
         std::unique_ptr<sim::Semaphore> concurrency;
     };
 
-    /** Per-worker front-end telemetry: the fleetStats() row plus
-     * the live in-flight count. */
-    struct WorkerTelemetry : WorkerFleetRow
-    {
-        std::int64_t inFlight = 0;
-    };
-
     /** @name FleetView (the slice policies may consult). */
     /// @{
     std::int64_t idleInstances(int worker,
@@ -287,12 +280,15 @@ class Cluster : private FleetView
     /** Sweep rounds the janitor skips (positive ScaleHint). */
     int scaleHold = 0;
 
-    /** What invoke() and the janitor accumulate: invocation counts,
-     * latency samples and the waste integrals.
-     * fleetStats() completes a copy from the workers' state. */
+    /** invoke()'s counts and latency samples; fleetStats() completes
+     * a copy from the workers. */
     FleetStats tally;
 
-    std::vector<WorkerTelemetry> telemetry;
+    /** Each worker's fleetStats() row (addWorkerFold). */
+    std::vector<WorkerFleetRow> rows;
+
+    /** Live invocations per worker (FleetView::inFlight). */
+    std::vector<std::int64_t> inFlightCounts;
     bool autoscalerRunning = false;
     bool autoscalerStopping = false;
 };

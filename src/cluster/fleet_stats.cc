@@ -134,8 +134,57 @@ mergeStoreStats(net::ObjectStoreStats &a, const net::ObjectStoreStats &b)
 }
 
 void
-addWorkerEconomics(FleetStats &fs, const core::Orchestrator &orch)
+WorkerFleetRow::note(const core::LatencyBreakdown &bd)
 {
+    if (bd.crashed)
+        return;
+    if (!bd.cold) {
+        ++warmHits;
+        return;
+    }
+    ++coldStarts;
+    for (const auto &t : bd.tierHits)
+        mergeTierRow(tierHits, t);
+}
+
+void
+WorkerFleetRow::noteIdle(const core::Orchestrator &orch, Duration dt)
+{
+    double sec = static_cast<double>(dt) / 1e9;
+    wastedResidentByteSec +=
+        static_cast<double>(orch.idleResidentBytes()) * sec;
+    idleWarmInstanceSec +=
+        static_cast<double>(orch.idleInstanceTotal()) * sec;
+}
+
+void
+addWorkerFold(FleetStats &fs, int w, const core::Worker &worker,
+              const WorkerFleetRow &row, bool shared)
+{
+    const core::Orchestrator &orch = worker.orchestrator();
+    WorkerFleetRow &r = fs.perWorker.emplace_back(row);
+    r.worker = w;
+    r.residentBytes = orch.totalResidentBytes();
+    fs.residentBytes += r.residentBytes;
+    for (const auto &t : r.tierHits)
+        mergeTierRow(fs.tierHits, t);
+    fs.wastedResidentByteSec += r.wastedResidentByteSec;
+    fs.idleWarmInstanceSec += r.idleWarmInstanceSec;
+
+    fs.wastedPreWarms += orch.wastedPreWarms();
+    fs.bgPrefetches += orch.backgroundPrefetches();
+    orch.forEachStats([&](const core::FunctionStats &st) {
+        fs.preWarms += st.preWarms;
+        fs.preWarmHits += st.preWarmHits;
+        if (!shared) {
+            // Worker-local staging: delta accounting lives in the
+            // per-function stats (the registry's under sharing).
+            fs.restages += st.deltaRestages;
+            fs.deltaChunksUploaded += st.deltaChunksUploaded;
+            fs.deltaBytesUploaded += st.deltaBytesUploaded;
+        }
+    });
+
     fs.pageCachePeakBytes += orch.tierBudget().peakResidentBytes();
     fs.pageCacheEvictedBytes += orch.tierBudget().evictedBytes();
     const auto &cc = orch.localChunkCache().stats();
@@ -143,6 +192,11 @@ addWorkerEconomics(FleetStats &fs, const core::Orchestrator &orch)
     fs.workerChunkBudgetEvictions += cc.budgetEvictions;
     fs.ssdEvictions += orch.ssdEvictions();
     fs.peakSsdBytes += orch.peakSsdBytes();
+
+    if (!shared) {
+        fs.snapshotBuilds += orch.snapshotBuilds();
+        mergeStoreStats(fs.store, worker.objectStore().stats());
+    }
 }
 
 void

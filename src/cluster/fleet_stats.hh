@@ -115,15 +115,13 @@ struct FleetConfig
 void checkFleetConfig(const char *engine, const FleetConfig &cfg,
                       int workers, int sim_threads = 1);
 
-/** One worker's slice of the fleet telemetry. */
+/** One worker's slice of the fleet telemetry, kept by its serving
+ * path and janitor in both engines (see addWorkerFold). */
 struct WorkerFleetRow
 {
     int worker = 0;
     std::int64_t coldStarts = 0;
     std::int64_t warmHits = 0;
-
-    /** Deepest concurrent in-flight load this worker ever carried. */
-    std::int64_t inFlightPeak = 0;
 
     /** Resident instance memory at collection time. */
     Bytes residentBytes = 0;
@@ -131,17 +129,26 @@ struct WorkerFleetRow
     /** Summed LatencyBreakdown::tierHits of this worker's colds. */
     std::vector<core::TierBreakdown> tierHits;
 
-    /** Summed LatencyBreakdown::wastedPrefetch of this worker's
-     * colds — WS pages prefetched but not touched by the served
-     * input (Sec. 6.2 record/replay input-drift waste). */
-    std::int64_t wastedPrefetchPages = 0;
+    /** This worker's share of the FleetStats idle-waste integrals. */
+    double wastedResidentByteSec = 0;
+    double idleWarmInstanceSec = 0;
+
+    /** Count one served invocation, cold (with its tier rows) or
+     * warm; a crashed attempt counts in neither. */
+    void note(const core::LatencyBreakdown &bd);
+
+    /** Integrate @p orch's idle warm memory over one janitor tick of
+     * @p dt. Pure arithmetic: no event, no suspension. */
+    void noteIdle(const core::Orchestrator &orch, Duration dt);
 };
 
 /**
  * What one fleet run reports: the result of both engines,
  * Cluster::fleetStats() and ParallelFleet::run(). Each field's comment
  * ends with the engine that fills it, [both], [Cluster] or
- * [ParallelFleet]; a field its engine does not fill stays zero.
+ * [ParallelFleet]; a field its engine does not fill stays zero. The
+ * [Cluster] ones need registry-side fetch notes (fetchFanIn) or a
+ * control -> store message flow (restage/retire counters).
  */
 struct FleetStats
 {
@@ -178,19 +185,19 @@ struct FleetStats
     std::int64_t windows = 0;  ///< kernel sync windows [ParallelFleet]
     std::int64_t messages = 0; ///< cross-domain [ParallelFleet]
 
-    /** Resident instance memory summed across workers. [Cluster] */
+    /** Resident instance memory summed across workers. [both] */
     Bytes residentBytes = 0;
 
-    std::vector<WorkerFleetRow> perWorker; ///< [Cluster]
+    std::vector<WorkerFleetRow> perWorker; ///< in worker order [both]
 
-    /** Per-tier accounting summed across workers. [Cluster] */
+    /** Per-tier accounting summed across workers. [both] */
     std::vector<core::TierBreakdown> tierHits;
 
     /**
      * Object-store traffic: the shared store when snapshot sharing is
      * on, otherwise the per-worker stores summed. streamWaits /
      * streamWaitTime / peakStreamQueue expose data-plane contention.
-     * [both; ParallelFleet with sharedSnapshots only]
+     * [both]
      */
     net::ObjectStoreStats store{};
 
@@ -211,17 +218,14 @@ struct FleetStats
 
     /**
      * Byte-seconds of instance memory held by idle warm instances,
-     * integrated by the autoscaler each scalePeriod. This is the
-     * resource bill of a keep-alive/pre-warm policy; the control
-     * frontier weighs it against cold p99. [Cluster]
+     * integrated by each worker's janitor every scalePeriod. This is
+     * the resource bill of a keep-alive/pre-warm policy; the control
+     * frontier weighs it against cold p99. [both]
      */
     double wastedResidentByteSec = 0;
 
-    /** Instance-seconds spent idle-warm (same integration). [Cluster] */
+    /** Instance-seconds spent idle-warm (same integration). [both] */
     double idleWarmInstanceSec = 0;
-
-    /** Fleet sum of per-worker wastedPrefetchPages. [Cluster] */
-    std::int64_t wastedPrefetchPages = 0;
     /// @}
 
     /** @name Predictive control plane (zero when the policy is None). */
@@ -233,14 +237,14 @@ struct FleetStats
     /** Invocations served by a pre-warmed (or mid-warm) instance. [both] */
     std::int64_t preWarmHits = 0;
 
-    /** Pre-warmed instances retired without ever serving. [Cluster] */
+    /** Pre-warmed instances retired without ever serving. [both] */
     std::int64_t wastedPreWarms = 0;
 
     /** Background chunk/artifact prefetches that moved bytes. [both] */
     std::int64_t bgPrefetches = 0;
     /// @}
 
-    /** @name Snapshot staging (ParallelFleet: sharedSnapshots only). */
+    /** @name Snapshot staging (sharedSnapshots, but snapshotBuilds). */
     /// @{
     std::int64_t snapshotBuilds = 0; ///< [both]
     Bytes stagedBytes = 0;           ///< uploaded by staging [both]
@@ -367,11 +371,14 @@ void mergeStoreStats(net::ObjectStoreStats &a,
                      const net::ObjectStoreStats &b);
 
 /**
- * Sum one worker's cache & storage economics (page-cache, chunk-cache
- * and local-SSD peaks and evictions) into @p fs. Both engines fold
- * every worker through it.
+ * Fold worker @p w and its @p row into @p fs: both engines call it
+ * once per worker, in worker order, after the run. Adds the row, the
+ * worker's resident bytes and its orchestrator's pre-warm, prefetch
+ * and cache counters; without @p shared staging, also its snapshot
+ * builds, delta re-staging counters and own store's traffic.
  */
-void addWorkerEconomics(FleetStats &fs, const core::Orchestrator &orch);
+void addWorkerFold(FleetStats &fs, int w, const core::Worker &worker,
+                   const WorkerFleetRow &row, bool shared);
 
 class SnapshotRegistry;
 

@@ -452,21 +452,14 @@ ParallelFleet::workerMain(int w)
         // for the whole population so traffic never races adoption.
         co_await node.allAdopted->wait();
     } else {
-        for (const auto &entry : mix)
+        std::vector<std::string> names;
+        for (const auto &entry : mix) {
             co_await orch.prepareSnapshot(entry.profile.name);
-
-        if (orch.loaders().loaderFor(cfg.coldStartMode).needsRecord()) {
-            // One record-phase invocation per function, off the
-            // measured window — mirrors
-            // Cluster::preRecordWorkingSets.
-            for (const auto &entry : mix) {
-                orch.flushHostCaches();
-                core::InvokeOptions opts;
-                opts.forceCold = true;
-                (void)co_await orch.invoke(entry.profile.name,
-                                           cfg.coldStartMode, opts);
-            }
+            names.push_back(entry.profile.name);
         }
+        core::Orchestrator *self = &orch;
+        (void)co_await recordOffWindow({&self, 1}, names,
+                                       cfg.coldStartMode);
     }
 
     node.toControl->send(ControlMsg{ControlMsg::Ready});
@@ -527,6 +520,7 @@ ParallelFleet::workerInvoke(int w, WorkerMsg msg)
         core::InvokeOptions opts;
         opts.keepWarm = true;
         auto bd = co_await orch.invoke(name, cfg.coldStartMode, opts);
+        node.row.note(bd);
 
         // The worker keeps no pre-invoke locality flag: counting the
         // artifact as local leaves the decision to the mode and the
@@ -537,7 +531,6 @@ ParallelFleet::workerInvoke(int w, WorkerMsg msg)
             ++node.remoteFetches;
         last_used = kernel.sim(1 + w).now();
         reply.cold = bd.cold;
-        reply.preWarmHit = bd.preWarmHit;
     }
     --node.liveInvokes;
     reply.idleNow = orch.idleInstanceCount(name);
@@ -556,6 +549,7 @@ ParallelFleet::workerJanitor(int w)
         co_await wsim.delay(cfg.scalePeriod);
         if (node.stopping)
             break;
+        node.row.noteIdle(orch, cfg.scalePeriod);
         for (std::size_t fn = 0; fn < mix.size(); ++fn) {
             const std::string &name = mix[fn].profile.name;
             if (orch.idleInstanceCount(name) == 0)
@@ -595,32 +589,21 @@ ParallelFleet::replyPump(int w, sim::Latch *ready, sim::Latch *byes)
             VHIVE_ASSERT(it != pending.end());
             PendingReq &pr = it->second;
             Duration e2e = csim.now() - pr.t0;
-            mirrorIdle[static_cast<std::size_t>(w)]
-                      [static_cast<std::size_t>(msg.fnIdx)] =
-                msg.idleNow;
+            auto fn = static_cast<std::size_t>(msg.fnIdx);
+            mirrorIdle[static_cast<std::size_t>(w)][fn] = msg.idleNow;
             if (msg.chunkResidency >= 0)
-                mirrorResidency[static_cast<std::size_t>(w)]
-                               [static_cast<std::size_t>(msg.fnIdx)] =
+                mirrorResidency[static_cast<std::size_t>(w)][fn] =
                     msg.chunkResidency;
+            // A prefetch or pre-warm is not an invocation: it refreshes
+            // the mirror and frees its in-flight guard, nothing else.
             if (msg.prefetch) {
-                // A prefetch only moved cache bytes: free the
-                // in-flight guard and count it; no invocation, no
-                // instance accounting.
-                prefetchInFlight[static_cast<std::size_t>(
-                    msg.fnIdx)] = 0;
-                ++result.bgPrefetches;
+                prefetchInFlight[fn] = 0;
             } else if (msg.preWarm) {
-                // A pre-warm is not an invocation: it refreshes the
-                // mirror and frees the in-flight guard, nothing else.
-                preWarmInFlight[static_cast<std::size_t>(msg.fnIdx)] =
-                    0;
-                ++result.preWarms;
+                preWarmInFlight[fn] = 0;
             } else {
                 --mirrorInFlight[static_cast<std::size_t>(w)];
                 ++result.invocations;
                 result.e2eLatencyMs.add(toMs(e2e));
-                if (msg.preWarmHit)
-                    ++result.preWarmHits;
                 if (msg.cold) {
                     ++result.coldStarts;
                     result.coldE2eMs.add(toMs(e2e));
@@ -861,17 +844,18 @@ ParallelFleet::run()
     result.eventsProcessed = kernel.totalEventsProcessed();
     result.windows = kernel.stats().windows;
     result.messages = kernel.stats().messages;
-    for (const auto &node : nodes) {
-        result.scaleDowns += node->scaleDowns;
-        // Economics counters: fold every budget-path observable into
-        // the result (and thus the digest) so the thread-count
-        // identity covers eviction, pinning and SSD GC decisions.
-        addWorkerEconomics(result, node->worker->orchestrator());
+    for (int w = 0; w < cfg.workers; ++w) {
+        const WorkerNode &node = *nodes[static_cast<std::size_t>(w)];
+        result.scaleDowns += node.scaleDowns;
+        result.remoteArtifactFetches += node.remoteFetches;
+        // Every worker-held field, economics included, goes into the
+        // result (and thus the digest), so the thread-count identity
+        // covers eviction, pinning and SSD GC decisions.
+        addWorkerFold(result, w, *node.worker, node.row,
+                      cfg.sharedSnapshots);
     }
     if (cfg.sharedSnapshots) {
         addRegistryStaging(result, *registry);
-        for (const auto &node : nodes)
-            result.remoteArtifactFetches += node->remoteFetches;
         result.store = sharedStore->stats();
         result.storeShards = sharedStore->shardStats();
     }

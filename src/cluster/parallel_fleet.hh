@@ -203,9 +203,6 @@ class ParallelFleet
         /** Done of a pre-warm request (not an invocation). */
         bool preWarm = false;
 
-        /** Done of an invocation a pre-warmed instance served. */
-        bool preWarmHit = false;
-
         /** Worker's idle-instance count for fnIdx after the event. */
         std::int64_t idleNow = 0;
 
@@ -343,6 +340,9 @@ class ParallelFleet
         /** Completion time per function (index), for keep-alive. */
         std::vector<Time> lastUsed;
 
+        /** This worker's fleet row (addWorkerFold). */
+        WorkerFleetRow row;
+
         std::int64_t liveInvokes = 0;
         std::int64_t scaleDowns = 0;
         bool stopping = false;
@@ -467,8 +467,8 @@ class ParallelFleet
 
     /**
      * The run's result. During the run only the control domain
-     * writes it; run() folds in the worker, registry and kernel
-     * totals after the kernel stops.
+     * writes it, with invocation counts and latencies; run() folds in
+     * the worker, registry and kernel totals after the kernel stops.
      */
     FleetStats result;
 };

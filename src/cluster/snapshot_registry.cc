@@ -48,6 +48,25 @@ pulledStagedArtifact(core::ColdStartMode mode,
     return fetched;
 }
 
+sim::Task<bool>
+recordOffWindow(std::span<core::Orchestrator *const> orchs,
+                const std::vector<std::string> &names,
+                core::ColdStartMode mode)
+{
+    if (orchs.empty() ||
+        !orchs.front()->loaders().loaderFor(mode).needsRecord())
+        co_return false;
+    for (const auto &n : names) {
+        for (core::Orchestrator *orch : orchs) {
+            orch->flushHostCaches();
+            core::InvokeOptions opts;
+            opts.forceCold = true;
+            (void)co_await orch->invoke(n, mode, opts);
+        }
+    }
+    co_return true;
+}
+
 SnapshotRegistry::SnapshotRegistry(sim::Simulation &sim,
                                    net::ArtifactStore &store,
                                    const FleetConfig &cfg, int workers)

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -153,6 +154,16 @@ sim::Task<StagedBuild> buildForStaging(core::Worker &home,
 bool pulledStagedArtifact(core::ColdStartMode mode,
                           const core::LatencyBreakdown &bd,
                           bool artifacts_were_local);
+
+/**
+ * Per-worker staging's record pass, used by both fleet engines: for
+ * each of @p names, on each of @p orchs, flush the host caches and
+ * force one cold invocation. @return false, having done nothing, when
+ * @p mode records nothing.
+ */
+sim::Task<bool> recordOffWindow(std::span<core::Orchestrator *const> orchs,
+                                const std::vector<std::string> &names,
+                                core::ColdStartMode mode);
 
 /**
  * The fleet's staging records and its one staging implementation:

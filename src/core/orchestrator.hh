@@ -287,6 +287,15 @@ class Orchestrator
     /** Aggregate stats for @p name. */
     const FunctionStats &stats(const std::string &name) const;
 
+    /** Call @p f with every registered function's stats, by name. */
+    template <typename F>
+    void
+    forEachStats(F &&f) const
+    {
+        for (const auto &entry : functions)
+            f(entry.second.stats);
+    }
+
     /** Drop the host page cache (cold-invocation methodology). */
     void flushHostCaches();
 

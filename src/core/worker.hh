@@ -89,6 +89,7 @@ class Worker
     Worker &operator=(const Worker &) = delete;
 
     Orchestrator &orchestrator() { return orch; }
+    const Orchestrator &orchestrator() const { return orch; }
     storage::DiskDevice &disk() { return _disk; }
     storage::FileStore &fileStore() { return fs; }
     host::CpuPool &hostCpus() { return _hostCpus; }
@@ -96,6 +97,7 @@ class Worker
 
     /** The worker-private store (inputs; artifacts too standalone). */
     net::ObjectStore &objectStore() { return s3; }
+    const net::ObjectStore &objectStore() const { return s3; }
 
     /** The store artifacts stage into (shared one when given). */
     net::ArtifactStore &artifactStore() { return *artifacts; }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -456,48 +457,126 @@ TEST(ControlCluster, NaiveKeepAliveAndOraclePreWarmAndAccount)
 
 // --------------------------------------------------- parallel kernel
 
+/**
+ * A 4-worker shared-tiered fleet on the parallel kernel under the
+ * hybrid-histogram policy, with a flash crowd: the control tick runs
+ * in domain 0 against the mirrored view and pre-warms actively.
+ */
+cluster::FleetStats
+runControlFleet(int threads)
+{
+    cluster::ParallelFleetConfig cfg;
+    cfg.workers = 4;
+    cfg.simThreads = threads;
+    cfg.coldStartMode = core::ColdStartMode::TieredReap;
+    cfg.sharedSnapshots = true;
+    cfg.sharedStoreShards = 2;
+    cfg.routingPolicy = cluster::RoutingPolicyKind::LocalityHash;
+    cfg.controlPolicy = cluster::ControlPolicyKind::HybridHistogram;
+    cfg.keepAlive = sec(15);
+    cluster::TrafficConfig tc;
+    tc.functions = 8;
+    tc.tenants = 3;
+    tc.aggregateRps = 0.5;
+    tc.horizon = sec(150);
+    cluster::BurstSpec crowd;
+    crowd.kind = cluster::BurstKind::FlashCrowd;
+    crowd.tenant = 1;
+    crowd.start = sec(50);
+    crowd.duration = sec(20);
+    crowd.multiplier = 8.0;
+    tc.bursts.push_back(crowd);
+    cfg.traffic = tc;
+    cluster::ParallelFleet fleet(cfg);
+    return fleet.run();
+}
+
 TEST(ControlParallel, ActivePolicyDigestStableAcrossThreadCounts)
 {
-    // The control tick runs in domain 0 against the mirrored view, so
-    // an actively pre-warming fleet must stay bit-identical across
+    // An actively pre-warming fleet must stay bit-identical across
     // sim thread counts.
-    auto run_fleet = [](int threads) {
-        cluster::ParallelFleetConfig cfg;
-        cfg.workers = 4;
-        cfg.simThreads = threads;
-        cfg.coldStartMode = core::ColdStartMode::TieredReap;
-        cfg.sharedSnapshots = true;
-        cfg.sharedStoreShards = 2;
-        cfg.routingPolicy = cluster::RoutingPolicyKind::LocalityHash;
-        cfg.controlPolicy = cluster::ControlPolicyKind::HybridHistogram;
-        cfg.keepAlive = sec(15);
-        cluster::TrafficConfig tc;
-        tc.functions = 8;
-        tc.tenants = 3;
-        tc.aggregateRps = 0.5;
-        tc.horizon = sec(150);
-        cluster::BurstSpec crowd;
-        crowd.kind = cluster::BurstKind::FlashCrowd;
-        crowd.tenant = 1;
-        crowd.start = sec(50);
-        crowd.duration = sec(20);
-        crowd.multiplier = 8.0;
-        tc.bursts.push_back(crowd);
-        cfg.traffic = tc;
-        cluster::ParallelFleet fleet(cfg);
-        return fleet.run();
-    };
-
-    cluster::ParallelFleetResult ref = run_fleet(1);
+    cluster::FleetStats ref = runControlFleet(1);
     ASSERT_GT(ref.invocations, 0);
     // The policy genuinely acted on the parallel kernel.
     EXPECT_GT(ref.preWarms, 0);
     EXPECT_EQ(ref.coldStarts + ref.warmHits, ref.invocations);
     std::uint64_t ref_digest = ref.digest();
     for (int threads : {2, 4, 8}) {
-        cluster::ParallelFleetResult r = run_fleet(threads);
+        cluster::FleetStats r = runControlFleet(threads);
         EXPECT_EQ(r.digest(), ref_digest) << "threads=" << threads;
         EXPECT_EQ(r.preWarms, ref.preWarms) << "threads=" << threads;
+    }
+}
+
+/** The worker-held fields addWorkerFold fills, for comparison. */
+struct WorkerFold
+{
+    std::vector<std::int64_t> rowColds, rowWarms;
+    std::vector<Bytes> rowResident;
+    std::vector<std::int64_t> tierHits;
+    Bytes residentBytes = 0;
+    double wastedResidentByteSec = 0;
+    double idleWarmInstanceSec = 0;
+    std::int64_t preWarms = 0, preWarmHits = 0, wastedPreWarms = 0;
+    std::int64_t bgPrefetches = 0;
+
+    bool operator==(const WorkerFold &) const = default;
+};
+
+WorkerFold
+workerFold(const cluster::FleetStats &fs)
+{
+    WorkerFold f;
+    for (const cluster::WorkerFleetRow &row : fs.perWorker) {
+        f.rowColds.push_back(row.coldStarts);
+        f.rowWarms.push_back(row.warmHits);
+        f.rowResident.push_back(row.residentBytes);
+    }
+    for (const core::TierBreakdown &t : fs.tierHits) {
+        f.tierHits.push_back(t.hits);
+        f.tierHits.push_back(t.misses);
+        f.tierHits.push_back(t.bytes);
+    }
+    f.residentBytes = fs.residentBytes;
+    f.wastedResidentByteSec = fs.wastedResidentByteSec;
+    f.idleWarmInstanceSec = fs.idleWarmInstanceSec;
+    f.preWarms = fs.preWarms;
+    f.preWarmHits = fs.preWarmHits;
+    f.wastedPreWarms = fs.wastedPreWarms;
+    f.bgPrefetches = fs.bgPrefetches;
+    return f;
+}
+
+TEST(ControlParallel, WorkerFoldFillsEveryWorkerField)
+{
+    // The parallel engine folds each worker's row and orchestrator
+    // counters as the sequential Cluster does: per-worker rows that
+    // sum to the fleet counts, tier rows, resident memory, the
+    // idle-waste integrals and pre-warm waste — identical at every
+    // sim thread count.
+    std::optional<WorkerFold> ref;
+    for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        cluster::FleetStats fs = runControlFleet(threads);
+        ASSERT_EQ(fs.perWorker.size(), 4u);
+        std::int64_t colds = 0, warms = 0;
+        for (std::size_t w = 0; w < fs.perWorker.size(); ++w) {
+            EXPECT_EQ(fs.perWorker[w].worker, static_cast<int>(w));
+            colds += fs.perWorker[w].coldStarts;
+            warms += fs.perWorker[w].warmHits;
+        }
+        EXPECT_EQ(colds, fs.coldStarts);
+        EXPECT_EQ(warms, fs.warmHits);
+        EXPECT_GT(fs.wastedPreWarms, 0);
+        EXPECT_LE(fs.preWarmHits + fs.wastedPreWarms, fs.preWarms);
+        EXPECT_FALSE(fs.tierHits.empty());
+        EXPECT_GT(fs.residentBytes, 0);
+        EXPECT_GT(fs.wastedResidentByteSec, 0.0);
+        WorkerFold f = workerFold(fs);
+        if (!ref)
+            ref = f;
+        else
+            EXPECT_TRUE(f == *ref);
     }
 }
 
