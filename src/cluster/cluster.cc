@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "core/loader/builtin_loaders.hh"
 #include "net/rpc.hh"
 #include "util/logging.hh"
 
@@ -131,27 +130,20 @@ Cluster::inFlight(int worker) const
     return inFlightCounts[static_cast<size_t>(worker)];
 }
 
-Bytes
-Cluster::residentBytes(int worker) const
-{
-    return workers[static_cast<size_t>(worker)]
-        ->orchestrator()
-        .totalResidentBytes();
-}
-
-bool
-Cluster::artifactsLocal(int worker, const std::string &name) const
-{
-    const auto &orch = workers[static_cast<size_t>(worker)]->orchestrator();
-    return orch.hasFunction(name) && orch.artifactsLocal(name);
-}
-
 double
 Cluster::chunkResidency(int worker, const std::string &name) const
 {
     const auto &orch =
         workers[static_cast<size_t>(worker)]->orchestrator();
     return orch.hasFunction(name) ? orch.chunkResidency(name) : 0.0;
+}
+
+bool
+Cluster::warming(const std::string &name) const
+{
+    return std::any_of(workers.begin(), workers.end(), [&](const auto &w) {
+        return w->orchestrator().warmingCount(name) > 0;
+    });
 }
 
 sim::Task<Duration>
@@ -220,24 +212,17 @@ Cluster::invoke(const std::string &name)
     rows[static_cast<size_t>(widx)].note(bd);
     dep.lastUsed[static_cast<size_t>(widx)] = sim.now();
     dep.stats.e2eLatencyMs.add(toMs(e2e));
-    ++tally.invocations;
-    tally.e2eLatencyMs.add(toMs(e2e));
+    // A crash that outlived its retries is reported failed, once.
+    tally.noteInvocation(e2e, bd.cold, bd.crashed);
     if (bd.crashed) {
-        // Retries exhausted: reported failed exactly once, counted in
-        // neither coldStarts nor warmHits.
         ++dep.stats.failedInvocations;
-        ++tally.failedInvocations;
     } else if (bd.cold) {
         ++dep.stats.coldStarts;
-        ++tally.coldStarts;
-        tally.coldE2eMs.add(toMs(e2e));
         if (_registry && pulledStagedArtifact(cfg.coldStartMode, bd,
                                               artifacts_were_local))
             _registry->noteRemoteFetch(name, widx);
     } else {
         ++dep.stats.warmHits;
-        ++tally.warmHits;
-        tally.warmE2eMs.add(toMs(e2e));
     }
     co_return e2e;
 }
@@ -335,11 +320,10 @@ Cluster::preWarmTask(std::string name, int widx)
     auto it = deployments.find(name);
     if (it == deployments.end())
         co_return;
-    auto &orch = workers[static_cast<size_t>(widx)]->orchestrator();
-    core::LatencyBreakdown bd =
-        co_await orch.preWarm(
-            name, core::loader::preWarmModeFor(cfg.coldStartMode));
-    if (bd.total > 0 && !bd.crashed) {
+    bool up = co_await preWarmInstance(
+        workers[static_cast<size_t>(widx)]->orchestrator(), name,
+        cfg.coldStartMode);
+    if (up) {
         // The pre-warmed instance is autoscaler-sanctioned activity;
         // without this the very next sweep would reap it before the
         // predicted arrival it was warmed for.
@@ -359,30 +343,12 @@ Cluster::backgroundPrefetchTask(std::string name, int widx,
 void
 Cluster::controlTick()
 {
-    ControlTickContext ctx;
-    ctx.now = sim.now();
-    ctx.workers = workerCount();
-    ctx.coldP99Ms = tally.coldE2eMs.count() > 0 ? tally.coldP99() : 0.0;
-    ctx.coldStarts = tally.coldStarts;
-    for (const auto &entry : deployments) {
-        ControlFunctionView v;
-        v.name = entry.first;
-        v.homeWorker = LocalityHashPolicy::homeWorker(entry.first,
-                                                      workerCount());
-        std::int64_t warming = 0;
-        for (const auto &w : workers) {
-            v.idleInstances +=
-                w->orchestrator().idleInstanceCount(entry.first);
-            warming += w->orchestrator().warmingCount(entry.first);
-        }
-        v.warming = warming > 0;
-        v.homeChunkResidency =
-            chunkResidency(v.homeWorker, entry.first);
-        ctx.functions.push_back(std::move(v));
-    }
-
+    std::vector<std::string> names;
+    for (const auto &entry : deployments)
+        names.push_back(entry.first);
     std::vector<ControlAction> actions;
-    activeControl->tick(ctx, actions);
+    activeControl->tick(controlTickSnapshot(*this, tally, sim.now(), names),
+                        actions);
     for (const ControlAction &a : actions) {
         switch (a.kind) {
           case ControlAction::Kind::PreWarm:
@@ -425,20 +391,13 @@ Cluster::janitor()
             Deployment &dep = entry.second;
             for (size_t i = 0; i < workers.size(); ++i) {
                 auto &orch = workers[i]->orchestrator();
-                if (orch.idleInstanceCount(entry.first) == 0)
+                if (!keepAliveExpired(orch, entry.first, dep.lastUsed[i],
+                                      sim.now(), cfg.keepAlive))
                     continue;
-                if (sim.now() - dep.lastUsed[i] >= cfg.keepAlive) {
-                    // Scale to zero on this worker: idle instances
-                    // have outlived the keep-alive window. Busy
-                    // instances are left to finish their in-flight
-                    // invocations.
-                    std::int64_t stopped =
-                        co_await orch.stopIdleInstances(entry.first);
-                    if (stopped > 0) {
-                        ++dep.stats.scaleDowns;
-                        ++tally.scaleDowns;
-                    }
-                }
+                bool stopped =
+                    co_await scaleDownIdle(orch, entry.first, rows[i]);
+                if (stopped)
+                    ++dep.stats.scaleDowns;
             }
         }
     }

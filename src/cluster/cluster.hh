@@ -198,9 +198,6 @@ class Cluster : private FleetView
     /** Switch the active control policy (None detaches). */
     void setControlPolicy(ControlPolicyKind kind);
 
-    /** The active control policy; null when None. */
-    ControlPolicy *controlPolicy() { return activeControl; }
-
     /** Shared snapshot registry; null unless sharedSnapshots. */
     SnapshotRegistry *snapshotRegistry() { return _registry.get(); }
 
@@ -239,11 +236,10 @@ class Cluster : private FleetView
     std::int64_t idleInstances(int worker,
                                const std::string &name) const override;
     std::int64_t inFlight(int worker) const override;
-    Bytes residentBytes(int worker) const override;
-    bool artifactsLocal(int worker,
-                        const std::string &name) const override;
     double chunkResidency(int worker,
                           const std::string &name) const override;
+    /** Some worker is still pre-warming @p name. */
+    bool warming(const std::string &name) const override;
     /// @}
 
     /** Keep-alive janitor loop. */
@@ -280,8 +276,8 @@ class Cluster : private FleetView
     /** Sweep rounds the janitor skips (positive ScaleHint). */
     int scaleHold = 0;
 
-    /** invoke()'s counts and latency samples; fleetStats() completes
-     * a copy from the workers. */
+    /** invoke()'s completions (FleetStats::noteInvocation);
+     * fleetStats() completes a copy from the workers. */
     FleetStats tally;
 
     /** Each worker's fleetStats() row (addWorkerFold). */

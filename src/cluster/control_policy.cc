@@ -284,14 +284,4 @@ ControlPolicyRegistry::registerPolicy(
     policies[kind] = std::move(policy);
 }
 
-std::vector<ControlPolicyKind>
-ControlPolicyRegistry::kinds() const
-{
-    std::vector<ControlPolicyKind> out;
-    out.reserve(policies.size());
-    for (const auto &entry : policies)
-        out.push_back(entry.first);
-    return out;
-}
-
 } // namespace vhive::cluster

@@ -93,7 +93,8 @@ struct ControlFunctionView
     int homeWorker = 0;
     /** Idle (warm, not busy) instances fleet-wide. */
     std::int64_t idleInstances = 0;
-    /** Pre-warm already in flight for this function. */
+    /** Warm-up in flight (FleetView::warming): a pre-warm in Cluster,
+     * a pre-warm or prefetch in ParallelFleet. */
     bool warming = false;
     /** Fraction of the WS chunks resident on the home worker [0,1]. */
     double homeChunkResidency = 0;
@@ -285,9 +286,6 @@ class ControlPolicyRegistry
     /** Register (or replace) the policy for a kind. */
     void registerPolicy(ControlPolicyKind kind,
                         std::unique_ptr<ControlPolicy> policy);
-
-    /** All registered kinds, sorted. */
-    std::vector<ControlPolicyKind> kinds() const;
 
   private:
     std::map<ControlPolicyKind, std::unique_ptr<ControlPolicy>> policies;

@@ -87,6 +87,22 @@ FleetStats::digest() const
 }
 
 void
+FleetStats::noteInvocation(Duration e2e, bool cold, bool failed)
+{
+    ++invocations;
+    e2eLatencyMs.add(toMs(e2e));
+    if (failed) {
+        ++failedInvocations;
+    } else if (cold) {
+        ++coldStarts;
+        coldE2eMs.add(toMs(e2e));
+    } else {
+        ++warmHits;
+        warmE2eMs.add(toMs(e2e));
+    }
+}
+
+void
 mergeTierRow(std::vector<core::TierBreakdown> &into,
              const core::TierBreakdown &row)
 {
@@ -170,6 +186,7 @@ addWorkerFold(FleetStats &fs, int w, const core::Worker &worker,
         mergeTierRow(fs.tierHits, t);
     fs.wastedResidentByteSec += r.wastedResidentByteSec;
     fs.idleWarmInstanceSec += r.idleWarmInstanceSec;
+    fs.scaleDowns += r.scaleDowns;
 
     fs.wastedPreWarms += orch.wastedPreWarms();
     fs.bgPrefetches += orch.backgroundPrefetches();
@@ -197,6 +214,55 @@ addWorkerFold(FleetStats &fs, int w, const core::Worker &worker,
         fs.snapshotBuilds += orch.snapshotBuilds();
         mergeStoreStats(fs.store, worker.objectStore().stats());
     }
+}
+
+bool
+keepAliveExpired(const core::Orchestrator &orch, const std::string &name,
+                 Time last_used, Time now, Duration keep_alive)
+{
+    return orch.idleInstanceCount(name) > 0 &&
+           now - last_used >= keep_alive;
+}
+
+sim::Task<bool>
+scaleDownIdle(core::Orchestrator &orch, const std::string &name,
+              WorkerFleetRow &row)
+{
+    std::int64_t stopped = co_await orch.stopIdleInstances(name);
+    if (stopped > 0)
+        ++row.scaleDowns;
+    co_return stopped > 0;
+}
+
+sim::Task<bool>
+preWarmInstance(core::Orchestrator &orch, const std::string &name,
+                core::ColdStartMode mode)
+{
+    core::LatencyBreakdown bd =
+        co_await orch.preWarm(name, core::loader::preWarmModeFor(mode));
+    co_return bd.total > 0 && !bd.crashed;
+}
+
+ControlTickContext
+controlTickSnapshot(const FleetView &fleet, const FleetStats &tally,
+                    Time now, const std::vector<std::string> &names)
+{
+    ControlTickContext ctx;
+    ctx.now = now;
+    ctx.workers = fleet.workerCount();
+    ctx.coldP99Ms = tally.coldE2eMs.count() > 0 ? tally.coldP99() : 0.0;
+    ctx.coldStarts = tally.coldStarts;
+    ctx.functions.reserve(names.size());
+    for (const std::string &name : names) {
+        ControlFunctionView &v = ctx.functions.emplace_back();
+        v.name = name;
+        v.homeWorker = LocalityHashPolicy::homeWorker(name, ctx.workers);
+        for (int w = 0; w < ctx.workers; ++w)
+            v.idleInstances += fleet.idleInstances(w, name);
+        v.warming = fleet.warming(name);
+        v.homeChunkResidency = fleet.chunkResidency(v.homeWorker, name);
+    }
+    return ctx;
 }
 
 void

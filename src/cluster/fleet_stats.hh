@@ -18,6 +18,7 @@
 #define VHIVE_CLUSTER_FLEET_STATS_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cluster/control_policy.hh"
@@ -26,6 +27,7 @@
 #include "core/worker.hh"
 #include "net/object_store.hh"
 #include "net/sharded_store.hh"
+#include "sim/task.hh"
 #include "util/stats.hh"
 #include "util/units.hh"
 
@@ -115,13 +117,16 @@ struct FleetConfig
 void checkFleetConfig(const char *engine, const FleetConfig &cfg,
                       int workers, int sim_threads = 1);
 
-/** One worker's slice of the fleet telemetry, kept by its serving
- * path and janitor in both engines (see addWorkerFold). */
+/** One worker's slice of the fleet telemetry, in both engines (see
+ * addWorkerFold): cold/warm counts and tier rows kept by its serving
+ * path, the idle-waste integrals and scaleDowns by its janitor. */
 struct WorkerFleetRow
 {
     int worker = 0;
     std::int64_t coldStarts = 0;
     std::int64_t warmHits = 0;
+
+    std::int64_t scaleDowns = 0; ///< scale-to-zero sweep steps
 
     /** Resident instance memory at collection time. */
     Bytes residentBytes = 0;
@@ -171,15 +176,20 @@ struct FleetStats
     /** End-to-end latency of every invocation, in completion order
      * (ms). [both] */
     Samples e2eLatencyMs;
-    /// @}
-
-    std::int64_t scaleDowns = 0;  ///< scale-to-zero sweeps [both]
 
     /** End-to-end latency of every cold start across the fleet (ms). [both] */
     Samples coldE2eMs;
 
     /** End-to-end latency of every warm hit across the fleet (ms). [both] */
     Samples warmE2eMs;
+
+    /** Count one completed invocation of end-to-end latency @p e2e:
+     * failed when its crash retries ran out, else cold or warm. The
+     * only writer of the fields above, in both engines. */
+    void noteInvocation(Duration e2e, bool cold, bool failed = false);
+    /// @}
+
+    std::int64_t scaleDowns = 0;  ///< scale-to-zero sweeps [both]
 
     std::int64_t eventsProcessed = 0; ///< kernel events [ParallelFleet]
     std::int64_t windows = 0;  ///< kernel sync windows [ParallelFleet]
@@ -248,7 +258,13 @@ struct FleetStats
     /// @{
     std::int64_t snapshotBuilds = 0; ///< [both]
     Bytes stagedBytes = 0;           ///< uploaded by staging [both]
-    std::int64_t remoteArtifactFetches = 0; ///< [both]
+
+    /** Cold starts that pulled staged artifacts remotely. [both], two
+     * sources: Cluster notes them in the registry, which also gives
+     * fetchFanIn and forgets a retired function's fetches;
+     * ParallelFleet counts on the worker (its registry is in the store
+     * domain). */
+    std::int64_t remoteArtifactFetches = 0;
     std::int64_t fetchFanIn = 0;     ///< [Cluster]
     /// @}
 
@@ -379,6 +395,33 @@ void mergeStoreStats(net::ObjectStoreStats &a,
  */
 void addWorkerFold(FleetStats &fs, int w, const core::Worker &worker,
                    const WorkerFleetRow &row, bool shared);
+
+/** The keep-alive check of one (worker, function) sweep step: @p orch
+ * idles @p name, last used @p keep_alive or longer before @p now. Pure:
+ * an unexpired step costs no coroutine frame and no event. */
+bool keepAliveExpired(const core::Orchestrator &orch,
+                      const std::string &name, Time last_used, Time now,
+                      Duration keep_alive);
+
+/** Stop @p orch's idle instances of @p name (busy ones finish); true,
+ * and one scale-down in @p row, when any stopped. */
+sim::Task<bool> scaleDownIdle(core::Orchestrator &orch,
+                              const std::string &name,
+                              WorkerFleetRow &row);
+
+/** Pre-warm @p name on @p orch for cold-start @p mode; true only when
+ * an instance came up, so a no-op or crashed pre-warm leaves the
+ * caller's keep-alive stamp alone. */
+sim::Task<bool> preWarmInstance(core::Orchestrator &orch,
+                                const std::string &name,
+                                core::ColdStartMode mode);
+
+/** The snapshot a ControlPolicy ticks against at @p now: @p tally's
+ * cold counts and one view per function of @p names, in the engine's
+ * order, read from @p fleet (live orchestrators or the mirror). */
+ControlTickContext controlTickSnapshot(const FleetView &fleet,
+                                       const FleetStats &tally, Time now,
+                                       const std::vector<std::string> &names);
 
 class SnapshotRegistry;
 

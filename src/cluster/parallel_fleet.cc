@@ -1,6 +1,5 @@
 #include "cluster/parallel_fleet.hh"
 
-#include "core/loader/builtin_loaders.hh"
 #include "net/rpc.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -34,7 +33,7 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
         mix = synthesizeAzureMix(cfg.workload);
     }
     for (std::size_t i = 0; i < mix.size(); ++i)
-        fnIndex[mix[i].profile.name] = static_cast<int>(i);
+        fnIndex[mix[i].profile.name] = i;
 
     mirrorIdle.assign(static_cast<std::size_t>(cfg.workers),
                       std::vector<std::int64_t>(mix.size(), 0));
@@ -141,11 +140,8 @@ std::int64_t
 ParallelFleet::MirrorView::idleInstances(int worker,
                                          const std::string &name) const
 {
-    auto it = fleet.fnIndex.find(name);
-    if (it == fleet.fnIndex.end())
-        return 0;
     return fleet.mirrorIdle[static_cast<std::size_t>(worker)]
-                           [static_cast<std::size_t>(it->second)];
+                           [fleet.fnIndex.at(name)];
 }
 
 std::int64_t
@@ -154,25 +150,21 @@ ParallelFleet::MirrorView::inFlight(int worker) const
     return fleet.mirrorInFlight[static_cast<std::size_t>(worker)];
 }
 
-Bytes
-ParallelFleet::MirrorView::residentBytes(int) const
+double
+ParallelFleet::MirrorView::chunkResidency(int worker,
+                                          const std::string &name) const
 {
-    // The mirror does not track instance memory; load-aware policies
-    // in this build consult idle/in-flight counters only.
-    return 0;
+    return fleet.mirrorResidency[static_cast<std::size_t>(worker)]
+                                [fleet.fnIndex.at(name)];
 }
 
 bool
-ParallelFleet::MirrorView::artifactsLocal(
-    int worker, const std::string &name) const
+ParallelFleet::MirrorView::warming(const std::string &name) const
 {
-    // Without the shared registry snapshots are prepared on every
-    // worker, so artifacts are always local. With it, only the home
-    // worker built locally; everyone else pulls through the store on
-    // first cold start — the one-hop-stale approximation a mirrored
-    // front-end would hold (it cannot see later re-localization).
-    return !fleet.cfg.sharedSnapshots ||
-           worker == fleet.homeWorkerOf(name);
+    // A pre-warm or prefetch issued whose Done has not come back.
+    std::size_t fn = fleet.fnIndex.at(name);
+    return fleet.preWarmInFlight[fn] != 0 ||
+           fleet.prefetchInFlight[fn] != 0;
 }
 
 // ----------------------------------------------- store port client
@@ -508,12 +500,9 @@ ParallelFleet::workerInvoke(int w, WorkerMsg msg)
         reply.prefetch = true;
     } else if (msg.preWarm) {
         // Control-plane pre-warm: load an instance ahead of the
-        // predicted arrival, don't serve anything. Refresh keep-alive
-        // only when an instance actually came up — a no-op or crashed
-        // pre-warm must not extend a dead function's residency.
-        auto pbd = co_await orch.preWarm(
-            name, core::loader::preWarmModeFor(cfg.coldStartMode));
-        if (pbd.total > 0 && !pbd.crashed)
+        // predicted arrival, don't serve anything.
+        bool up = co_await preWarmInstance(orch, name, cfg.coldStartMode);
+        if (up)
             last_used = kernel.sim(1 + w).now();
         reply.preWarm = true;
     } else {
@@ -552,14 +541,11 @@ ParallelFleet::workerJanitor(int w)
         node.row.noteIdle(orch, cfg.scalePeriod);
         for (std::size_t fn = 0; fn < mix.size(); ++fn) {
             const std::string &name = mix[fn].profile.name;
-            if (orch.idleInstanceCount(name) == 0)
+            if (!keepAliveExpired(orch, name, node.lastUsed[fn],
+                                  wsim.now(), cfg.keepAlive))
                 continue;
-            if (wsim.now() - node.lastUsed[fn] < cfg.keepAlive)
-                continue;
-            std::int64_t stopped =
-                co_await orch.stopIdleInstances(name);
-            if (stopped > 0) {
-                ++node.scaleDowns;
+            bool stopped = co_await scaleDownIdle(orch, name, node.row);
+            if (stopped) {
                 ControlMsg msg;
                 msg.kind = ControlMsg::ScaledDown;
                 msg.fnIdx = static_cast<int>(fn);
@@ -602,15 +588,7 @@ ParallelFleet::replyPump(int w, sim::Latch *ready, sim::Latch *byes)
                 preWarmInFlight[fn] = 0;
             } else {
                 --mirrorInFlight[static_cast<std::size_t>(w)];
-                ++result.invocations;
-                result.e2eLatencyMs.add(toMs(e2e));
-                if (msg.cold) {
-                    ++result.coldStarts;
-                    result.coldE2eMs.add(toMs(e2e));
-                } else {
-                    ++result.warmHits;
-                    result.warmE2eMs.add(toMs(e2e));
-                }
+                result.noteInvocation(e2e, msg.cold);
             }
             if (pr.done != nullptr)
                 pr.done->openGate();
@@ -714,42 +692,21 @@ sim::Task<void>
 ParallelFleet::controlTickLoop()
 {
     sim::Simulation &csim = kernel.sim(0);
+    std::vector<std::string> names;
+    for (const AzureMixEntry &entry : mix)
+        names.push_back(entry.profile.name);
 
     while (!controlStopping) {
         co_await csim.delay(cfg.controlPeriod);
         if (controlStopping)
             break;
 
-        ControlTickContext ctx;
-        ctx.now = csim.now();
-        ctx.workers = cfg.workers;
-        if (result.coldE2eMs.count() > 0)
-            ctx.coldP99Ms = result.coldE2eMs.percentile(99);
-        ctx.coldStarts = result.coldStarts;
-        ctx.functions.reserve(mix.size());
-        for (std::size_t fn = 0; fn < mix.size(); ++fn) {
-            const std::string &name = mix[fn].profile.name;
-            ControlFunctionView v;
-            v.name = name;
-            v.homeWorker = homeWorkerOf(name);
-            for (int w = 0; w < cfg.workers; ++w)
-                v.idleInstances +=
-                    mirrorIdle[static_cast<std::size_t>(w)][fn];
-            v.warming =
-                preWarmInFlight[fn] != 0 || prefetchInFlight[fn] != 0;
-            // One-hop-stale residency mirror, refreshed by every Done
-            // reply: low residency on the home worker lets the policy
-            // emit Prefetch actions, which (unlike ScaleHint, still a
-            // sequential-Cluster verb) now travel to workers as
-            // first-class tracked requests.
-            v.homeChunkResidency =
-                mirrorResidency[static_cast<std::size_t>(
-                    v.homeWorker)][fn];
-            ctx.functions.push_back(std::move(v));
-        }
-
+        // Pre-warms and prefetches travel to workers as tracked
+        // requests; ScaleHint is still a sequential-Cluster verb.
         std::vector<ControlAction> actions;
-        activeControl->tick(ctx, actions);
+        activeControl->tick(
+            controlTickSnapshot(view, result, csim.now(), names),
+            actions);
         for (const ControlAction &a : actions) {
             bool prefetch = a.kind == ControlAction::Kind::Prefetch;
             if (a.kind != ControlAction::Kind::PreWarm && !prefetch)
@@ -757,7 +714,7 @@ ParallelFleet::controlTickLoop()
             auto it = fnIndex.find(a.function);
             if (it == fnIndex.end())
                 continue;
-            auto fn = static_cast<std::size_t>(it->second);
+            std::size_t fn = it->second;
             if (prefetch ? prefetchInFlight[fn] != 0
                          : preWarmInFlight[fn] != 0)
                 continue;
@@ -846,7 +803,6 @@ ParallelFleet::run()
     result.messages = kernel.stats().messages;
     for (int w = 0; w < cfg.workers; ++w) {
         const WorkerNode &node = *nodes[static_cast<std::size_t>(w)];
-        result.scaleDowns += node.scaleDowns;
         result.remoteArtifactFetches += node.remoteFetches;
         // Every worker-held field, economics included, goes into the
         // result (and thus the digest), so the thread-count identity

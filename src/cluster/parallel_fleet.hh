@@ -344,7 +344,6 @@ class ParallelFleet
         WorkerFleetRow row;
 
         std::int64_t liveInvokes = 0;
-        std::int64_t scaleDowns = 0;
         bool stopping = false;
     };
 
@@ -363,9 +362,9 @@ class ParallelFleet
         std::int64_t idleInstances(
             int worker, const std::string &name) const override;
         std::int64_t inFlight(int worker) const override;
-        Bytes residentBytes(int worker) const override;
-        bool artifactsLocal(int worker,
-                            const std::string &name) const override;
+        double chunkResidency(int worker,
+                              const std::string &name) const override;
+        bool warming(const std::string &name) const override;
 
       private:
         ParallelFleet &fleet;
@@ -417,7 +416,7 @@ class ParallelFleet
     ParallelFleetConfig cfg;
     sim::ParallelKernel kernel;
     std::vector<AzureMixEntry> mix;
-    std::unordered_map<std::string, int> fnIndex;
+    std::unordered_map<std::string, std::size_t> fnIndex;
     std::vector<std::unique_ptr<WorkerNode>> nodes;
     std::unique_ptr<TrafficEngine> trafficEng;
 
@@ -449,7 +448,7 @@ class ParallelFleet
     /**
      * Mirrored chunk residency [w][fn], updated from Done replies:
      * what the control plane believes each worker holds, one fabric
-     * hop stale. Source of ControlFunctionView::homeChunkResidency.
+     * hop stale. Source of MirrorView::chunkResidency.
      */
     std::vector<std::vector<double>> mirrorResidency;
 

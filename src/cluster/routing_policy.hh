@@ -21,8 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "util/units.hh"
-
 namespace vhive::cluster {
 
 /** The built-in routing strategies (registry keys). */
@@ -50,8 +48,10 @@ enum class RoutingPolicyKind
 const char *routingPolicyName(RoutingPolicyKind kind);
 
 /**
- * Read-only view of the fleet a policy may consult. Implemented by
- * Cluster; kept abstract so policies are testable without a cluster.
+ * Read-only view of the fleet that routing and control policies
+ * consult: the live workers in Cluster, a mirror one fabric hop stale
+ * in ParallelFleet. Abstract, so policies are testable without a
+ * fleet.
  */
 class FleetView
 {
@@ -67,26 +67,19 @@ class FleetView
     /** Invocations currently in flight on @p worker (all functions). */
     virtual std::int64_t inFlight(int worker) const = 0;
 
-    /** Resident instance memory on @p worker. */
-    virtual Bytes residentBytes(int worker) const = 0;
-
-    /** Whether @p worker holds a local copy of @p name's artifacts. */
-    virtual bool artifactsLocal(int worker,
-                                const std::string &name) const = 0;
-
     /**
      * Fraction of @p name's content-addressed chunks resident on
      * @p worker (0..1). With chunked artifacts (DedupReap) a worker
      * that never ran the function may still hold most of its chunks —
      * pulled by other functions sharing runtime pages — making its
-     * cold start nearly local. Default: artifactsLocal as 0/1, so
-     * non-chunked fleets score exactly like before.
+     * cold start nearly local.
      */
-    virtual double
-    chunkResidency(int worker, const std::string &name) const
-    {
-        return artifactsLocal(worker, name) ? 1.0 : 0.0;
-    }
+    virtual double chunkResidency(int worker,
+                                  const std::string &name) const = 0;
+
+    /** Whether an instance or cache warm-up of @p name is under way
+     * (a control tick leaves such a function alone). */
+    virtual bool warming(const std::string &name) const = 0;
 };
 
 /** Everything one routing decision sees. */
@@ -158,7 +151,6 @@ class LocalityHashPolicy final : public RoutingPolicy
      * bit-identical.
      */
     void setOverlapWeight(double weight) { overlapWeight = weight; }
-    double getOverlapWeight() const { return overlapWeight; }
 
     /** The function's home position on the worker ring (FNV-1a via
      * util's hashName, platform-independent). */

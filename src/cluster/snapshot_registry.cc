@@ -284,22 +284,4 @@ SnapshotRegistry::noteRemoteFetch(const std::string &name, int worker)
         art.fetchedBy[static_cast<size_t>(worker)] = true;
 }
 
-std::int64_t
-SnapshotRegistry::totalBuilds() const
-{
-    std::int64_t n = 0;
-    for (const auto &entry : entries)
-        n += entry.second.art.builds;
-    return n;
-}
-
-Bytes
-SnapshotRegistry::totalStagedBytes() const
-{
-    Bytes n = 0;
-    for (const auto &entry : entries)
-        n += entry.second.art.stagedBytes;
-    return n;
-}
-
 } // namespace vhive::cluster

@@ -268,12 +268,6 @@ class SnapshotRegistry
      * the artifact through the remote tier. */
     void noteRemoteFetch(const std::string &name, int worker);
 
-    /** Sum of builds across functions (one each when sharing works). */
-    std::int64_t totalBuilds() const;
-
-    /** Sum of staged bytes across functions. */
-    Bytes totalStagedBytes() const;
-
     /**
      * The fleet staged-chunk index (chunked staging): every distinct
      * chunk in the shared store, refcounted by referencing manifests.

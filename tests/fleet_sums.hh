@@ -29,6 +29,7 @@ struct FunctionSums
     std::int64_t coldStarts = 0;
     std::int64_t warmHits = 0;
     std::int64_t failedInvocations = 0;
+    std::int64_t scaleDowns = 0;
 };
 
 inline FunctionSums
@@ -41,6 +42,7 @@ sumFunctionStats(const Cluster &c, const std::vector<std::string> &names)
         s.coldStarts += st.coldStarts;
         s.warmHits += st.warmHits;
         s.failedInvocations += st.failedInvocations;
+        s.scaleDowns += st.scaleDowns;
     }
     return s;
 }

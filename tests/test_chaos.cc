@@ -383,7 +383,7 @@ TEST(ChaosStaging, OutageStallsButStagesOnce)
     c.installFaultPlan(nullptr);
 
     EXPECT_GE(plan.stats().stagingStalls, 1);
-    EXPECT_EQ(c.snapshotRegistry()->totalBuilds(), 1);
+    EXPECT_EQ(c.fleetStats().snapshotBuilds, 1);
     EXPECT_EQ(c.sharedObjectStore()->stats().puts, 1);
     EXPECT_TRUE(c.snapshotRegistry()->isStaged("pyaes"));
     // The stall pushed staging past the outage window.
@@ -482,7 +482,7 @@ TEST(ChaosStaging, SingleFlightNeverDoubleStagesUnderStorm)
     c.installFaultPlan(nullptr);
 
     EXPECT_GT(plan.stats().stormHits, 0);
-    EXPECT_EQ(c.snapshotRegistry()->totalBuilds(), 2);
+    EXPECT_EQ(c.fleetStats().snapshotBuilds, 2);
     EXPECT_EQ(c.sharedObjectStore()->stats().puts, 2);
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Predictive control plane suite (ROADMAP item 2): the hybrid-
- * histogram predictor's determinism, pre-warm exactly-once accounting
+ * histogram predictor's determinism, the control-tick snapshot both
+ * fleet engines build, pre-warm exactly-once accounting
  * at the orchestrator (including an invocation arriving mid-pre-warm),
  * bit-identity of a dormant policy against no policy at all, and
  * digest stability of the parallel kernel across thread counts with
@@ -17,7 +18,9 @@
 
 #include "cluster/cluster.hh"
 #include "cluster/control_policy.hh"
+#include "cluster/fleet_stats.hh"
 #include "cluster/parallel_fleet.hh"
+#include "cluster/routing_policy.hh"
 #include "cluster/traffic.hh"
 #include "core/options.hh"
 #include "core/worker.hh"
@@ -151,6 +154,63 @@ TEST(HybridHistogramPolicy, IdleOrWarmingFunctionsAreLeftAlone)
     out.clear();
     p.tick(ctx, out);
     EXPECT_TRUE(out.empty());
+}
+
+// ------------------------------------- the control-tick snapshot
+
+/** Three workers; "b" idles one instance more on each higher worker,
+ * "a" holds a tenth of its chunks more on each, "c" is warming. */
+struct StubView final : public cluster::FleetView
+{
+    int workerCount() const override { return 3; }
+    std::int64_t
+    idleInstances(int worker, const std::string &name) const override
+    {
+        return name == "b" ? worker + 1 : 0;
+    }
+    std::int64_t inFlight(int) const override { return 0; }
+    double
+    chunkResidency(int worker, const std::string &name) const override
+    {
+        return name == "a" ? 0.1 * (worker + 1) : 0.0;
+    }
+    bool warming(const std::string &name) const override
+    {
+        return name == "c";
+    }
+};
+
+TEST(ControlSnapshot, ReadsTheViewInTheEnginesFunctionOrder)
+{
+    StubView view;
+    cluster::FleetStats tally;
+    // Not sorted: Cluster passes map order, ParallelFleet mix order.
+    const std::vector<std::string> names{"c", "a", "b"};
+    cluster::ControlTickContext ctx =
+        cluster::controlTickSnapshot(view, tally, sec(7), names);
+    EXPECT_EQ(ctx.now, sec(7));
+    EXPECT_EQ(ctx.workers, 3);
+    EXPECT_EQ(ctx.coldStarts, 0);
+    EXPECT_EQ(ctx.coldP99Ms, 0.0); // no colds yet
+    ASSERT_EQ(ctx.functions.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const cluster::ControlFunctionView &v = ctx.functions[i];
+        SCOPED_TRACE(names[i]);
+        EXPECT_EQ(v.name, names[i]);
+        EXPECT_EQ(v.homeWorker,
+                  cluster::LocalityHashPolicy::homeWorker(names[i], 3));
+        EXPECT_EQ(v.idleInstances, names[i] == "b" ? 1 + 2 + 3 : 0);
+        EXPECT_EQ(v.warming, names[i] == "c");
+        EXPECT_DOUBLE_EQ(v.homeChunkResidency,
+                         view.chunkResidency(v.homeWorker, names[i]));
+    }
+    EXPECT_GT(ctx.functions[1].homeChunkResidency, 0.0);
+
+    tally.noteInvocation(msec(40), /*cold=*/true);
+    tally.noteInvocation(msec(5), /*cold=*/false);
+    ctx = cluster::controlTickSnapshot(view, tally, sec(9), names);
+    EXPECT_EQ(ctx.coldStarts, 1);
+    EXPECT_DOUBLE_EQ(ctx.coldP99Ms, 40.0);
 }
 
 // -------------------------------------- orchestrator-level pre-warm
@@ -436,6 +496,27 @@ runPolicyFleet(cluster::ControlPolicyKind policy)
             cluster::sumFunctionStats(c, cluster::functionNames(eng))};
 }
 
+TEST(ControlCluster, WorkerRowsSumToFleetCounts)
+{
+    // The sequential engine's per-worker rows carry the keep-alive
+    // sweep's scale-downs as the parallel one's do; the per-function
+    // rows count the same sweeps independently.
+    auto [fs, rows] =
+        runPolicyFleet(cluster::ControlPolicyKind::HybridHistogram);
+    ASSERT_EQ(fs.perWorker.size(), 4u);
+    std::int64_t colds = 0, warms = 0, scale_downs = 0;
+    for (const cluster::WorkerFleetRow &row : fs.perWorker) {
+        colds += row.coldStarts;
+        warms += row.warmHits;
+        scale_downs += row.scaleDowns;
+    }
+    EXPECT_EQ(colds, fs.coldStarts);
+    EXPECT_EQ(warms, fs.warmHits);
+    EXPECT_EQ(scale_downs, fs.scaleDowns);
+    EXPECT_EQ(rows.scaleDowns, fs.scaleDowns);
+    EXPECT_GT(fs.scaleDowns, 0); // keepAlive is 15 s
+}
+
 TEST(ControlCluster, NaiveKeepAliveAndOraclePreWarmAndAccount)
 {
     for (cluster::ControlPolicyKind policy :
@@ -511,7 +592,7 @@ TEST(ControlParallel, ActivePolicyDigestStableAcrossThreadCounts)
 /** The worker-held fields addWorkerFold fills, for comparison. */
 struct WorkerFold
 {
-    std::vector<std::int64_t> rowColds, rowWarms;
+    std::vector<std::int64_t> rowColds, rowWarms, rowScaleDowns;
     std::vector<Bytes> rowResident;
     std::vector<std::int64_t> tierHits;
     Bytes residentBytes = 0;
@@ -530,6 +611,7 @@ workerFold(const cluster::FleetStats &fs)
     for (const cluster::WorkerFleetRow &row : fs.perWorker) {
         f.rowColds.push_back(row.coldStarts);
         f.rowWarms.push_back(row.warmHits);
+        f.rowScaleDowns.push_back(row.scaleDowns);
         f.rowResident.push_back(row.residentBytes);
     }
     for (const core::TierBreakdown &t : fs.tierHits) {
@@ -551,22 +633,25 @@ TEST(ControlParallel, WorkerFoldFillsEveryWorkerField)
 {
     // The parallel engine folds each worker's row and orchestrator
     // counters as the sequential Cluster does: per-worker rows that
-    // sum to the fleet counts, tier rows, resident memory, the
-    // idle-waste integrals and pre-warm waste — identical at every
-    // sim thread count.
+    // sum to the fleet counts (scale-downs included), tier rows,
+    // resident memory, the idle-waste integrals and pre-warm waste —
+    // identical at every sim thread count.
     std::optional<WorkerFold> ref;
     for (int threads : {1, 2, 4}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         cluster::FleetStats fs = runControlFleet(threads);
         ASSERT_EQ(fs.perWorker.size(), 4u);
-        std::int64_t colds = 0, warms = 0;
+        std::int64_t colds = 0, warms = 0, scale_downs = 0;
         for (std::size_t w = 0; w < fs.perWorker.size(); ++w) {
             EXPECT_EQ(fs.perWorker[w].worker, static_cast<int>(w));
             colds += fs.perWorker[w].coldStarts;
             warms += fs.perWorker[w].warmHits;
+            scale_downs += fs.perWorker[w].scaleDowns;
         }
         EXPECT_EQ(colds, fs.coldStarts);
         EXPECT_EQ(warms, fs.warmHits);
+        EXPECT_EQ(scale_downs, fs.scaleDowns);
+        EXPECT_GT(fs.scaleDowns, 0); // keepAlive is 15 s
         EXPECT_GT(fs.wastedPreWarms, 0);
         EXPECT_LE(fs.preWarmHits + fs.wastedPreWarms, fs.preWarms);
         EXPECT_FALSE(fs.tierHits.empty());

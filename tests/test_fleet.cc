@@ -76,9 +76,9 @@ TEST(SnapshotRegistry, BuildsOncePerFunctionRegardlessOfWorkers)
         });
         // One build + one put per function, no matter the fleet size.
         EXPECT_EQ(fleetSnapshotBuilds(c), 2) << workers << " workers";
-        EXPECT_EQ(c.snapshotRegistry()->totalBuilds(), 2);
+        EXPECT_EQ(c.fleetStats().snapshotBuilds, 2);
         EXPECT_EQ(c.sharedObjectStore()->stats().puts, 2);
-        EXPECT_GT(c.snapshotRegistry()->totalStagedBytes(), 0);
+        EXPECT_GT(c.fleetStats().stagedBytes, 0);
         // Every worker can cold-start both functions.
         for (int w = 0; w < workers; ++w) {
             EXPECT_TRUE(c.worker(w).orchestrator().hasRecord(
@@ -109,7 +109,7 @@ TEST(SnapshotRegistry, StagesOnceUnderConcurrentPrepare)
             sim.spawn(Prep::run(c, &done));
         co_await done.wait();
     });
-    EXPECT_EQ(c.snapshotRegistry()->totalBuilds(), 2);
+    EXPECT_EQ(c.fleetStats().snapshotBuilds, 2);
     EXPECT_EQ(fleetSnapshotBuilds(c), 2);
     EXPECT_EQ(c.sharedObjectStore()->stats().puts, 2);
 }
@@ -457,7 +457,7 @@ TEST(AzureWorkloadFleet, SharedStagingColdStartsStayCorrect)
     FunctionSums rows = sumFunctionStats(c, w.functionNames());
     EXPECT_GT(fs.invocations, 10);
     EXPECT_EQ(rows.coldStarts + rows.warmHits, fs.invocations);
-    EXPECT_EQ(c.snapshotRegistry()->totalBuilds(), 6);
+    EXPECT_EQ(c.fleetStats().snapshotBuilds, 6);
     EXPECT_EQ(fleetSnapshotBuilds(c), 6);
     EXPECT_EQ(fs.coldE2eMs.count(), rows.coldStarts);
     EXPECT_GT(fs.coldP99(), 0.0);
