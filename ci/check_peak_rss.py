@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Gate the fleet bench's peak resident memory against a ceiling.
+
+Usage: check_peak_rss.py <path/to/bench_fleet_cold_p99>
+
+Runs the bench at the perf-smoke job's settings (at most 4 workers in
+Parts 1-2, at most 4 sim threads; the 64-worker sharded-store cells
+always run), with its stdout discarded, and reads the child's peak
+resident set from getrusage(RUSAGE_CHILDREN).ru_maxrss. The bench's
+largest fleet holds one working-set record per function and the
+page-cache bits of every file each worker has read: a per-worker copy
+of state that should be shared fleet-wide shows up here as memory
+growing with the worker count.
+
+CEILING_MIB is 1.5x the peak measured when it was set: 109-114 MiB
+for a Release build on a 4-vCPU x86-64 Linux VM, where the same bench
+peaked at 267-287 MiB while every worker held its own copy of each
+record and a page-cache bitmap sized to every file it created. The
+margin lets allocator and libc differences between hosts pass, while
+a return of per-worker copies does not. The ceiling lives here, not in
+perf_floor.json, whose bench -> cell map check_perf_floor.py reads as
+events/sec rows.
+
+Exit codes: 0 within the ceiling, 1 above it, 2 the bench could not
+run or failed.
+"""
+
+import os
+import resource
+import subprocess
+import sys
+
+CEILING_MIB = 165.0
+
+SETTINGS = {
+    "VHIVE_FLEET_MAX_WORKERS": "4",
+    "VHIVE_FLEET_MAX_THREADS": "4",
+}
+
+
+def main():
+    if len(sys.argv) != 2:
+        print(__doc__.strip())
+        return 2
+    bench = sys.argv[1]
+    env = {k: v for k, v in os.environ.items()
+           if k != "VHIVE_BENCH_JSON"}
+    env.update(SETTINGS)
+    try:
+        done = subprocess.run([bench], env=env,
+                              stdout=subprocess.DEVNULL)
+    except OSError as e:
+        print(f"error: cannot run {bench}: {e.strerror}", file=sys.stderr)
+        return 2
+    if done.returncode != 0:
+        print(f"error: {bench} exited {done.returncode}", file=sys.stderr)
+        return 2
+    # Linux reports ru_maxrss in KiB.
+    peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    verdict = "ok" if peak_mib <= CEILING_MIB else "FAIL"
+    print(f"{verdict}: bench_fleet_cold_p99 peak RSS {peak_mib:.1f} MiB, "
+          f"ceiling {CEILING_MIB:.1f} MiB")
+    return 0 if peak_mib <= CEILING_MIB else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

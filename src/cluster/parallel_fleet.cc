@@ -268,6 +268,12 @@ ParallelFleet::auditPlacements() const
     return audit;
 }
 
+const core::Orchestrator &
+ParallelFleet::orchestrator(int w) const
+{
+    return nodes.at(static_cast<std::size_t>(w))->worker->orchestrator();
+}
+
 sim::Task<void>
 ParallelFleet::storeOp(int w, StoreMsg msg)
 {

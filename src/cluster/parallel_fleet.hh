@@ -176,6 +176,9 @@ class ParallelFleet
      */
     PlacementAudit auditPlacements() const;
 
+    /** Worker @p w's orchestrator; after run(), its final state. */
+    const core::Orchestrator &orchestrator(int w) const;
+
   private:
     /** Control -> worker commands. */
     struct WorkerMsg {

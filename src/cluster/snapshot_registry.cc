@@ -22,14 +22,14 @@ buildForStaging(core::Worker &home, const std::string &name,
         opts.forceCold = true;
         (void)co_await orch.invoke(name, mode, opts);
     }
-    b.record = orch.record(name);
+    b.record = orch.sharedRecord(name);
     if (core::loader::sharedStagingPreset(mode).backstop ==
         core::loader::TieredPreset::Backstop::Chunked) {
         (void)orch.buildManifests(name);
         b.manifests = orch.manifests(name);
     } else {
         b.blobBytes = core::stagedArtifactBytes(
-            home.config().vmm.vmmStateSize, b.record);
+            home.config().vmm.vmmStateSize, *b.record);
     }
     co_return b;
 }

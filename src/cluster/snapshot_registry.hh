@@ -118,7 +118,8 @@ struct StagedArtifact
  */
 struct StagedBuild
 {
-    core::WorkingSetRecord record;
+    /** The home worker's published record, shared by every adopter. */
+    std::shared_ptr<const core::WorkingSetRecord> record;
 
     /** Chunk manifests (chunked staging); null for blob staging. */
     std::shared_ptr<const vmm::SnapshotManifests> manifests;

@@ -19,9 +19,9 @@ FunctionState::ensureRootfs(storage::FileStore &fs)
 std::pair<Bytes, Bytes>
 FunctionState::ensureArtifactFiles(storage::FileStore &fs)
 {
-    Bytes ws_bytes = std::max<Bytes>(record.wsFileBytes(), kPageSize);
+    Bytes ws_bytes = std::max<Bytes>(record->wsFileBytes(), kPageSize);
     Bytes trace_bytes =
-        std::max<Bytes>(TraceFileCodec::encodedSize(record), 1);
+        std::max<Bytes>(TraceFileCodec::encodedSize(*record), 1);
     if (wsFile == storage::kInvalidFile) {
         wsFile = fs.createFile(profile.name + "/ws", ws_bytes);
         traceFile =
@@ -50,7 +50,7 @@ ensureManifests(FunctionState &st, const ReapOptions &reap,
         // Same minimum sizing as ensureArtifactFiles so the chunked
         // and blob transfer paths describe identical artifact bytes.
         Bytes ws_bytes =
-            std::max<Bytes>(st.record.wsFileBytes(), kPageSize);
+            std::max<Bytes>(st.record->wsFileBytes(), kPageSize);
         st.manifests = std::make_shared<const vmm::SnapshotManifests>(
             vmm::buildSnapshotManifests(st.profile.name,
                                         vmm.vmmStateSize, ws_bytes,

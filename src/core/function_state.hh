@@ -132,7 +132,16 @@ struct FunctionState
     bool hasSnapshot = false;
     storage::FileId wsFile = storage::kInvalidFile;
     storage::FileId traceFile = storage::kInvalidFile;
-    WorkingSetRecord record;
+
+    /**
+     * The recorded working set, immutable once published: a record
+     * phase publishes a fresh object and never writes into the one
+     * it replaces, so the registry can hand one record to every
+     * worker of a fleet and a cold start can pin the version it
+     * loads. Null until the first record or adoption; kept (stale)
+     * when `recorded` is cleared.
+     */
+    std::shared_ptr<const WorkingSetRecord> record;
     bool recorded = false;
 
     /**

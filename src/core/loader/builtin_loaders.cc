@@ -102,7 +102,12 @@ RecordLoader::load(LoadContext ctx)
     bd.total = ctx.sim.now() - t0;
 
     // Post-response: persist the trace and WS files (Sec. 5.2.1).
-    st.record = inst.monitor->recorded();
+    // Publish a fresh record, never overwrite the old one: in-flight
+    // cold starts and adopting workers may still hold it. The
+    // monitor's page list moves out, trimmed of its growth slack.
+    WorkingSetRecord rec = inst.monitor->takeRecorded();
+    rec.pages.shrink_to_fit();
+    st.record = std::make_shared<const WorkingSetRecord>(std::move(rec));
     st.recorded = true;
     st.remoteStaged = false; // new record invalidates staged objects
     st.tierAdmitCounts.clear(); // old content's admission history
@@ -161,23 +166,24 @@ PrefetchLoader::fetchWs(LoadContext &ctx,
 }
 
 sim::Task<void>
-PrefetchLoader::installWorkingSet(LoadContext &ctx)
+PrefetchLoader::installWorkingSet(LoadContext &ctx,
+                                  const WorkingSetRecord &rec)
 {
     FunctionState &st = ctx.st;
     Instance &inst = ctx.inst;
     // One UFFDIO_COPY per batch, then mark contiguous runs present.
-    co_await inst.uffd->copyCost(st.record.pageCount(),
+    co_await inst.uffd->copyCost(rec.pageCount(),
                                  ctx.reap.installBatchPages);
     if (ctx.reap.rerandomizeLayout) {
         // Sec. 7.3: rewrite guest page tables so each clone gets a
         // fresh layout; proportional one-time install cost.
         co_await ctx.sim.delay(ctx.reap.rerandomizePerPage *
-                               st.record.pageCount());
+                               rec.pageCount());
         ++st.stats.layoutRerandomizations;
     }
     // installRange is idempotent and order-free, so the record's
     // ascending runs install in record order, duplicates and all.
-    const auto &pages = st.record.pages;
+    const auto &pages = rec.pages;
     size_t i = 0;
     while (i < pages.size()) {
         size_t j = i + 1;
@@ -200,10 +206,14 @@ PrefetchLoader::load(LoadContext ctx)
     LatencyBreakdown bd;
     Time t0 = ctx.sim.now();
 
+    // Pin the record this cold start loads: a re-record landing while
+    // it is suspended (invalidateRecord, adaptive re-record) publishes
+    // a new one and may drop the function's last other reference.
+    const std::shared_ptr<const WorkingSetRecord> rec = st.record;
     auto source = makeSource(ctx);
     mem::PageFetchPipeline pipeline(ctx.sim, *source);
     pipeline.setHedgeDelay(ctx.reap.hedgeAfter);
-    Bytes ws_bytes = st.record.wsFileBytes();
+    Bytes ws_bytes = rec->wsFileBytes();
 
     // Interleaved shapes own their fetch timing; overlapping would
     // leave fetch_task running past this frame's lifetime.
@@ -226,7 +236,7 @@ PrefetchLoader::load(LoadContext ctx)
     if (interleavedInstall()) {
         Time f0 = ctx.sim.now();
         co_await pipeline.fetchAndInstallPages(
-            st.record.pages, ctx.reap.parallelPfWorkers, *inst.uffd,
+            rec->pages, ctx.reap.parallelPfWorkers, *inst.uffd,
             inst.vm->guestMemory());
         bd.fetchWs = ctx.sim.now() - f0;
     } else {
@@ -235,10 +245,10 @@ PrefetchLoader::load(LoadContext ctx)
         else
             co_await fetchWs(ctx, pipeline, ws_bytes, &bd.fetchWs);
         Time i0 = ctx.sim.now();
-        co_await installWorkingSet(ctx);
+        co_await installWorkingSet(ctx, *rec);
         bd.installWs = ctx.sim.now() - i0;
     }
-    bd.prefetchedPages = st.record.pageCount();
+    bd.prefetchedPages = rec->pageCount();
     for (const auto &t : pipeline.stats().tiers) {
         TierBreakdown row;
         row.tier = t.label;
@@ -291,7 +301,7 @@ PrefetchLoader::load(LoadContext ctx)
     if (ctx.reap.adaptiveRerecord &&
         static_cast<double>(bd.residualFaults) >
             ctx.reap.rerecordThreshold *
-                static_cast<double>(st.record.pageCount())) {
+                static_cast<double>(rec->pageCount())) {
         st.recorded = false;
         st.remoteStaged = false;
         ++st.stats.rerecordsTriggered;
@@ -535,7 +545,7 @@ TieredLoader::ensureStaged(LoadContext ctx)
         if (st.remoteStaged)
             co_return;
         co_await ctx.artifactStore.put(
-            stagedArtifactBytes(ctx.vmmParams.vmmStateSize, st.record),
+            stagedArtifactBytes(ctx.vmmParams.vmmStateSize, *st.record),
             artifactKey(st.profile.name));
         st.remoteStaged = true;
     } else if (preset.backstop == Backstop::ChunkedIfManifest) {

@@ -115,8 +115,9 @@ class PrefetchLoader : public SnapshotLoader
                                     Bytes len, Duration *out);
 
   private:
-    /** Batched UFFDIO_COPY install of the recorded set. */
-    sim::Task<void> installWorkingSet(LoadContext &ctx);
+    /** Batched UFFDIO_COPY install of the recorded set @p rec. */
+    sim::Task<void> installWorkingSet(LoadContext &ctx,
+                                      const WorkingSetRecord &rec);
 };
 
 /**

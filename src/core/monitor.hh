@@ -11,6 +11,7 @@
 #define VHIVE_CORE_MONITOR_HH
 
 #include <cstdint>
+#include <utility>
 
 #include "core/ws_file.hh"
 #include "mem/guest_memory.hh"
@@ -57,8 +58,11 @@ class Monitor
     /** Pages installed on demand by this monitor. */
     std::int64_t servedPages() const { return _servedPages; }
 
-    /** Record-mode output: pages in first-fault order. */
-    const WorkingSetRecord &recorded() const { return record; }
+    /**
+     * Record-mode output, moved out: pages in first-fault order. Later
+     * faults on this instance start an empty record no one reads.
+     */
+    WorkingSetRecord takeRecorded() { return std::move(record); }
 
     Mode mode() const { return _mode; }
 

@@ -109,7 +109,8 @@ Orchestrator::prepareSnapshot(const std::string &name)
 
 void
 Orchestrator::adoptStagedArtifacts(
-    const std::string &name, const WorkingSetRecord &record,
+    const std::string &name,
+    std::shared_ptr<const WorkingSetRecord> record,
     std::shared_ptr<const vmm::SnapshotManifests> manifests)
 {
     FunctionState &st = state(name);
@@ -137,7 +138,7 @@ Orchestrator::adoptStagedArtifacts(
             fs.createFile(name + "/guest_mem", st.profile.vmMemory);
         st.hasSnapshot = true;
     }
-    st.record = record;
+    st.record = std::move(record);
     st.recorded = true;
     st.ensureArtifactFiles(fs);
     st.remoteStaged = true;
@@ -309,7 +310,7 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
     inst.lastUsedAt = sim.now();
     bd.wastedPrefetch =
         st.recorded && bd.prefetchedPages > 0
-            ? st.record.wastedAgainst(trace.touchedSet())
+            ? st.record->wastedAgainst(trace.touchedSet())
             : 0;
 
     if (!opts.keepWarm)
@@ -505,6 +506,14 @@ Orchestrator::record(const std::string &name) const
 {
     const FunctionState &st = state(name);
     VHIVE_ASSERT(st.recorded);
+    return *st.record;
+}
+
+std::shared_ptr<const WorkingSetRecord>
+Orchestrator::sharedRecord(const std::string &name) const
+{
+    const FunctionState &st = state(name);
+    VHIVE_ASSERT(st.recorded);
     return st.record;
 }
 
@@ -591,7 +600,7 @@ Orchestrator::enforceSsdBudget(Time now)
 {
     auto localBytes = [this](const FunctionState &st) {
         return vmmParams.vmmStateSize +
-               std::max<Bytes>(st.record.wsFileBytes(), kPageSize);
+               std::max<Bytes>(st.record->wsFileBytes(), kPageSize);
     };
     Bytes resident = 0;
     for (const auto &entry : functions)
@@ -731,7 +740,7 @@ Orchestrator::backgroundPrefetch(const std::string &name,
         mem::RemoteObjectSource remote(artifactStore,
                                        loader::artifactKey(name));
         mem::PageFetchPipeline pipeline(sim, remote);
-        Bytes len = st.record.wsFileBytes();
+        Bytes len = st.record->wsFileBytes();
         co_await pipeline.fetchBackground(0, len, reap.bgWarmPace);
         co_await fs.writeBuffered(st.wsFile, 0, len);
         st.artifactsLocal = true;

@@ -99,14 +99,16 @@ class Orchestrator
      * Adopt snapshot/WS artifacts another worker built and staged into
      * the shared object store (cluster::SnapshotRegistry fan-out).
      * Control-plane metadata only — no simulated time passes: the
-     * local file entries are created at the staged sizes, the record
-     * is shared, and `FunctionState::artifactsLocal` stays false so
-     * the first cold start pulls the bytes through the remote tier
-     * (TieredReap) or bulk GETs (RemoteReap). On the worker that built
+     * local file entries are created at the staged sizes, @p record
+     * is shared (every adopting worker holds the same object), and
+     * `FunctionState::artifactsLocal` stays false so the first cold
+     * start pulls the bytes through the remote tier (TieredReap) or
+     * bulk GETs (RemoteReap). On the worker that built
      * and recorded the artifacts this only marks them remote-staged.
      */
     void adoptStagedArtifacts(
-        const std::string &name, const WorkingSetRecord &record,
+        const std::string &name,
+        std::shared_ptr<const WorkingSetRecord> record,
         std::shared_ptr<const vmm::SnapshotManifests> manifests =
             nullptr);
 
@@ -192,6 +194,10 @@ class Orchestrator
 
     /** Recorded working set (must exist). */
     const WorkingSetRecord &record(const std::string &name) const;
+
+    /** The same record as a shared handle, for fan-out (must exist). */
+    std::shared_ptr<const WorkingSetRecord>
+    sharedRecord(const std::string &name) const;
 
     /**
      * Build (once) and return @p name's chunk manifests under this

@@ -23,7 +23,6 @@ FileStore::createFile(const std::string &name, Bytes bytes)
     f.name = name;
     f.baseLba = nextLba;
     f.size = bytesForPages(pages);
-    f.cached.assign(static_cast<size_t>(pages), false);
     nextLba += f.size;
     files.push_back(std::move(f));
     return static_cast<FileId>(files.size() - 1);
@@ -75,7 +74,7 @@ FileStore::truncate(FileId f, Bytes bytes)
         nextLba += bytesForPages(pages);
     }
     file.size = bytesForPages(pages);
-    file.cached.assign(static_cast<size_t>(pages), false);
+    file.cached = PageSet();
 }
 
 bool
@@ -84,10 +83,9 @@ FileStore::isCached(FileId f, Bytes offset, Bytes len) const
     const File &file = get(f);
     Bytes first = offset / kPageSize;
     Bytes last = (offset + len - 1) / kPageSize;
-    for (Bytes p = first; p <= last; ++p)
-        if (!file.cached[static_cast<size_t>(p)])
-            return false;
-    return true;
+    return first > last ||
+           (file.cached.contains(first) &&
+            file.cached.runEnd(first, last + 1) == last + 1);
 }
 
 void
@@ -95,14 +93,13 @@ FileStore::dropCaches()
 {
     ++_stats.dropCacheCalls;
     for (auto &f : files)
-        std::fill(f.cached.begin(), f.cached.end(), false);
+        f.cached.clear();
 }
 
 void
 FileStore::dropFileCaches(FileId f)
 {
-    File &file = get(f);
-    std::fill(file.cached.begin(), file.cached.end(), false);
+    get(f).cached.clear();
 }
 
 void
@@ -113,10 +110,9 @@ FileStore::dropFileCacheRange(FileId f, Bytes offset, Bytes len)
         return;
     Bytes first = offset / kPageSize;
     Bytes last = std::min<Bytes>((offset + len - 1) / kPageSize,
-                                 static_cast<Bytes>(
-                                     file.cached.size()) - 1);
-    for (Bytes p = first; p <= last; ++p)
-        file.cached[static_cast<size_t>(p)] = false;
+                                 file.size / kPageSize - 1);
+    if (first <= last)
+        file.cached.eraseRange(first, last - first + 1);
 }
 
 sim::Task<void>
@@ -133,11 +129,8 @@ FileStore::fetchWindow(FileId f, Bytes offset, Bytes len,
     co_await disk.read(get(f).baseLba + offset, len);
 
     // Insert into the cache.
-    File &file = get(f);
-    Bytes first = offset / kPageSize;
     Bytes pages = pagesForBytes(len);
-    for (Bytes p = first; p < first + pages; ++p)
-        file.cached[static_cast<size_t>(p)] = true;
+    get(f).cached.insertRange(offset / kPageSize, pages);
     co_await sim.delay(_params.perPageInsert * pages);
 
     pipeline->release();
@@ -159,28 +152,19 @@ FileStore::readBuffered(FileId f, Bytes offset, Bytes len)
     Bytes first = offset / kPageSize;
     Bytes last = (offset + len - 1) / kPageSize;
     Bytes window_pages = _params.windowBytes / kPageSize;
-    Bytes run_start = -1;
     Bytes hit_pages = 0;
-    for (Bytes p = first; p <= last + 1; ++p) {
-        bool missing =
-            p <= last && !file.cached[static_cast<size_t>(p)];
-        if (missing) {
-            if (run_start < 0)
-                run_start = p;
-            if (p - run_start + 1 == window_pages) {
-                chunks.push_back({run_start * kPageSize,
-                                  (p - run_start + 1) * kPageSize});
-                run_start = -1;
-            }
+    for (Bytes p = first; p <= last;) {
+        Bytes end = file.cached.runEnd(p, last + 1);
+        if (file.cached.contains(p)) {
+            hit_pages += end - p;
         } else {
-            if (p <= last)
-                ++hit_pages;
-            if (run_start >= 0) {
-                chunks.push_back({run_start * kPageSize,
-                                  (p - run_start) * kPageSize});
-                run_start = -1;
+            for (Bytes q = p; q < end; q += window_pages) {
+                chunks.push_back(
+                    {q * kPageSize,
+                     std::min(window_pages, end - q) * kPageSize});
             }
         }
+        p = end;
     }
     _stats.cacheHits += hit_pages;
 
@@ -241,10 +225,8 @@ FileStore::faultRead(FileId f, Bytes offset, Bytes len)
     // ...then the device read of the faulted range.
     co_await disk.read(file.baseLba + offset, len);
 
-    Bytes first = offset / kPageSize;
     Bytes pages = pagesForBytes(len);
-    for (Bytes p = first; p < first + pages; ++p)
-        file.cached[static_cast<size_t>(p)] = true;
+    file.cached.insertRange(offset / kPageSize, pages);
     co_await sim.delay(_params.perPageInsert * pages);
 }
 
@@ -256,10 +238,7 @@ FileStore::writeBuffered(FileId f, Bytes offset, Bytes len)
 
     co_await sim.delay(_params.syscall +
                        _params.perPageCopy * pagesForBytes(len));
-    Bytes first = offset / kPageSize;
-    Bytes pages = pagesForBytes(len);
-    for (Bytes p = first; p < first + pages; ++p)
-        file.cached[static_cast<size_t>(p)] = true;
+    file.cached.insertRange(offset / kPageSize, pagesForBytes(len));
 
     // Asynchronous writeback; completion is not on the caller's path.
     sim.spawn(disk.write(file.baseLba + offset, len));

@@ -31,6 +31,7 @@
 #include "sim/sync.hh"
 #include "sim/task.hh"
 #include "storage/disk.hh"
+#include "util/page_set.hh"
 #include "util/units.hh"
 
 namespace vhive::storage {
@@ -169,7 +170,9 @@ class FileStore
         std::string name;
         Bytes baseLba = 0;
         Bytes size = 0;
-        std::vector<bool> cached; // one bit per page
+        // Cached pages; grown on first insert, so a file never read
+        // on this host holds no bits.
+        PageSet cached;
     };
 
     File &get(FileId f);

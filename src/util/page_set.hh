@@ -1,13 +1,14 @@
 /**
  * @file
- * Dense set of guest page numbers: one bit per page, grown on insert.
+ * Dense set of page numbers: one bit per page, grown on insert.
  *
- * Trace synthesis, per-cold-start working-set accounting and guest
- * page presence test and mark pages by the thousand on every
- * invocation. Guest pages are small dense integers (a 256 MiB VM has
- * 65536), so a bitmap answers membership with one load and marks or
- * scans a contiguous run a word at a time, where an ordered tree or a
- * sorted vector pays a node allocation or a binary search per page.
+ * Trace synthesis, per-cold-start working-set accounting, guest page
+ * presence and the host page cache test and mark pages by the
+ * thousand on every invocation. Pages are small dense integers (a 256
+ * MiB VM has 65536), so a bitmap answers membership with one load and
+ * marks or scans a contiguous run a word at a time, where an ordered
+ * tree or a sorted vector pays a node allocation or a binary search
+ * per page. A set that is never inserted into holds no storage.
  */
 
 #ifndef VHIVE_UTIL_PAGE_SET_HH
@@ -85,6 +86,31 @@ class PageSet
         }
         members += added;
         return added;
+    }
+
+    /**
+     * Remove pages [@p page, @p page + @p n); returns how many of them
+     * were members. Pages past the storage are non-members already, so
+     * erasing never grows it.
+     */
+    std::int64_t
+    eraseRange(std::int64_t page, std::int64_t n)
+    {
+        VHIVE_ASSERT(page >= 0 && n >= 0);
+        const std::int64_t end =
+            std::min(page + n, static_cast<std::int64_t>(words.size()) *
+                                   kWordBits);
+        std::int64_t removed = 0;
+        for (std::int64_t p = page; p < end;) {
+            std::int64_t stop = std::min(end, (p | (kWordBits - 1)) + 1);
+            std::uint64_t &w = words[wordOf(p)];
+            std::uint64_t gone = w & maskOf(p, stop);
+            removed += std::popcount(gone);
+            w &= ~gone;
+            p = stop;
+        }
+        members -= removed;
+        return removed;
     }
 
     /**

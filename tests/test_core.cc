@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/options.hh"
 #include "core/orchestrator.hh"
@@ -695,6 +698,150 @@ TEST(Orchestrator, RerecordUsesNewInput)
         EXPECT_EQ(orch.stats("image_rotate").recordPhases, 2);
     });
 }
+
+/**
+ * A re-record completes while another cold start of the same function
+ * is still fetching its working set. The re-record publishes a new
+ * record object and drops the function's reference to the old one;
+ * the in-flight start keeps the old one alive, installs exactly it,
+ * and frees it when done. Run for the interleaved fetch
+ * (ParallelPageFaults walks the record's page list across
+ * suspensions: without the pin, a use after free under ASan) and the
+ * bulk fetch then install (RemoteReap reads the record again after
+ * the fetch: without the pin, it installs the new record).
+ */
+struct MidPrefetchCase
+{
+    ColdStartMode mode;
+    const char *label;
+};
+
+/** What the in-flight cold start saw, with or without the re-record. */
+struct MidPrefetchRun
+{
+    LatencyBreakdown inFlight, rerecord;
+    Time inFlightStart = -1, inFlightDone = -1, rerecordDone = -1;
+    /** Not held here: the in-flight start must keep it alive. */
+    std::weak_ptr<const WorkingSetRecord> oldRec;
+    std::vector<std::int64_t> oldPages;
+    std::shared_ptr<const WorkingSetRecord> newRec;
+    /** Whether nothing held the old record once the run drained. */
+    bool oldFreed = false;
+};
+
+MidPrefetchRun
+runMidPrefetch(ColdStartMode mode, bool rerecord)
+{
+    const std::string fn = "image_rotate";
+    Simulation sim;
+    WorkerConfig cfg;
+    // WS fetches of tens of seconds, so the re-record lands mid-fetch:
+    // one page per UFFDIO_COPY call, made costly (the record phase
+    // makes one call per fault run), or a slow store.
+    if (mode == ColdStartMode::ParallelPageFaults) {
+        cfg.reap.parallelPfWorkers = 1;
+        cfg.uffd.copySyscall = msec(5);
+    } else {
+        cfg.objectStore.bandwidth = 1e6;
+    }
+    Worker w(sim, cfg);
+    MidPrefetchRun out;
+    struct Racers {
+        static Task<void>
+        prefetch(Simulation &sim, Orchestrator &orch,
+                 const std::string &fn, ColdStartMode mode,
+                 MidPrefetchRun *out)
+        {
+            Opts cold;
+            cold.forceCold = true;
+            cold.flushPageCache = true;
+            out->inFlight = co_await orch.invoke(fn, mode, cold);
+            out->inFlightDone = sim.now();
+        }
+    };
+    runScenario(w, sim, [&](Orchestrator &orch) -> Task<void> {
+        orch.registerFunction(func::profileByName(fn));
+        co_await orch.prepareSnapshot(fn);
+        Opts first;
+        first.inputId = 0;
+        LatencyBreakdown rec_bd =
+            co_await orch.invoke(fn, ColdStartMode::Reap, first);
+        EXPECT_TRUE(rec_bd.recordPhase);
+        // Stage the remote artifacts outside the race.
+        Opts cold;
+        cold.forceCold = true;
+        (void)co_await orch.invoke(fn, mode, cold);
+        out.oldRec = orch.sharedRecord(fn);
+        out.oldPages = orch.record(fn).pages;
+
+        out.inFlightStart = sim.now();
+        sim.spawn(Racers::prefetch(sim, orch, fn, mode, &out));
+        if (!rerecord)
+            co_return;
+        // Past the control-plane step: the start is loading.
+        co_await sim.delay(msec(100));
+        orch.invalidateRecord(fn);
+        Opts again;
+        again.forceCold = true;
+        again.inputId = 7;
+        out.rerecord = co_await orch.invoke(fn, ColdStartMode::Reap, again);
+        out.rerecordDone = sim.now();
+        out.newRec = orch.sharedRecord(fn);
+    });
+    if (rerecord) {
+        EXPECT_EQ(&w.orchestrator().record(fn), out.newRec.get());
+    }
+    out.oldFreed = out.oldRec.expired();
+    return out;
+}
+
+class RerecordMidPrefetch : public ::testing::TestWithParam<MidPrefetchCase>
+{
+};
+
+TEST_P(RerecordMidPrefetch, InFlightStartKeepsItsRecord)
+{
+    const MidPrefetchCase c = GetParam();
+    MidPrefetchRun quiet = runMidPrefetch(c.mode, false);
+    MidPrefetchRun raced = runMidPrefetch(c.mode, true);
+
+    // The race happened: the re-record started after the in-flight
+    // start dispatched and finished before its fetch did (the fetch
+    // ends after VMM load plus fetch time, counted from no earlier
+    // than the spawn), with different content.
+    EXPECT_TRUE(raced.rerecord.recordPhase) << c.label;
+    EXPECT_FALSE(raced.inFlight.recordPhase) << c.label;
+    ASSERT_GE(raced.inFlightDone, 0) << c.label;
+    EXPECT_LT(raced.rerecordDone, raced.inFlightStart +
+                                      raced.inFlight.loadVmm +
+                                      raced.inFlight.fetchWs)
+        << c.label << ": load " << toMs(raced.inFlight.loadVmm)
+        << " ms, fetch " << toMs(raced.inFlight.fetchWs)
+        << " ms, re-record done at "
+        << toMs(raced.rerecordDone - raced.inFlightStart) << " ms";
+    ASSERT_NE(raced.newRec, nullptr);
+    EXPECT_NE(raced.newRec->pages, raced.oldPages) << c.label;
+
+    // The in-flight start loaded the old record, whole: it prefetched
+    // and installed the same pages as without the race, so its trace
+    // faulted on the same residual pages. Its pin was the old record's
+    // last reference.
+    EXPECT_EQ(raced.oldPages, quiet.oldPages);
+    EXPECT_EQ(raced.inFlight.prefetchedPages,
+              static_cast<std::int64_t>(raced.oldPages.size()));
+    EXPECT_EQ(raced.inFlight.residualFaults, quiet.inFlight.residualFaults)
+        << c.label;
+    EXPECT_TRUE(raced.oldFreed) << c.label;
+    EXPECT_FALSE(quiet.oldFreed) << c.label;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Orchestrator, RerecordMidPrefetch,
+    ::testing::Values(
+        MidPrefetchCase{ColdStartMode::ParallelPageFaults,
+                        "ParallelPageFaults"},
+        MidPrefetchCase{ColdStartMode::RemoteReap, "RemoteReap"}),
+    [](const auto &info) { return std::string(info.param.label); });
 
 TEST(Orchestrator, StopAllReclaimsManyInstances)
 {

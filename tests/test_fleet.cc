@@ -89,6 +89,36 @@ TEST(SnapshotRegistry, BuildsOncePerFunctionRegardlessOfWorkers)
     }
 }
 
+TEST(SnapshotRegistry, AdoptersShareTheHomeWorkersRecord)
+{
+    // Adoption hands out the home worker's published record, not a
+    // copy: one object per function across the fleet, in both staging
+    // formats.
+    for (auto mode : {core::ColdStartMode::TieredReap,
+                      core::ColdStartMode::DedupReap}) {
+        Simulation sim;
+        ClusterConfig cfg = sharedConfig(4);
+        cfg.coldStartMode = mode;
+        Cluster c(sim, cfg);
+        const std::vector<std::string> names = {"helloworld", "pyaes",
+                                                "json_serdes"};
+        for (const auto &n : names)
+            c.deploy(func::profileByName(n));
+        runScenario(sim, [&]() -> Task<void> {
+            co_await c.prepareAllSnapshots();
+        });
+        for (const auto &n : names) {
+            const core::WorkingSetRecord *first =
+                &c.worker(0).orchestrator().record(n);
+            EXPECT_GT(first->pageCount(), 0) << n;
+            for (int w = 1; w < c.workerCount(); ++w)
+                EXPECT_EQ(&c.worker(w).orchestrator().record(n), first)
+                    << core::coldStartModeName(mode) << " " << n
+                    << " worker " << w;
+        }
+    }
+}
+
 TEST(SnapshotRegistry, StagesOnceUnderConcurrentPrepare)
 {
     Simulation sim;

@@ -520,6 +520,39 @@ TEST(ParallelFleet, SharedDedupBitIdenticalAcrossThreadCounts)
     }
 }
 
+TEST(ParallelFleet, StagedRecordIsOneObjectFleetWide)
+{
+    // A working-set record is immutable once published: staging hands
+    // the home worker's record to every worker, so each (worker,
+    // function) pair reads the same object, at every thread count,
+    // and the digest does not depend on where the bytes live.
+    for (auto mode : {core::ColdStartMode::TieredReap,
+                      core::ColdStartMode::DedupReap}) {
+        std::uint64_t ref_digest = 0;
+        for (int threads : {1, 2, 4}) {
+            ParallelFleetConfig cfg =
+                sharedScenarioConfig(mode, threads, 4, false);
+            ParallelFleet fleet(cfg);
+            FleetStats r = fleet.run();
+            ASSERT_GT(r.invocations, 0);
+            if (threads == 1)
+                ref_digest = r.digest();
+            EXPECT_EQ(r.digest(), ref_digest)
+                << core::coldStartModeName(mode) << " threads=" << threads;
+            for (const AzureMixEntry &e : synthesizeAzureMix(cfg.workload)) {
+                const std::string &fn = e.profile.name;
+                const core::WorkingSetRecord *first =
+                    &fleet.orchestrator(0).record(fn);
+                EXPECT_GT(first->pageCount(), 0) << fn;
+                for (int w = 1; w < cfg.workers; ++w)
+                    EXPECT_EQ(&fleet.orchestrator(w).record(fn), first)
+                        << core::coldStartModeName(mode) << " " << fn
+                        << " worker " << w << " threads=" << threads;
+            }
+        }
+    }
+}
+
 TEST(ParallelFleet, WorkersRouteAdoptedChunksLikeTheStore)
 {
     // Each Adopt ships only the store's placement log since the

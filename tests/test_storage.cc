@@ -366,6 +366,131 @@ TEST(FileStore, PartialCacheOnlyFetchesMissingChunks)
     EXPECT_EQ(fx.ssd.stats().bytesRead - before, 512 * kKiB);
 }
 
+/*
+ * Page-cache semantics the tiered loaders and the tier budget rely on:
+ * which pages a range covers, how drops clip to the file, and what a
+ * read after a partial drop counts.
+ */
+
+TEST(FileStore, IsCachedOverPartialLastPage)
+{
+    Fixture fx;
+    // 3 pages and 100 bytes: the last page is partly past EOF.
+    FileId f = fx.fs.createFile("ws", 3 * kPageSize + 100);
+    ASSERT_EQ(fx.fs.fileSize(f), 4 * kPageSize);
+    Duration d = 0;
+    fx.sim.spawn(timedBuffered(fx, f, 3 * kPageSize, 100, d));
+    fx.sim.run();
+    EXPECT_TRUE(fx.fs.isCached(f, 3 * kPageSize, 100));
+    EXPECT_TRUE(fx.fs.isCached(f, 3 * kPageSize + 50, 50));
+    EXPECT_TRUE(fx.fs.isCached(f, 3 * kPageSize, kPageSize));
+    // One byte of the page before makes the range uncached.
+    EXPECT_FALSE(fx.fs.isCached(f, 3 * kPageSize - 1, 2));
+    EXPECT_FALSE(fx.fs.isCached(f, 0, 100));
+    EXPECT_FALSE(fx.fs.isCached(f, 0, 4 * kPageSize));
+    EXPECT_EQ(fx.fs.stats().cacheMisses, 1);
+}
+
+TEST(FileStore, DropFileCacheRangePastEofIsIgnored)
+{
+    Fixture fx;
+    FileId f = fx.fs.createFile("ws", 1 * kMiB);
+    Duration d = 0;
+    fx.sim.spawn(timedBuffered(fx, f, 0, 1 * kMiB, d));
+    fx.sim.run();
+    // Wholly past EOF, and empty: nothing changes.
+    fx.fs.dropFileCacheRange(f, 2 * kMiB, kPageSize);
+    fx.fs.dropFileCacheRange(f, 0, 0);
+    EXPECT_TRUE(fx.fs.isCached(f, 0, 1 * kMiB));
+    // Straddling EOF: the in-file part goes, the rest is ignored.
+    fx.fs.dropFileCacheRange(f, 1 * kMiB - 2 * kPageSize, 1 * kMiB);
+    EXPECT_TRUE(fx.fs.isCached(f, 0, 1 * kMiB - 2 * kPageSize));
+    EXPECT_FALSE(fx.fs.isCached(f, 1 * kMiB - 2 * kPageSize, 1));
+    EXPECT_FALSE(fx.fs.isCached(f, 1 * kMiB - kPageSize, kPageSize));
+    // An unaligned range drops every page it touches.
+    fx.fs.dropFileCacheRange(f, 100, kPageSize);
+    EXPECT_FALSE(fx.fs.isCached(f, 0, 1));
+    EXPECT_FALSE(fx.fs.isCached(f, kPageSize, 1));
+    EXPECT_TRUE(fx.fs.isCached(f, 2 * kPageSize, 1 * kMiB - 4 * kPageSize));
+}
+
+TEST(FileStore, TruncateDropsTheFilesCache)
+{
+    Fixture fx;
+    FileId f = fx.fs.createFile("ws", 1 * kMiB);
+    FileId other = fx.fs.createFile("trace", 64 * kKiB);
+    Duration d = 0;
+    fx.sim.spawn(timedBuffered(fx, f, 0, 1 * kMiB, d));
+    fx.sim.spawn(timedBuffered(fx, other, 0, 64 * kKiB, d));
+    fx.sim.run();
+    // Same size: the extent stays, the cache still goes.
+    fx.fs.truncate(f, 1 * kMiB);
+    EXPECT_FALSE(fx.fs.isCached(f, 0, kPageSize));
+    EXPECT_TRUE(fx.fs.isCached(other, 0, 64 * kKiB));
+    fx.sim.spawn(timedBuffered(fx, f, 0, 1 * kMiB, d));
+    fx.sim.run();
+    // Shrink: what is left of the file reads uncached.
+    fx.fs.truncate(f, 10 * kPageSize);
+    EXPECT_EQ(fx.fs.fileSize(f), 10 * kPageSize);
+    EXPECT_FALSE(fx.fs.isCached(f, 9 * kPageSize, kPageSize));
+    fx.fs.resetStats();
+    fx.sim.spawn(timedBuffered(fx, f, 0, 10 * kPageSize, d));
+    fx.sim.run();
+    EXPECT_EQ(fx.fs.stats().cacheMisses, 10);
+    EXPECT_EQ(fx.fs.stats().cacheHits, 0);
+}
+
+TEST(FileStore, DropCachesClearsEveryFile)
+{
+    Fixture fx;
+    std::vector<FileId> files;
+    for (int i = 0; i < 3; ++i)
+        files.push_back(
+            fx.fs.createFile("f" + std::to_string(i), 256 * kKiB));
+    Duration d = 0;
+    for (FileId f : files)
+        fx.sim.spawn(timedBuffered(fx, f, 0, 256 * kKiB, d));
+    fx.sim.run();
+    // dropFileCaches touches one file only.
+    fx.fs.dropFileCaches(files[0]);
+    EXPECT_FALSE(fx.fs.isCached(files[0], 0, kPageSize));
+    EXPECT_TRUE(fx.fs.isCached(files[1], 0, 256 * kKiB));
+    EXPECT_EQ(fx.fs.stats().dropCacheCalls, 0);
+    fx.fs.dropCaches();
+    EXPECT_EQ(fx.fs.stats().dropCacheCalls, 1);
+    for (FileId f : files)
+        for (Bytes off = 0; off < 256 * kKiB; off += kPageSize)
+            EXPECT_FALSE(fx.fs.isCached(f, off, kPageSize))
+                << fx.fs.fileName(f) << " @" << off;
+}
+
+TEST(FileStore, HitMissCountsAfterPartialDrop)
+{
+    Fixture fx;
+    FileId f = fx.fs.createFile("ws", 1 * kMiB); // 256 pages
+    Duration d = 0;
+    fx.sim.spawn(timedBuffered(fx, f, 0, 1 * kMiB, d));
+    fx.sim.run();
+    EXPECT_EQ(fx.fs.stats().cacheMisses, 256);
+    EXPECT_EQ(fx.fs.stats().cacheHits, 0);
+    // Pages 16-47, a run across a 64-page word, plus pages 0 and 1
+    // (an unaligned range) and the last page.
+    fx.fs.dropFileCacheRange(f, 64 * kKiB, 128 * kKiB);
+    fx.fs.dropFileCacheRange(f, 100, 5000);
+    fx.fs.dropFileCacheRange(f, 1 * kMiB - 1, 1);
+    fx.fs.resetStats();
+    Bytes before = fx.ssd.stats().bytesRead;
+    std::int64_t requests = fx.ssd.stats().requests;
+    fx.sim.spawn(timedBuffered(fx, f, 0, 1 * kMiB, d));
+    fx.sim.run();
+    EXPECT_EQ(fx.fs.stats().cacheMisses, 35);
+    EXPECT_EQ(fx.fs.stats().cacheHits, 221);
+    EXPECT_EQ(fx.ssd.stats().bytesRead - before, 35 * kPageSize);
+    // Three missing runs, each under one 128 KiB window.
+    EXPECT_EQ(fx.ssd.stats().requests - requests, 3);
+    EXPECT_TRUE(fx.fs.isCached(f, 0, 1 * kMiB));
+}
+
 
 TEST(FileStore, FaultReadaheadExtendsWindow)
 {

@@ -313,5 +313,110 @@ TEST(PageSet, MatchesStdSet)
     }
 }
 
+/**
+ * Property: random inserts and erases, mostly word-aligned or
+ * word-straddling runs, several growths deep, keep the set equal to a
+ * std::vector<bool> model: each op's return count, contains() on every
+ * page, intersects() and runEnd() at random probes, size(), and
+ * clear(). Erases reach past the storage, which must neither grow it
+ * nor change membership.
+ */
+TEST(PageSet, MatchesVectorBoolUnderInsertAndErase)
+{
+    for (std::uint64_t seed : {1, 2, 3, 4, 5}) {
+        Rng rng(seed, "page-set-erase");
+        PageSet bits;
+        std::vector<bool> ref;
+        std::int64_t members = 0;
+        auto member = [&ref](std::int64_t p) {
+            return p < static_cast<std::int64_t>(ref.size()) &&
+                   ref[static_cast<size_t>(p)];
+        };
+        // Runs start on, just before or just after a word boundary
+        // half the time, and cover a whole word now and then.
+        auto draw_start = [&rng](std::int64_t limit) {
+            std::int64_t p = rng.uniformInt(0, limit);
+            if (rng.uniformInt(0, 1) == 0)
+                p = p / 64 * 64 + rng.uniformInt(-1, 1);
+            return std::max<std::int64_t>(p, 0);
+        };
+        auto draw_len = [&rng] {
+            switch (rng.uniformInt(0, 3)) {
+              case 0:
+                return rng.uniformInt(0, 3);
+              case 1:
+                return std::int64_t{64};
+              default:
+                return rng.uniformInt(0, 300);
+            }
+        };
+        // The universe widens every 100 ops: the set grows in steps.
+        for (int op = 0; op < 1200; ++op) {
+            const std::int64_t limit = 200 + 400 * (op / 100);
+            const std::int64_t page = draw_start(limit);
+            const std::int64_t len = draw_len();
+            std::int64_t changed = 0;
+            if (rng.uniformInt(0, 2) != 0) {
+                if (static_cast<std::int64_t>(ref.size()) < page + len)
+                    ref.resize(static_cast<size_t>(page + len), false);
+                for (std::int64_t p = page; p < page + len; ++p) {
+                    changed += ref[static_cast<size_t>(p)] ? 0 : 1;
+                    ref[static_cast<size_t>(p)] = true;
+                }
+                members += changed;
+                ASSERT_EQ(bits.insertRange(page, len), changed)
+                    << "seed " << seed << " op " << op;
+            } else {
+                for (std::int64_t p = page; p < page + len; ++p) {
+                    if (member(p)) {
+                        ++changed;
+                        ref[static_cast<size_t>(p)] = false;
+                    }
+                }
+                members -= changed;
+                ASSERT_EQ(bits.eraseRange(page, len), changed)
+                    << "seed " << seed << " op " << op;
+            }
+            ASSERT_EQ(bits.size(), members) << "op " << op;
+
+            const std::int64_t probe = draw_start(limit + 300);
+            const std::int64_t n = draw_len();
+            bool hit = false;
+            for (std::int64_t p = probe; p < probe + n; ++p)
+                hit = hit || member(p);
+            ASSERT_EQ(bits.intersects(probe, n), hit)
+                << probe << "+" << n;
+            const std::int64_t to = probe + 1 + n;
+            std::int64_t run_end = probe + 1;
+            while (run_end < to && member(run_end) == member(probe))
+                ++run_end;
+            ASSERT_EQ(bits.runEnd(probe, to), run_end)
+                << probe << ".." << to;
+
+            if (op % 100 == 99) {
+                for (std::int64_t p = 0; p < limit + 300; ++p)
+                    ASSERT_EQ(bits.contains(p), member(p)) << p;
+            }
+            if (rng.uniformInt(0, 150) == 0) {
+                bits.clear();
+                std::fill(ref.begin(), ref.end(), false);
+                members = 0;
+                ASSERT_EQ(bits.size(), 0);
+                ASSERT_FALSE(bits.intersects(0, limit + 300));
+            }
+        }
+        EXPECT_GT(members, 0) << "seed " << seed;
+    }
+    // Erasing from an empty set, or past its storage, removes nothing.
+    PageSet empty;
+    EXPECT_EQ(empty.eraseRange(0, 1000), 0);
+    EXPECT_EQ(empty.runEnd(0, 100), 100);
+    PageSet one_word(64);
+    one_word.insertRange(0, 64);
+    EXPECT_EQ(one_word.eraseRange(60, 1 << 20), 4);
+    EXPECT_EQ(one_word.size(), 60);
+    EXPECT_EQ(one_word.runEnd(0, 1000), 60);
+}
+
 } // namespace
 } // namespace vhive
