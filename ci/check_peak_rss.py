@@ -10,16 +10,21 @@ resident set from getrusage(RUSAGE_CHILDREN).ru_maxrss. The bench's
 largest fleet holds one working-set record per function and the
 page-cache bits of every file each worker has read: a per-worker copy
 of state that should be shared fleet-wide shows up here as memory
-growing with the worker count.
+growing with the worker count. Its sweep builds many fleets, each
+with fresh pool threads, so frame slabs that an exited thread keeps
+to itself show up here too.
 
-CEILING_MIB is 1.5x the peak measured when it was set: 109-114 MiB
-for a Release build on a 4-vCPU x86-64 Linux VM, where the same bench
-peaked at 267-287 MiB while every worker held its own copy of each
-record and a page-cache bitmap sized to every file it created. The
-margin lets allocator and libc differences between hosts pass, while
-a return of per-worker copies does not. The ceiling lives here, not in
-perf_floor.json, whose bench -> cell map check_perf_floor.py reads as
-events/sec rows.
+CEILING_MIB is 1.5x the peak measured when it was set: 65-67 MiB for
+a Release build on a 4-vCPU x86-64 Linux VM. Before coroutine frames
+were shared between sim threads the same bench peaked at 108-109 MiB,
+because every pool thread kept its own never-reused frame slabs; and
+before working-set records and page-cache bits were shared fleet-wide
+it peaked at 267-287 MiB, with every worker holding its own copy of
+each record and a page-cache bitmap sized to every file it created.
+The margin lets allocator and libc differences between hosts pass,
+while a return of per-thread frame slabs or per-worker copies does
+not. The ceiling lives here, not in perf_floor.json, whose bench ->
+cell map check_perf_floor.py reads as events/sec rows.
 
 Exit codes: 0 within the ceiling, 1 above it, 2 the bench could not
 run or failed.
@@ -30,7 +35,7 @@ import resource
 import subprocess
 import sys
 
-CEILING_MIB = 165.0
+CEILING_MIB = 100.0
 
 SETTINGS = {
     "VHIVE_FLEET_MAX_WORKERS": "4",

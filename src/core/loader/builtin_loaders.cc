@@ -249,6 +249,9 @@ PrefetchLoader::load(LoadContext ctx)
         bd.installWs = ctx.sim.now() - i0;
     }
     bd.prefetchedPages = rec->pageCount();
+    // Waste is judged against the record this start fetched, which a
+    // re-record may have replaced by now.
+    bd.wastedPrefetch = rec->wastedAgainst(ctx.trace.touchedSet());
     for (const auto &t : pipeline.stats().tiers) {
         TierBreakdown row;
         row.tier = t.label;

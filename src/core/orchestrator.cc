@@ -308,10 +308,6 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
     }
     bd.cold = true;
     inst.lastUsedAt = sim.now();
-    bd.wastedPrefetch =
-        st.recorded && bd.prefetchedPages > 0
-            ? st.record->wastedAgainst(trace.touchedSet())
-            : 0;
 
     if (!opts.keepWarm)
         co_await stopInstanceByPtr(st, &inst);

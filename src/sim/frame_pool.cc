@@ -1,5 +1,6 @@
 #include "sim/frame_pool.hh"
 
+#include <array>
 #include <mutex>
 #include <new>
 #include <vector>
@@ -25,54 +26,228 @@ namespace {
 
 struct FreeBlock {
     FreeBlock *next;
+    /** In the head block of a depot batch: the next full batch. */
+    FreeBlock *nextBatch;
 };
+static_assert(sizeof(FreeBlock) <= FramePool::kGranule);
 
 constexpr std::size_t kClasses =
     FramePool::kMaxPooled / FramePool::kGranule;
 
-struct Arena {
-    FreeBlock *freeLists[kClasses] = {};
-    // Slab base pointers: keeps every slab reachable for
-    // LeakSanitizer (free-list chains are interior pointers once
-    // block 0 is handed out).
-    std::vector<void *> slabs;
-    FramePool::Stats stats;
-};
-
-/** Every arena ever created, guarded by its own mutex. */
-struct ArenaList {
-    std::mutex mu;
-    std::vector<Arena *> arenas;
-};
-
-Arena *
-newArena()
+constexpr std::size_t
+blockBytes(std::size_t cls)
 {
-    // Never freed, and reachable from this static for the life of the
-    // process: a pool thread's arena stays listed after the thread
-    // exits, so LeakSanitizer sees it (and its slabs) as live.
-    static ArenaList *list = new ArenaList;
-    auto *a = new Arena;
-    std::lock_guard<std::mutex> lock(list->mu);
-    list->arenas.push_back(a);
-    return a;
+    return (cls + 1) * FramePool::kGranule;
 }
 
-Arena &
-arena()
-{
-    // Never freed: a frame allocated here may be released during
-    // static or thread-local teardown in any order, so the arena must
-    // outlive every frame. One arena per thread; the OS reclaims them
-    // at process exit.
-    static thread_local Arena *a = newArena();
-    return *a;
-}
+/** Blocks per slab of each class: the size of one full batch. */
+constexpr std::array<std::uint32_t, kClasses> kBatch = [] {
+    std::array<std::uint32_t, kClasses> b{};
+    for (std::size_t c = 0; c < kClasses; ++c)
+        b[c] = static_cast<std::uint32_t>(FramePool::kSlabBytes /
+                                          blockBytes(c));
+    return b;
+}();
 
 constexpr std::size_t
 classOf(std::size_t n)
 {
     return (n + FramePool::kGranule - 1) / FramePool::kGranule - 1;
+}
+
+/** A LIFO chain of free blocks of one class, with its length. */
+struct FreeList {
+    FreeBlock *head = nullptr;
+    std::uint32_t count = 0;
+
+    void
+    push(FreeBlock *b)
+    {
+        b->next = head;
+        head = b;
+        ++count;
+    }
+
+    FreeBlock *
+    pop()
+    {
+        FreeBlock *b = head;
+        head = b->next;
+        --count;
+        return b;
+    }
+};
+
+/**
+ * Process-wide owner of every slab and of the free blocks no thread
+ * caches. Threads trade whole batches with it under its mutex.
+ */
+struct Depot {
+    std::mutex mu;
+    struct Class {
+        /** Full batches of kBatch[cls] blocks, chained by nextBatch. */
+        FreeBlock *full = nullptr;
+        FreeList loose; ///< one partial batch
+
+        void
+        pushFull(FreeList list)
+        {
+            list.head->nextBatch = full;
+            full = list.head;
+        }
+
+        FreeList
+        popFull(std::size_t cls)
+        {
+            FreeList list{full, kBatch[cls]};
+            full = full->nextBatch;
+            return list;
+        }
+
+        void
+        looseFree(std::size_t cls, FreeBlock *b)
+        {
+            loose.push(b);
+            if (loose.count == kBatch[cls]) {
+                pushFull(loose);
+                loose = {};
+            }
+        }
+    };
+    std::array<Class, kClasses> classes;
+    // Slab base pointers: keeps every slab reachable for
+    // LeakSanitizer (free-list chains are interior pointers once
+    // block 0 is handed out).
+    std::vector<void *> slabs;
+    std::uint64_t slabBytes = 0;
+
+    /** Carves a fresh slab of class @p cls into one full batch. */
+    FreeList
+    carve(std::size_t cls, FramePool::Stats &st)
+    {
+        std::size_t block = blockBytes(cls);
+        std::uint32_t blocks = kBatch[cls];
+        char *slab = static_cast<char *>(::operator new(blocks * block));
+        slabs.push_back(slab);
+        slabBytes += blocks * block;
+        FreeList list;
+        for (std::size_t i = blocks; i-- > 0;)
+            list.push(reinterpret_cast<FreeBlock *>(slab + i * block));
+        ++st.slabCarves;
+        st.slabBytes += blocks * block;
+        st.carvedBlocks += blocks;
+        return list;
+    }
+
+    /** One batch for a cache that ran dry: full, else partial, else new. */
+    FreeList
+    take(std::size_t cls, FramePool::Stats &st)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        Class &c = classes[cls];
+        if (c.full)
+            return c.popFull(cls);
+        if (c.loose.head) {
+            FreeList list = c.loose;
+            c.loose = {};
+            return list;
+        }
+        return carve(cls, st);
+    }
+
+    /** Takes back a batch of @p cls, splicing a partial one into loose. */
+    void
+    give(std::size_t cls, FreeList list)
+    {
+        if (!list.head)
+            return;
+        std::lock_guard<std::mutex> lock(mu);
+        Class &c = classes[cls];
+        if (list.count == kBatch[cls]) {
+            c.pushFull(list);
+            return;
+        }
+        while (list.head)
+            c.looseFree(cls, list.pop());
+    }
+
+    /** One block, for a thread whose cache is gone (teardown). */
+    FreeBlock *
+    takeOne(std::size_t cls, FramePool::Stats &st)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        Class &c = classes[cls];
+        if (!c.loose.head)
+            c.loose = c.full ? c.popFull(cls) : carve(cls, st);
+        return c.loose.pop();
+    }
+
+    /** Returns one block from a thread whose cache is gone. */
+    void
+    giveOne(std::size_t cls, FreeBlock *b)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        classes[cls].looseFree(cls, b);
+    }
+};
+
+Depot &
+depot()
+{
+    // Never freed, and reachable from this static for the life of the
+    // process: a frame may be released during static or thread-local
+    // teardown in any order, so the depot must outlive every frame,
+    // and LeakSanitizer sees every slab as live. The OS reclaims the
+    // slabs at process exit.
+    static Depot *d = new Depot;
+    return *d;
+}
+
+/**
+ * A thread's free blocks: per class, the list allocations pop from
+ * and at most one full spare batch. Holds at most two batches per
+ * class; the rest of a thread's frees go back to the depot, where
+ * any thread can reuse them.
+ */
+struct Cache {
+    struct Class {
+        FreeList cur;
+        FreeList spare; ///< empty or one full batch
+    };
+    std::array<Class, kClasses> classes;
+
+    ~Cache();
+};
+
+// Trivially destructible, so readable during any teardown order.
+thread_local Cache *tlsCache = nullptr;
+thread_local bool tlsCacheGone = false;
+thread_local FramePool::Stats tlsStats;
+
+Cache::~Cache()
+{
+    // Every block goes to the depot before the thread's storage does;
+    // frames this thread frees after this point bypass the cache.
+    tlsCache = nullptr;
+    tlsCacheGone = true;
+    Depot &d = depot();
+    for (std::size_t cls = 0; cls < kClasses; ++cls) {
+        d.give(cls, classes[cls].spare);
+        d.give(cls, classes[cls].cur);
+    }
+}
+
+/** The calling thread's cache; null once the thread tears it down. */
+Cache *
+cache()
+{
+    if (Cache *c = tlsCache)
+        return c;
+    if (tlsCacheGone)
+        return nullptr;
+    static thread_local Cache own;
+    tlsCache = &own;
+    return &own;
 }
 
 } // namespace
@@ -82,30 +257,28 @@ FramePool::allocate(std::size_t n)
 {
     if (n == 0)
         n = 1;
-    Arena &a = arena();
     if (VHIVE_FRAME_POOL_BYPASS || n > kMaxPooled) {
-        ++a.stats.oversized;
+        ++tlsStats.oversized;
         return ::operator new(n);
     }
     std::size_t cls = classOf(n);
-    FreeBlock *&head = a.freeLists[cls];
-    if (!head) {
-        std::size_t block = (cls + 1) * kGranule;
-        std::size_t blocks = kSlabBytes / block;
-        char *slab = static_cast<char *>(::operator new(blocks * block));
-        a.slabs.push_back(slab);
-        for (std::size_t i = blocks; i-- > 0;) {
-            auto *b = reinterpret_cast<FreeBlock *>(slab + i * block);
-            b->next = head;
-            head = b;
+    Cache *c = cache();
+    FreeBlock *b;
+    if (!c) {
+        b = depot().takeOne(cls, tlsStats);
+    } else {
+        Cache::Class &cc = c->classes[cls];
+        if (!cc.cur.head) {
+            if (cc.spare.head) {
+                cc.cur = cc.spare;
+                cc.spare = {};
+            } else {
+                cc.cur = depot().take(cls, tlsStats);
+            }
         }
-        ++a.stats.slabCarves;
-        a.stats.slabBytes += blocks * block;
-        a.stats.carvedBlocks += blocks;
+        b = cc.cur.pop();
     }
-    FreeBlock *b = head;
-    head = b->next;
-    ++a.stats.poolAllocs;
+    ++tlsStats.poolAllocs;
     return b;
 }
 
@@ -116,22 +289,40 @@ FramePool::deallocate(void *p, std::size_t n) noexcept
         return;
     if (n == 0)
         n = 1;
-    Arena &a = arena();
     if (VHIVE_FRAME_POOL_BYPASS || n > kMaxPooled) {
         ::operator delete(p);
         return;
     }
     std::size_t cls = classOf(n);
     auto *b = static_cast<FreeBlock *>(p);
-    b->next = a.freeLists[cls];
-    a.freeLists[cls] = b;
-    ++a.stats.poolFrees;
+    ++tlsStats.poolFrees;
+    Cache *c = cache();
+    if (!c) {
+        depot().giveOne(cls, b);
+        return;
+    }
+    Cache::Class &cc = c->classes[cls];
+    if (cc.cur.count == kBatch[cls]) {
+        // Both batches full: the older one goes to the depot.
+        depot().give(cls, cc.spare);
+        cc.spare = cc.cur;
+        cc.cur = {};
+    }
+    cc.cur.push(b);
 }
 
 FramePool::Stats
 FramePool::stats()
 {
-    return arena().stats;
+    return tlsStats;
+}
+
+std::uint64_t
+FramePool::processSlabBytes()
+{
+    Depot &d = depot();
+    std::lock_guard<std::mutex> lock(d.mu);
+    return d.slabBytes;
 }
 
 bool
@@ -143,9 +334,8 @@ FramePool::pooling()
 std::int64_t
 FramePool::liveFrames()
 {
-    const Stats &s = arena().stats;
-    return static_cast<std::int64_t>(s.poolAllocs) -
-           static_cast<std::int64_t>(s.poolFrees);
+    return static_cast<std::int64_t>(tlsStats.poolAllocs) -
+           static_cast<std::int64_t>(tlsStats.poolFrees);
 }
 
 } // namespace vhive::sim

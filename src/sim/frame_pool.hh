@@ -12,13 +12,22 @@
  * kMaxPooled (rare; no task in the tree comes close) fall through to
  * ::operator new.
  *
- * The arena is per-thread (simulations are single-threaded; tests may
- * run sims on several threads) and never freed so frames can be
- * released during any static/thread teardown order; a process-wide
- * list keeps every arena reachable after its thread exits, so leak
- * checkers do not report pool threads' arenas. Free lists are
- * LIFO: the most recently freed frame — still cache-hot — is reused
- * first.
+ * Frames are shared by every thread. Each thread caches at most two
+ * slab-sized batches of free blocks per class: the list it allocates
+ * from and one full spare. A free that finds both full hands the
+ * spare to a process-wide, mutex-guarded depot; an allocation that
+ * finds both empty takes a batch from the depot before it carves a
+ * new slab. A thread's cache flushes to the depot when the thread
+ * exits, and a frame that thread frees afterwards (during its own
+ * teardown) goes straight to the depot. So a parallel kernel whose
+ * frames are allocated on one pool thread and freed on another, or a
+ * fleet whose pool threads exit before the next fleet starts, reuses
+ * the same slabs instead of carving new ones per thread.
+ *
+ * The depot owns every slab and is never freed, so frames can be
+ * released during any static/thread teardown order and leak checkers
+ * see every slab as live. Free lists are LIFO: the most recently
+ * freed frame — still cache-hot — is reused first.
  */
 
 #ifndef VHIVE_SIM_FRAME_POOL_HH
@@ -44,30 +53,21 @@ class FramePool
     static void *allocate(std::size_t n);
     static void deallocate(void *p, std::size_t n) noexcept;
 
-    /** Per-thread arena counters, for tests and diagnostics. */
+    /** Per-thread counters, for tests and diagnostics. */
     struct Stats {
         std::uint64_t poolAllocs = 0;   ///< allocations served from slabs
         std::uint64_t poolFrees = 0;    ///< frames returned to free lists
-        std::uint64_t slabCarves = 0;   ///< slab refills performed
-        std::uint64_t slabBytes = 0;    ///< total bytes held in slabs
+        std::uint64_t slabCarves = 0;   ///< slabs this thread carved
+        std::uint64_t slabBytes = 0;    ///< bytes of those slabs
         std::uint64_t carvedBlocks = 0; ///< blocks ever carved fresh
         std::uint64_t oversized = 0;    ///< fell through to ::operator new
-
-        /**
-         * Lower bound on allocations recycled from freed frames: each
-         * carved block satisfies at most one allocation for free, so
-         * anything past the carved inventory must be a reuse.
-         */
-        std::uint64_t
-        reuses() const
-        {
-            return poolAllocs > carvedBlocks ? poolAllocs - carvedBlocks
-                                             : 0;
-        }
     };
 
-    /** Counters of the calling thread's arena. */
+    /** Counters of the calling thread. */
     static Stats stats();
+
+    /** Bytes of every slab carved so far, by any thread. */
+    static std::uint64_t processSlabBytes();
 
     /**
      * False when frames bypass the pool (under AddressSanitizer, so
@@ -76,7 +76,10 @@ class FramePool
      */
     static bool pooling();
 
-    /** Live pool-served frames on this thread (allocs minus frees). */
+    /**
+     * Pool allocations minus pool frees made on this thread: its live
+     * frames, when no other thread frees them.
+     */
     static std::int64_t liveFrames();
 };
 

@@ -831,6 +831,11 @@ TEST_P(RerecordMidPrefetch, InFlightStartKeepsItsRecord)
               static_cast<std::int64_t>(raced.oldPages.size()));
     EXPECT_EQ(raced.inFlight.residualFaults, quiet.inFlight.residualFaults)
         << c.label;
+    // Its waste is judged against the record it fetched, not the one
+    // the re-record published meanwhile.
+    EXPECT_GT(quiet.inFlight.wastedPrefetch, 0) << c.label;
+    EXPECT_EQ(raced.inFlight.wastedPrefetch, quiet.inFlight.wastedPrefetch)
+        << c.label;
     EXPECT_TRUE(raced.oldFreed) << c.label;
     EXPECT_FALSE(quiet.oldFreed) << c.label;
 }

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -466,6 +469,96 @@ TEST(FramePool, TeardownReturnsBlockedTaskFrames)
     // Simulation teardown destroyed the blocked frames; all of them
     // went back to the free lists.
     EXPECT_EQ(FramePool::liveFrames(), live0);
+}
+
+TEST(FramePool, ExitedThreadsFramesServeLaterThreads)
+{
+    if (!FramePool::pooling())
+        GTEST_SKIP() << "frame pool bypassed under sanitizers";
+    // Threads that run one after another, as each parallel fleet's
+    // pool threads do: an exiting thread's cached frames go back to
+    // the process-wide depot, so later threads carve no new slabs.
+    auto churnOnThread = [] {
+        std::thread t(frame_pool_test::runChurn);
+        t.join();
+    };
+    churnOnThread();
+    std::uint64_t afterOne = FramePool::processSlabBytes();
+    for (int i = 0; i < 7; ++i)
+        churnOnThread();
+    EXPECT_EQ(FramePool::processSlabBytes(), afterOne);
+}
+
+TEST(FramePool, FramesFreedOnAnotherThreadAreReused)
+{
+    if (!FramePool::pooling())
+        GTEST_SKIP() << "frame pool bypassed under sanitizers";
+    // This thread allocates a round of frames and a second thread
+    // frees them, as when a domain's frames are allocated on one pool
+    // thread and freed on another. The freeing thread keeps at most
+    // two batches and hands the rest to the depot, which refills the
+    // allocating thread: slab memory stays bounded by one round plus
+    // the caches, however many rounds run.
+    constexpr std::size_t kFrame = 192;
+    constexpr int kPerRound = 2000;
+    struct Handoff {
+        std::mutex mu;
+        std::condition_variable cv;
+        std::vector<void *> frames;
+        bool full = false; ///< frames await the freeing thread
+        bool done = false;
+    } h;
+    std::thread freer([&h] {
+        for (;;) {
+            std::vector<void *> frames;
+            {
+                std::unique_lock<std::mutex> lock(h.mu);
+                h.cv.wait(lock, [&h] { return h.full || h.done; });
+                if (!h.full)
+                    return;
+                frames.swap(h.frames);
+            }
+            for (void *p : frames)
+                FramePool::deallocate(p, kFrame);
+            {
+                std::lock_guard<std::mutex> lock(h.mu);
+                h.full = false;
+            }
+            h.cv.notify_all();
+        }
+    });
+    auto runRounds = [&h](int rounds) {
+        for (int r = 0; r < rounds; ++r) {
+            std::vector<void *> frames;
+            for (int i = 0; i < kPerRound; ++i)
+                frames.push_back(FramePool::allocate(kFrame));
+            std::unique_lock<std::mutex> lock(h.mu);
+            h.frames = std::move(frames);
+            h.full = true;
+            h.cv.notify_all();
+            h.cv.wait(lock, [&h] { return !h.full; });
+        }
+    };
+
+    std::uint64_t start = FramePool::processSlabBytes();
+    runRounds(8);
+    std::uint64_t warm = FramePool::processSlabBytes();
+    runRounds(200);
+    std::uint64_t later = FramePool::processSlabBytes();
+    {
+        std::lock_guard<std::mutex> lock(h.mu);
+        h.done = true;
+    }
+    h.cv.notify_all();
+    freer.join();
+
+    // One round, the freeing thread's two cached batches, and one
+    // slab of rounding, with a slab to spare.
+    constexpr std::uint64_t kPerSlab = FramePool::kSlabBytes / kFrame;
+    constexpr std::uint64_t kBound =
+        (kPerRound / kPerSlab + 5) * kPerSlab * kFrame;
+    EXPECT_LE(warm - start, kBound);
+    EXPECT_LE(later - start, kBound);
 }
 
 TEST(Channel, DeliversFifo)
