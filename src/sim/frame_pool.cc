@@ -303,7 +303,8 @@ FramePool::deallocate(void *p, std::size_t n) noexcept
     }
     Cache::Class &cc = c->classes[cls];
     if (cc.cur.count == kBatch[cls]) {
-        // Both batches full: the older one goes to the depot.
+        // The full list becomes the spare; a full spare it replaces
+        // goes to the depot.
         depot().give(cls, cc.spare);
         cc.spare = cc.cur;
         cc.cur = {};

@@ -561,6 +561,50 @@ TEST(FramePool, FramesFreedOnAnotherThreadAreReused)
     EXPECT_LE(later - start, kBound);
 }
 
+namespace frame_pool_test {
+
+constexpr std::size_t kLargeFrame = 4000;
+
+/** Frees its frame, and churns one more, after the frame cache is gone. */
+struct LateHolder {
+    void *frame = nullptr;
+
+    ~LateHolder()
+    {
+        FramePool::deallocate(FramePool::allocate(kLargeFrame), kLargeFrame);
+        FramePool::deallocate(frame, kLargeFrame);
+    }
+};
+
+} // namespace frame_pool_test
+
+TEST(FramePool, FramesFreedDuringThreadTeardownGoToTheDepot)
+{
+    if (!FramePool::pooling())
+        GTEST_SKIP() << "frame pool bypassed under sanitizers";
+    using frame_pool_test::kLargeFrame;
+    // A thread-local built before the thread's first frame is destroyed
+    // after the thread's frame cache: what it allocates and frees then
+    // goes through the depot, so a later thread finds those frames.
+    std::thread([] {
+        static thread_local frame_pool_test::LateHolder held;
+        held.frame = FramePool::allocate(kLargeFrame);
+    }).join();
+
+    std::uint64_t before = FramePool::processSlabBytes();
+    std::thread([] {
+        constexpr std::size_t kBlock =
+            (kLargeFrame + FramePool::kGranule - 1) / FramePool::kGranule *
+            FramePool::kGranule;
+        std::vector<void *> frames;
+        for (std::size_t i = 0; i < FramePool::kSlabBytes / kBlock; ++i)
+            frames.push_back(FramePool::allocate(kLargeFrame));
+        for (void *p : frames)
+            FramePool::deallocate(p, kLargeFrame);
+    }).join();
+    EXPECT_EQ(FramePool::processSlabBytes(), before);
+}
+
 TEST(Channel, DeliversFifo)
 {
     struct Producer {
