@@ -103,16 +103,6 @@ struct Depot {
             full = full->nextBatch;
             return list;
         }
-
-        void
-        looseFree(std::size_t cls, FreeBlock *b)
-        {
-            loose.push(b);
-            if (loose.count == kBatch[cls]) {
-                pushFull(loose);
-                loose = {};
-            }
-        }
     };
     std::array<Class, kClasses> classes;
     // Slab base pointers: keeps every slab reachable for
@@ -144,6 +134,12 @@ struct Depot {
     take(std::size_t cls, FramePool::Stats &st)
     {
         std::lock_guard<std::mutex> lock(mu);
+        return takeLocked(cls, st);
+    }
+
+    FreeList
+    takeLocked(std::size_t cls, FramePool::Stats &st)
+    {
         Class &c = classes[cls];
         if (c.full)
             return c.popFull(cls);
@@ -167,8 +163,13 @@ struct Depot {
             c.pushFull(list);
             return;
         }
-        while (list.head)
-            c.looseFree(cls, list.pop());
+        while (list.head) {
+            c.loose.push(list.pop());
+            if (c.loose.count == kBatch[cls]) {
+                c.pushFull(c.loose);
+                c.loose = {};
+            }
+        }
     }
 
     /** One block, for a thread whose cache is gone (teardown). */
@@ -178,16 +179,8 @@ struct Depot {
         std::lock_guard<std::mutex> lock(mu);
         Class &c = classes[cls];
         if (!c.loose.head)
-            c.loose = c.full ? c.popFull(cls) : carve(cls, st);
+            c.loose = takeLocked(cls, st);
         return c.loose.pop();
-    }
-
-    /** Returns one block from a thread whose cache is gone. */
-    void
-    giveOne(std::size_t cls, FreeBlock *b)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        classes[cls].looseFree(cls, b);
     }
 };
 
@@ -298,7 +291,9 @@ FramePool::deallocate(void *p, std::size_t n) noexcept
     ++tlsStats.poolFrees;
     Cache *c = cache();
     if (!c) {
-        depot().giveOne(cls, b);
+        FreeList one;
+        one.push(b);
+        depot().give(cls, one);
         return;
     }
     Cache::Class &cc = c->classes[cls];
