@@ -121,7 +121,7 @@ TraceFileCodec::encode(const WorkingSetRecord &record)
 {
     std::vector<std::uint8_t> out;
     out.reserve(static_cast<size_t>(encodedSize(record)));
-    out.insert(out.end(), kMagic.begin(), kMagic.end());
+    out.assign(kMagic.begin(), kMagic.end());
     putVarint(out, static_cast<std::uint64_t>(record.pages.size()));
     std::int64_t prev = 0;
     for (std::int64_t p : record.pages) {

@@ -1,63 +1,49 @@
 /**
  * @file
- * KernelQueue: the pending-event queue for the DES kernel, now four
- * levels deep.
+ * KernelQueue: the two-level pending-event queue for the DES kernel.
  *
  * The dominant scheduling pattern in this codebase is a wakeup at the
  * *current* timestamp: every Channel::send handoff, Gate::openGate,
  * Semaphore::release and Simulation::spawn resumes a coroutine at
  * sim.now(). A binary heap pays O(log n) sift plus Event copies for
- * each of those. Fleet-scale runs add a second pattern: tens of
- * thousands of *future* events (per-page fault completions, stream
- * waits, arrival timers) pending at once, where a single heap degrades
- * to deep sifts. The queue splits the work by destination time:
+ * each of those; this queue splits the work by destination time:
  *
  *  - level 1, the "now ring": a FIFO ring buffer holding events
  *    scheduled at the current timestamp. Push and pop are O(1); FIFO
  *    order is exactly ascending-seq order because seq is globally
  *    monotonic.
- *  - level 2, the "near" heap: a binary min-heap on (when, seq)
- *    holding future events in the current wheel granule (16.4 us of
- *    simulated time). Sifts stay shallow because only one granule's
- *    worth of events lives here.
- *  - level 3, the timing wheel: 4096 slots of 2^14 ns each (~67 ms of
- *    horizon). A future event beyond the near granule lands in its
- *    slot with an O(1) append; a 64-word occupancy bitmap finds the
- *    next populated slot with a handful of word scans when the near
- *    heap drains.
- *  - level 4, the "far" heap: a (when, seq) min-heap for events past
- *    the wheel horizon (keep-alive timers, arrival gaps). These are
- *    rare and migrate into the wheel as the clock approaches them.
+ *  - level 2, the future heap: a binary min-heap on (when, seq) for
+ *    events scheduled past the clock, driven by std::push_heap /
+ *    std::pop_heap.
+ *
+ * Why two levels suffice: future traffic is shallow. Measured over
+ * every Simulation of the three bench/e2e workloads (seed 1), the
+ * largest future heap ever held was 42 events on host-reap-burst, 190
+ * on fleet-tiered-t2 and 256 on fleet-dedup-burst, and the mean depth
+ * at push, the pushed event included, was 2-12. A heap that small
+ * sifts in a few compares. Bucketed levels (a timing wheel) would add
+ * code and fixed per-Simulation storage, which the parallel kernel
+ * pays once per domain, to speed up sifts that are already short.
  *
  * Determinism contract (the golden-trace referee): pop() returns the
  * pending event with the lexicographically smallest (when, seq), so
  * equal-timestamp events drain in exact schedule (FIFO) order no
  * matter which level they landed in. The clock can only advance when
  * the ring is empty, which preserves the ring invariant that all its
- * entries share the current timestamp. Level assignment is pure
- * bookkeeping — the pop order is identical to a single (when, seq)
- * heap, which tests/test_properties.cc checks against a reference heap
- * under random schedules.
- *
- * Key invariant: whenever any future event is pending, the near heap
- * is non-empty and holds the globally smallest (when, seq) future
- * event, so nextWhen() and pop() never scan the wheel. This is
- * maintained eagerly: popNear() refills from the wheel/far heap the
- * moment the near heap drains.
+ * entries share the current timestamp. tests/test_properties.cc
+ * checks the pop order against a reference heap under random
+ * schedules.
  */
 
 #ifndef VHIVE_SIM_EVENT_QUEUE_HH
 #define VHIVE_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <vector>
 
 #include "sim/small_ring.hh"
-#include "util/logging.hh"
 #include "util/units.hh"
 
 namespace vhive::sim {
@@ -72,23 +58,24 @@ struct Event {
 class KernelQueue
 {
   public:
-    bool empty() const { return ring.empty() && future == 0; }
+    bool empty() const { return ring.empty() && heap.empty(); }
 
-    std::size_t size() const { return ring.size() + future; }
+    std::size_t size() const { return ring.size() + heap.size(); }
 
     /**
      * Enqueue a resumption. @p now is the simulation clock: events for
-     * the current instant take the O(1) ring, later ones the wheel
-     * hierarchy.
+     * the current instant take the O(1) ring, later ones the heap.
      */
     void
     push(Time when, std::uint64_t seq, std::coroutine_handle<> h,
          Time now)
     {
-        if (when == now)
+        if (when == now) {
             ring.pushBack(Event{when, seq, h});
-        else
-            pushFuture(Event{when, seq, h});
+        } else {
+            heap.push_back(Event{when, seq, h});
+            std::push_heap(heap.begin(), heap.end(), After{});
+        }
     }
 
     /** Timestamp of the next pending event. Requires !empty(). */
@@ -97,7 +84,7 @@ class KernelQueue
     {
         // Ring entries sit at the current instant, so when both levels
         // are populated the ring's timestamp is never later.
-        return ring.empty() ? near.front().when : ring.front().when;
+        return ring.empty() ? heap.front().when : ring.front().when;
     }
 
     /** Dequeue the event with the smallest (when, seq). */
@@ -105,14 +92,12 @@ class KernelQueue
     pop()
     {
         if (ring.empty())
-            return popNear();
-        if (future > 0) {
-            const Event &n = near.front();
-            const Event &r = ring.front();
-            if (n.when < r.when ||
-                (n.when == r.when && n.seq < r.seq))
-                return popNear();
-        }
+            return popHeap();
+        // A heap event due at the ring's instant was scheduled before
+        // the clock reached it, so it may carry a smaller seq.
+        if (!heap.empty() && heap.front().when == ring.front().when &&
+            heap.front().seq < ring.front().seq)
+            return popHeap();
         return ring.popFront();
     }
 
@@ -128,186 +113,20 @@ class KernelQueue
         }
     };
 
-    /** log2 of the wheel granule: 2^14 ns = 16.384 us per slot. */
-    static constexpr int kGranuleBits = 14;
-
-    /** log2 of the slot count: 4096 slots, ~67 ms of horizon. */
-    static constexpr int kWheelBits = 12;
-
-    static constexpr std::size_t kSlots = std::size_t{1} << kWheelBits;
-
-    static constexpr Time
-    granuleOf(Time t)
-    {
-        return t >> kGranuleBits;
-    }
-
-    /**
-     * File a future event in the right level. Slot invariant: every
-     * event in slot (g & mask) has granule g with
-     * nearG < g <= nearG + kSlots, so a slot never mixes granules.
-     *
-     * The near-heap case is the hot path (nearly every future event in
-     * steady state); the wheel/far filing lives in pushBeyondNear so
-     * this body stays small enough to inline into schedule().
-     */
-    void
-    pushFuture(Event ev)
-    {
-        Time g = granuleOf(ev.when);
-        if (future > 0 && g <= nearG) [[likely]] {
-            ++future;
-            near.push_back(ev);
-            std::push_heap(near.begin(), near.end(), After{});
-            return;
-        }
-        pushBeyondNear(ev, g);
-    }
-
-    [[gnu::noinline]] void
-    pushBeyondNear(Event ev, Time g)
-    {
-        if (future == 0) {
-            // Wheel and far heap are empty; (re)anchor the near level.
-            nearG = g;
-            near.push_back(ev);
-            future = 1;
-            return;
-        }
-        ++future;
-        if (g - nearG <= static_cast<Time>(kSlots)) {
-            std::size_t idx = static_cast<std::size_t>(g) & (kSlots - 1);
-            slots[idx].push_back(ev);
-            occupied[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-            ++wheelCount;
-        } else {
-            far.push_back(ev);
-            std::push_heap(far.begin(), far.end(), After{});
-        }
-    }
-
     Event
-    popNear()
+    popHeap()
     {
-        std::pop_heap(near.begin(), near.end(), After{});
-        Event top = near.back();
-        near.pop_back();
-        --future;
-        if (near.empty() && future > 0) [[unlikely]]
-            refillNear();
+        std::pop_heap(heap.begin(), heap.end(), After{});
+        Event top = heap.back();
+        heap.pop_back();
         return top;
     }
 
-    /**
-     * The near heap drained but later events remain: advance the
-     * anchor to the next populated granule and bulk-load it.
-     */
-    [[gnu::noinline]] void
-    refillNear()
-    {
-        if (wheelCount > 0) {
-            Time g = nextOccupiedGranule();
-            std::size_t idx = static_cast<std::size_t>(g) & (kSlots - 1);
-            // Swap the slot's storage in wholesale; the slot inherits
-            // the near vector's capacity for reuse.
-            near.swap(slots[idx]);
-            occupied[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-            wheelCount -= static_cast<std::int64_t>(near.size());
-            std::make_heap(near.begin(), near.end(), After{});
-            nearG = g;
-        } else {
-            // Everything pending lives past the wheel horizon.
-            VHIVE_ASSERT(!far.empty());
-            nearG = granuleOf(far.front().when);
-        }
-        // Far events now inside the (moved) wheel horizon migrate in;
-        // ones landing exactly on the new anchor granule join the near
-        // heap directly.
-        while (!far.empty() &&
-               granuleOf(far.front().when) - nearG <=
-                   static_cast<Time>(kSlots)) {
-            std::pop_heap(far.begin(), far.end(), After{});
-            Event ev = far.back();
-            far.pop_back();
-            Time g = granuleOf(ev.when);
-            if (g == nearG) {
-                near.push_back(ev);
-                std::push_heap(near.begin(), near.end(), After{});
-            } else {
-                std::size_t idx =
-                    static_cast<std::size_t>(g) & (kSlots - 1);
-                slots[idx].push_back(ev);
-                occupied[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-                ++wheelCount;
-            }
-        }
-        VHIVE_ASSERT(!near.empty());
-    }
-
-    /**
-     * Smallest granule > nearG with a populated wheel slot, found by
-     * scanning the occupancy bitmap circularly from the anchor.
-     * Requires wheelCount > 0.
-     */
-    Time
-    nextOccupiedGranule() const
-    {
-        std::size_t start =
-            (static_cast<std::size_t>(nearG) + 1) & (kSlots - 1);
-        std::size_t word = start >> 6;
-        std::uint64_t mask = ~std::uint64_t{0} << (start & 63);
-        for (std::size_t scanned = 0; scanned <= kWords; ++scanned) {
-            std::uint64_t bits = occupied[word] & mask;
-            if (bits) {
-                std::size_t idx =
-                    (word << 6) +
-                    static_cast<std::size_t>(std::countr_zero(bits));
-                // Distance from the anchor slot, circularly; the
-                // occupied granule is nearG + distance.
-                std::size_t dist =
-                    (idx - (static_cast<std::size_t>(nearG) &
-                            (kSlots - 1))) &
-                    (kSlots - 1);
-                return nearG + static_cast<Time>(dist ? dist : kSlots);
-            }
-            word = (word + 1) & (kWords - 1);
-            mask = ~std::uint64_t{0};
-        }
-        panic("timing wheel bitmap empty with wheelCount > 0");
-    }
-
-    static constexpr std::size_t kWords = kSlots / 64;
-
-    // Hot fields first: push/pop touch ring, near, nearG and future on
-    // every call; keeping them on the leading cache lines matters
-    // because the slot array below pushes everything after it ~96 KiB
-    // out.
     SmallRing<Event, 64> ring;
 
-    /** Future events in the anchor granule; min-heap on (when, seq). */
-    std::vector<Event> near;
-
-    /** Granule the near heap covers (valid while future > 0). */
-    Time nearG = 0;
-
-    /** Total future events across near + wheel + far. */
-    std::int64_t future = 0;
-
-    /** Events currently filed in wheel slots. */
-    std::int64_t wheelCount = 0;
-
-    /** Events past the wheel horizon; min-heap on (when, seq). */
-    std::vector<Event> far;
-
-    /** Occupancy bitmap over slots, one bit per slot. */
-    std::array<std::uint64_t, kWords> occupied{};
-
-    /** Wheel slots for granules in (nearG, nearG + kSlots]. */
-    std::array<std::vector<Event>, kSlots> slots;
+    /** Events past the current instant; min-heap on (when, seq). */
+    std::vector<Event> heap;
 };
-
-/** Historical name from the pre-wheel two-level queue. */
-using EventQueue = KernelQueue;
 
 } // namespace vhive::sim
 

@@ -123,7 +123,6 @@ struct Depot {
         FreeList list;
         for (std::size_t i = blocks; i-- > 0;)
             list.push(reinterpret_cast<FreeBlock *>(slab + i * block));
-        ++st.slabCarves;
         st.slabBytes += blocks * block;
         st.carvedBlocks += blocks;
         return list;
@@ -250,10 +249,8 @@ FramePool::allocate(std::size_t n)
 {
     if (n == 0)
         n = 1;
-    if (VHIVE_FRAME_POOL_BYPASS || n > kMaxPooled) {
-        ++tlsStats.oversized;
+    if (VHIVE_FRAME_POOL_BYPASS || n > kMaxPooled)
         return ::operator new(n);
-    }
     std::size_t cls = classOf(n);
     Cache *c = cache();
     FreeBlock *b;

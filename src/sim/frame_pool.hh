@@ -57,10 +57,8 @@ class FramePool
     struct Stats {
         std::uint64_t poolAllocs = 0;   ///< allocations served from slabs
         std::uint64_t poolFrees = 0;    ///< frames returned to free lists
-        std::uint64_t slabCarves = 0;   ///< slabs this thread carved
-        std::uint64_t slabBytes = 0;    ///< bytes of those slabs
+        std::uint64_t slabBytes = 0;    ///< bytes of slabs this thread carved
         std::uint64_t carvedBlocks = 0; ///< blocks ever carved fresh
-        std::uint64_t oversized = 0;    ///< fell through to ::operator new
     };
 
     /** Counters of the calling thread. */

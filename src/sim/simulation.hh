@@ -9,11 +9,13 @@
  *
  * Hot-path design (see event_queue.hh and frame_pool.hh for the two
  * main pieces): same-timestamp wakeups go through an O(1) FIFO ring,
- * future events through a timing-wheel hierarchy (near heap, 4096-slot
- * wheel, far heap) that pops in exact (when, seq) order; coroutine
- * frames come from slab-backed free lists; and detached tasks sit on
- * an intrusive list threaded through their promises, so
- * spawn/complete never hashes or allocates registry nodes.
+ * future events through one (when, seq) binary heap, which stays a
+ * few hundred events deep at most on the fleet workloads; pop takes
+ * the smaller head of the two, so events drain in exact (when, seq)
+ * order. Coroutine frames come from slab-backed free lists, and
+ * detached tasks sit on an intrusive list threaded through their
+ * promises, so spawn/complete never hashes or allocates registry
+ * nodes.
  */
 
 #ifndef VHIVE_SIM_SIMULATION_HH

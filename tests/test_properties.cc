@@ -15,9 +15,9 @@
  *  P8  The WS-file/trace-file pair round-trips through the codec.
  *  P9  The DES kernel drains random schedule() interleavings in exact
  *      (when, seq) FIFO order through the two-level event queue.
- *  P10 The timing-wheel queue (now-ring / near heap / wheel / far
- *      heap) pops in exactly the order a flat reference heap does,
- *      for random schedules spanning every level's time range.
+ *  P10 The two-level queue (now-ring / future heap) pops in exactly
+ *      the order a flat reference heap does, for random schedules
+ *      spanning nanoseconds to seconds.
  *  P11 Class profile generators stay inside their declared envelope
  *      for every (seed, index), are bit-deterministic, and Generic
  *      cycles the FunctionBench pool unchanged.
@@ -408,11 +408,11 @@ TEST_P(KernelQueue, RunUntilHonorsWhenSeqOrderAcrossResumes)
 TEST_P(KernelQueue, WheelMatchesReferenceHeapUnderRandomSchedules)
 {
     // P10: drive sim::KernelQueue directly (null handles; pop never
-    // resumes) against a flat (when, seq) min-heap. Deltas are drawn
-    // from every level's range — 0 (now-ring), within the near granule
-    // (16.4 us), across the wheel span (~67 ms, including exact slot
-    // multiples), and beyond it (far heap) — interleaved with drains
-    // that advance the clock and force refills/re-anchors.
+    // resumes) against a flat (when, seq) min-heap. Deltas range from
+    // 0 (now-ring) through microseconds and milliseconds to seconds
+    // (future heap), plus exact multiples of 2^14 ns that stack many
+    // events on one timestamp, interleaved with drains that advance
+    // the clock.
     Rng rng(GetParam() ^ 0x3e17ull);
     sim::KernelQueue q;
     using Ref = std::pair<Time, std::uint64_t>;
@@ -447,16 +447,16 @@ TEST_P(KernelQueue, WheelMatchesReferenceHeapUnderRandomSchedules)
             case 0:
                 break; // now-ring
             case 1:
-                d = rng.uniformInt(1, usec(16)); // near heap
+                d = rng.uniformInt(1, usec(16)); // microseconds
                 break;
             case 2:
-                d = rng.uniformInt(1, msec(60)); // wheel slots
+                d = rng.uniformInt(1, msec(60)); // milliseconds
                 break;
             case 3:
-                d = rng.uniformInt(1, sec(5)); // far heap
+                d = rng.uniformInt(1, sec(5)); // seconds
                 break;
             default:
-                // Exact granule multiples probe slot boundaries.
+                // Coarse multiples collide on equal timestamps.
                 d = rng.uniformInt(0, 100) * Duration{1 << 14};
                 break;
             }

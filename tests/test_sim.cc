@@ -60,6 +60,16 @@ TEST(Simulation, SameTimestampIsFifo)
         EXPECT_EQ(log[i], i);
 }
 
+TEST(Simulation, StaysSmall)
+{
+    // The parallel kernel builds one Simulation per domain (one per
+    // worker plus the store shards), so fixed per-Simulation arrays
+    // multiply with fleet size: a 4096-slot timing wheel once made
+    // each one ~98 KiB before it scheduled anything. Queue storage
+    // beyond the inline now-ring must grow with pending events only.
+    static_assert(sizeof(Simulation) <= 4096);
+}
+
 TEST(Simulation, ZeroDelayCompletesInline)
 {
     Simulation sim;
