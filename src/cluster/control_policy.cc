@@ -6,6 +6,25 @@
 
 namespace vhive::cluster {
 
+namespace {
+
+// Constants of the predictive policies (HybridHistogram, Oracle).
+
+/** Pre-warm this far ahead of the predicted window start. */
+constexpr Duration kPreWarmLead = sec(4);
+/** Prefetch chunks when the window is within this horizon. */
+constexpr Duration kPrefetchHorizon = sec(30);
+/** Histogram needs this many gaps before it predicts. */
+constexpr std::int64_t kMinSamples = 3;
+/** OOB fallback when [p5,p99] spans more than this many buckets. */
+constexpr int kSpreadLimit = 6;
+/** OOB fallback: keep the function warm this long after use. */
+constexpr Duration kFallbackKeepAlive = sec(120);
+/** Hold scale-downs while cold p99 exceeds this (ms). */
+constexpr double kScaleTargetP99Ms = 1000.0;
+
+} // namespace
+
 const char *
 controlPolicyName(ControlPolicyKind kind)
 {
@@ -140,11 +159,11 @@ HybridHistogramPolicy::tick(const ControlTickContext &ctx,
         if (v.idleInstances > 0 || v.warming)
             continue;
 
-        if (s.hist.count() < params.minSamples ||
-            s.hist.outOfBounds(params.spreadLimit)) {
+        if (s.hist.count() < kMinSamples ||
+            s.hist.outOfBounds(kSpreadLimit)) {
             // Out-of-bounds fallback: too little or too scattered a
             // history to predict from — plain bounded keep-alive.
-            if (ctx.now - s.lastArrival <= params.fallbackKeepAlive) {
+            if (ctx.now - s.lastArrival <= kFallbackKeepAlive) {
                 ControlAction a;
                 a.kind = ControlAction::Kind::PreWarm;
                 a.function = v.name;
@@ -159,13 +178,13 @@ HybridHistogramPolicy::tick(const ControlTickContext &ctx,
         Time wEnd = s.lastArrival + s.hist.percentileGap(99.0);
         if (ctx.now > wEnd)
             continue; // prediction missed; wait for the next arrival
-        if (wStart - ctx.now <= params.preWarmLead) {
+        if (wStart - ctx.now <= kPreWarmLead) {
             ControlAction a;
             a.kind = ControlAction::Kind::PreWarm;
             a.function = v.name;
             a.worker = v.homeWorker;
             out.push_back(std::move(a));
-        } else if (wStart - ctx.now <= params.prefetchHorizon &&
+        } else if (wStart - ctx.now <= kPrefetchHorizon &&
                    v.homeChunkResidency < 1.0 &&
                    s.prefetchedFor != wStart) {
             s.prefetchedFor = wStart;
@@ -182,7 +201,7 @@ HybridHistogramPolicy::tick(const ControlTickContext &ctx,
     // colds are still landing, hold the janitor's scale-downs.
     std::int64_t delta = ctx.coldStarts - lastColdStarts;
     lastColdStarts = ctx.coldStarts;
-    if (delta > 0 && ctx.coldP99Ms > params.scaleTargetP99Ms) {
+    if (delta > 0 && ctx.coldP99Ms > kScaleTargetP99Ms) {
         ControlAction a;
         a.kind = ControlAction::Kind::ScaleHint;
         a.hint = 1;
@@ -224,13 +243,13 @@ OraclePolicy::tick(const ControlTickContext &ctx,
         if (v.idleInstances > 0 || v.warming)
             continue;
         Time next = epoch + s.offsets[s.cursor];
-        if (next - ctx.now <= params.preWarmLead) {
+        if (next - ctx.now <= kPreWarmLead) {
             ControlAction a;
             a.kind = ControlAction::Kind::PreWarm;
             a.function = v.name;
             a.worker = v.homeWorker;
             out.push_back(std::move(a));
-        } else if (next - ctx.now <= params.prefetchHorizon &&
+        } else if (next - ctx.now <= kPrefetchHorizon &&
                    v.homeChunkResidency < 1.0 &&
                    s.prefetchedFor != next) {
             s.prefetchedFor = next;

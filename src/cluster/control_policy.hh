@@ -153,23 +153,6 @@ class InterarrivalHistogram
     std::int64_t total = 0;
 };
 
-/** Tunables shared by the predictive policies. */
-struct ControlPolicyParams
-{
-    /** Pre-warm this far ahead of the predicted window start. */
-    Duration preWarmLead = sec(4);
-    /** Prefetch chunks when the window is within this horizon. */
-    Duration prefetchHorizon = sec(30);
-    /** Histogram needs this many gaps before it predicts. */
-    std::int64_t minSamples = 3;
-    /** OOB fallback when [p5,p99] spans more than this many buckets. */
-    int spreadLimit = 6;
-    /** OOB fallback: keep the function warm this long after use. */
-    Duration fallbackKeepAlive = sec(120);
-    /** Hold scale-downs while cold p99 exceeds this (ms). */
-    double scaleTargetP99Ms = 1000.0;
-};
-
 class ControlPolicy
 {
   public:
@@ -212,11 +195,6 @@ class NaiveKeepAlivePolicy final : public ControlPolicy
 class HybridHistogramPolicy final : public ControlPolicy
 {
   public:
-    explicit HybridHistogramPolicy(ControlPolicyParams p = {})
-        : params(p)
-    {
-    }
-
     const char *name() const override { return "hybrid-histogram"; }
     void noteArrival(const std::string &fn, Time now) override;
     void tick(const ControlTickContext &ctx,
@@ -232,7 +210,6 @@ class HybridHistogramPolicy final : public ControlPolicy
         Time prefetchedFor = -1;
     };
 
-    ControlPolicyParams params;
     std::map<std::string, FnState> fns;
     std::int64_t lastColdStarts = 0;
 };
@@ -240,8 +217,6 @@ class HybridHistogramPolicy final : public ControlPolicy
 class OraclePolicy final : public ControlPolicy
 {
   public:
-    explicit OraclePolicy(ControlPolicyParams p = {}) : params(p) {}
-
     const char *name() const override { return "oracle"; }
 
     /**
@@ -266,7 +241,6 @@ class OraclePolicy final : public ControlPolicy
         Time prefetchedFor = -1;
     };
 
-    ControlPolicyParams params;
     Time epoch = 0;
     std::map<std::string, FnSchedule> fns;
 };

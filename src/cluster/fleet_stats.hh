@@ -361,7 +361,6 @@ struct FleetStats
 
     double coldP50() const { return coldE2eMs.percentile(50); }
     double coldP99() const { return coldE2eMs.percentile(99); }
-    double coldP999() const { return coldE2eMs.percentile(99.9); }
 
     /**
      * FNV-1a fingerprint over ParallelFleet's simulated quantities

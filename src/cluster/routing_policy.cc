@@ -83,7 +83,7 @@ LocalityHashPolicy::route(const RouteContext &ctx)
         double best_score = 0.0;
         for (int k = 0; k < n; ++k) {
             int w = (home + k) % n;
-            if (fleet.inFlight(w) >= spillInFlight)
+            if (fleet.inFlight(w) >= kSpillInFlight)
                 continue;
             double score =
                 overlapWeight * fleet.chunkResidency(w, ctx.name) -
@@ -101,7 +101,7 @@ LocalityHashPolicy::route(const RouteContext &ctx)
     // concentrate, spill along the ring only past saturated workers.
     for (int k = 0; k < n; ++k) {
         int w = (home + k) % n;
-        if (fleet.inFlight(w) < spillInFlight)
+        if (fleet.inFlight(w) < kSpillInFlight)
             return w;
     }
     return home;

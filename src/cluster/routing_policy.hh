@@ -129,16 +129,6 @@ class LeastLoadedPolicy final : public RoutingPolicy
 class LocalityHashPolicy final : public RoutingPolicy
 {
   public:
-    /**
-     * @param spill_in_flight In-flight invocations at which a worker
-     * counts as saturated and the cold start spills to the next ring
-     * position.
-     */
-    explicit LocalityHashPolicy(std::int64_t spill_in_flight = 8)
-        : spillInFlight(spill_in_flight)
-    {
-    }
-
     const char *name() const override { return "locality-hash"; }
     int route(const RouteContext &ctx) override;
 
@@ -157,7 +147,12 @@ class LocalityHashPolicy final : public RoutingPolicy
     static int homeWorker(const std::string &name, int workers);
 
   private:
-    std::int64_t spillInFlight;
+    /**
+     * In-flight invocations at which a worker counts as saturated and
+     * the cold start spills to the next ring position.
+     */
+    static constexpr std::int64_t kSpillInFlight = 8;
+
     double overlapWeight = 0.0;
 };
 

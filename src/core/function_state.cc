@@ -42,11 +42,8 @@ ensureManifests(FunctionState &st, const ReapOptions &reap,
         vmm::ChunkingModel model;
         model.chunkBytes = reap.chunkBytes;
         model.compression = reap.chunkCompression;
-        model.compressRatio = reap.chunkCompressRatio;
         model.crossFunctionDupRatio = reap.chunkDupRatio;
-        model.sharedPoolBytes = reap.chunkSharedPoolBytes;
         model.recordVersion = std::max<std::int64_t>(st.recordVersion, 1);
-        model.rerecordChurn = reap.rerecordChurn;
         // Same minimum sizing as ensureArtifactFiles so the chunked
         // and blob transfer paths describe identical artifact bytes.
         Bytes ws_bytes =

@@ -183,7 +183,7 @@ struct FunctionState
     /**
      * Monotonic record version: 1 after the first record phase,
      * incremented by every re-record. Salts the content identity of
-     * function-unique chunks (ReapOptions::rerecordChurn), so a
+     * function-unique chunks (vmm::ChunkingModel::rerecordChurn), so a
      * re-recorded working set shares most — but not all — chunks with
      * its predecessor. Version <= 1 produces bit-identical manifests
      * to builds that never re-record.

@@ -11,6 +11,9 @@ namespace vhive::core::loader {
 
 namespace {
 
+/** Per-page cost of the Sec. 7.3 layout re-randomization rewrite. */
+constexpr Duration kRerandomizePerPage = 900 * kNanosecond;
+
 /** Copy the serve-phase results into the breakdown. */
 void
 noteServe(LatencyBreakdown &bd, const vmm::InvocationBreakdown &res)
@@ -162,7 +165,7 @@ PrefetchLoader::fetchWs(LoadContext &ctx,
                         Duration *out)
 {
     (void)ctx;
-    co_await pipeline.fetchContiguousTimed(0, len, out);
+    co_await pipeline.fetchContiguous(0, len, out);
 }
 
 sim::Task<void>
@@ -177,8 +180,7 @@ PrefetchLoader::installWorkingSet(LoadContext &ctx,
     if (ctx.reap.rerandomizeLayout) {
         // Sec. 7.3: rewrite guest page tables so each clone gets a
         // fresh layout; proportional one-time install cost.
-        co_await ctx.sim.delay(ctx.reap.rerandomizePerPage *
-                               rec.pageCount());
+        co_await ctx.sim.delay(kRerandomizePerPage * rec.pageCount());
         ++st.stats.layoutRerandomizations;
     }
     // installRange is idempotent and order-free, so the record's
@@ -371,7 +373,7 @@ chunkSource(const LoadContext &ctx,
     VHIVE_ASSERT(ctx.st.manifests != nullptr);
     auto src = std::make_unique<mem::ChunkPageSource>(
         ctx.sim, ctx.artifactStore, (*ctx.st.manifests).*artifact,
-        &ctx.localChunks, chunkParams(ctx.reap), &ctx.chunkFlights,
+        &ctx.localChunks, &ctx.chunkFlights,
         artifactKey(ctx.st.profile.name).scope);
     // An invalidateRecord() or re-record while this cold start is in
     // flight drops the function's manifests; the source must outlive
@@ -424,16 +426,6 @@ artifactKey(const std::string &function)
 {
     std::uint64_t h = net::placementScope(function);
     return {h, h};
-}
-
-mem::ChunkSourceParams
-chunkParams(const ReapOptions &reap)
-{
-    mem::ChunkSourceParams p;
-    p.decompressBandwidth = reap.chunkDecompressBandwidth;
-    p.perChunkDecompress = reap.chunkDecompressOverhead;
-    p.batchChunks = reap.chunkBatch;
-    return p;
 }
 
 TieredLoader::TieredLoader(ColdStartMode mode, TieredPreset preset)
@@ -494,17 +486,15 @@ TieredLoader::makeSource(LoadContext &ctx) const
     // is paid once per miss range. O_DIRECT SSD serves must never
     // admit into the page cache.
     std::function<sim::Task<void>(Bytes, Bytes)> cacheAdmit, ssdAdmit;
-    if (ctx.reap.tieredAdmitOnMiss) {
-        auto admitLocal = [fs, ws, tb, simp](Bytes off, Bytes len) {
-            if (tb != nullptr)
-                tb->admitted(ws, off, len, simp->now());
-            return fs->writeBuffered(ws, off, len);
-        };
-        if (ctx.reap.tieredLocalTier)
-            ssdAdmit = admitLocal;
-        else
-            cacheAdmit = admitLocal;
-    }
+    auto admitLocal = [fs, ws, tb, simp](Bytes off, Bytes len) {
+        if (tb != nullptr)
+            tb->admitted(ws, off, len, simp->now());
+        return fs->writeBuffered(ws, off, len);
+    };
+    if (ctx.reap.tieredLocalTier)
+        ssdAdmit = admitLocal;
+    else
+        cacheAdmit = admitLocal;
 
     if (ctx.reap.tieredPageCacheTier) {
         std::function<void(Bytes, Bytes)> onServe;
@@ -630,15 +620,15 @@ TieredLoader::fetchWs(LoadContext &ctx, mem::PageFetchPipeline &pipeline,
                       Bytes len, Duration *out)
 {
     if (preset.priority == Priority::Background) {
-        co_await pipeline.fetchBackgroundTimed(0, len, ctx.reap.bgWarmPace,
-                                               out);
+        co_await pipeline.fetchBackground(0, len, kBackgroundWarmPace,
+                                          out);
     } else {
         // With no tier to admit into, the WS arrives as one bulk GET
         // (a window of -1 is the contiguous shape).
         Bytes window =
             preset.tiers == Tiers::None ? -1 : ctx.reap.tieredWindowBytes;
-        co_await pipeline.fetchWindowedTimed(0, len, window,
-                                             ctx.reap.tieredInFlight, out);
+        co_await pipeline.fetchWindowed(0, len, window,
+                                        ctx.reap.tieredInFlight, out);
     }
 
     // The worker holds a complete local copy only when admission put
@@ -648,8 +638,7 @@ TieredLoader::fetchWs(LoadContext &ctx, mem::PageFetchPipeline &pipeline,
     // SSD copy an earlier eviction may have dropped, and under
     // admit-on-N-hits a remote serve below the threshold admits
     // nothing at all.
-    if (ctx.st.artifactsLocal || !ctx.reap.tieredAdmitOnMiss ||
-        !ctx.reap.tieredLocalTier)
+    if (ctx.st.artifactsLocal || !ctx.reap.tieredLocalTier)
         co_return;
     bool remote_all = false;
     Bytes admitted = 0;

@@ -179,8 +179,8 @@ class ReapLoader final : public PrefetchLoader
  *
  * Priority: Foreground fetches tieredInFlight windows of
  * tieredWindowBytes at once; Background (Sec. 6.3 warming) keeps one
- * AIMD-sized window in flight, paced by bgWarmPace, so warming yields
- * the fabric to foreground cold starts.
+ * AIMD-sized window in flight, paced by kBackgroundWarmPace, so
+ * warming yields the fabric to foreground cold starts.
  */
 struct TieredPreset
 {
@@ -192,6 +192,13 @@ struct TieredPreset
     Backstop backstop;
     Priority priority;
 };
+
+/**
+ * Pause between background-warm fetch windows (and between chunk
+ * batches of a background chunk prefetch): the pacing that keeps
+ * warming traffic from competing with foreground cold starts.
+ */
+constexpr Duration kBackgroundWarmPace = msec(1);
 
 /** Register one TieredLoader per remote preset. */
 void registerTieredLoaders(LoaderRegistry &registry);
@@ -220,9 +227,6 @@ ColdStartMode preWarmModeFor(ColdStartMode mode);
  * overlap-aware co-location. Unsharded stores ignore it.
  */
 net::PlacementKey artifactKey(const std::string &function);
-
-/** Client-side chunk transfer costs from the ReapOptions knobs. */
-mem::ChunkSourceParams chunkParams(const ReapOptions &reap);
 
 /**
  * The Sec. 7.1 remote cold-start family as one loader: REAP with the

@@ -47,7 +47,7 @@ struct LoadContext
     net::ObjectStore &objectStore;
     const func::TraceGenerator &gen;
     const vmm::VmmParams &vmmParams;
-    ReapOptions &reap;
+    const ReapOptions &reap;
     const mem::UffdParams &uffdParams;
     FunctionState &st;
     Instance &inst;
@@ -158,9 +158,6 @@ class LoaderRegistry
      * has no working-set record yet.
      */
     SnapshotLoader &recordLoader() const { return *_recordLoader; }
-
-    /** Replace the record-phase loader. */
-    void setRecordLoader(std::unique_ptr<SnapshotLoader> loader);
 
     /** All registered modes, in enum order. */
     std::vector<ColdStartMode> modes() const;

@@ -52,12 +52,6 @@ class Monitor
     /** Opened when the loop has exited (safe-teardown handshake). */
     sim::Gate &doneGate() { return done; }
 
-    /** Faults served so far (excludes the shutdown sentinel). */
-    std::int64_t servedFaults() const { return _servedFaults; }
-
-    /** Pages installed on demand by this monitor. */
-    std::int64_t servedPages() const { return _servedPages; }
-
     /**
      * Record-mode output, moved out: pages in first-fault order. Later
      * faults on this instance start an empty record no one reads.
@@ -75,8 +69,6 @@ class Monitor
     Mode _mode;
     sim::Gate done;
     WorkingSetRecord record;
-    std::int64_t _servedFaults = 0;
-    std::int64_t _servedPages = 0;
 };
 
 } // namespace vhive::core

@@ -154,9 +154,6 @@ struct ReapOptions
      */
     bool rerandomizeLayout = false;
 
-    /** Per-page cost of the layout re-randomization rewrite. */
-    Duration rerandomizePerPage = static_cast<Duration>(900);
-
     // ------------------------------------------------ TieredReap knobs
 
     /** Include the page-cache tier in the fallback chain. */
@@ -172,9 +169,6 @@ struct ReapOptions
      * path and re-populates them through admission.
      */
     bool tieredFreshWorker = true;
-
-    /** Bytes fetched from a lower tier populate the tiers above. */
-    bool tieredAdmitOnMiss = true;
 
     /**
      * Window size for the tiered WS fetch. 0 = adaptive: the pipeline
@@ -212,41 +206,12 @@ struct ReapOptions
     /** Transfer chunks compressed (decompression charged on arrival). */
     bool chunkCompression = true;
 
-    /** Mean compressed/raw ratio of chunk contents. */
-    double chunkCompressRatio = 0.55;
-
     /**
      * Fraction of full chunks shared with the fleet-wide runtime-page
      * pool (identical bytes across functions). ~30-50% matches the
      * cross-function redundancy reported for language runtimes.
      */
     double chunkDupRatio = 0.35;
-
-    /**
-     * Size of the fleet-wide shared runtime-page pool the duplicate
-     * chunks draw from (the guest kernel + agents + language-runtime
-     * image every function's snapshot carries). Expressed in bytes so
-     * the dedup opportunity is chunk-size-invariant.
-     */
-    Bytes chunkSharedPoolBytes = 24 * kMiB;
-
-    /** Client-side chunk decompression rate (raw bytes/sec). */
-    double chunkDecompressBandwidth = 3e9;
-
-    /** Fixed per-chunk decompression dispatch cost. */
-    Duration chunkDecompressOverhead = usec(4);
-
-    /** Max chunks coalesced into one batched ranged GET. */
-    int chunkBatch = 16;
-
-    // -------------------------------------------- BackgroundWarm knobs
-
-    /**
-     * Pause between background-warm fetch windows (and between chunk
-     * batches of a background chunk prefetch): the pacing that keeps
-     * warming traffic from competing with foreground cold starts.
-     */
-    Duration bgWarmPace = msec(1);
 
     // ----------------------------------------- Cache-economics knobs
 
@@ -274,16 +239,6 @@ struct ReapOptions
     /** Victim selection for every budgeted worker cache. */
     storage::EvictionPolicyKind evictionPolicy =
         storage::EvictionPolicyKind::Lru;
-
-    /**
-     * Delta re-record content churn: per re-record version, the
-     * probability that a function-unique chunk's content changed since
-     * the previous record. Shared-pool chunks never churn (the runtime
-     * image is immutable). Only re-records (version >= 2) consult
-     * this, so version-1 manifests are bit-identical to builds without
-     * the knob.
-     */
-    double rerecordChurn = 0.25;
 };
 
 /**

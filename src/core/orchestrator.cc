@@ -29,16 +29,15 @@ Orchestrator::Orchestrator(sim::Simulation &sim, storage::FileStore &fs,
                            host::CpuPool &host_cpus,
                            host::CpuPool &orch_cpus,
                            net::ObjectStore &object_store,
+                           net::ArtifactStore &artifact_store,
                            const func::TraceGenerator &gen,
                            vmm::VmmParams vmm_params, ReapOptions reap,
                            mem::UffdParams uffd_params,
-                           net::ArtifactStore *artifact_store)
+                           Bytes memory_capacity)
     : sim(sim), fs(fs), hostCpus(host_cpus), orchCpus(orch_cpus),
-      objectStore(object_store),
-      artifactStore(artifact_store != nullptr ? *artifact_store
-                                              : object_store),
-      gen(gen), vmmParams(vmm_params), reap(reap),
-      uffdParams(uffd_params)
+      objectStore(object_store), artifactStore(artifact_store), gen(gen),
+      vmmParams(vmm_params), reap(reap), uffdParams(uffd_params),
+      memoryCapacity(memory_capacity)
 {
     // Cache-economics knobs: zero budgets leave every store/tracker
     // in pure-accounting mode (bit-identical to unbudgeted builds).
@@ -176,22 +175,8 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
 
     if (!opts.forceCold) {
         for (auto &inst : st.instances) {
-            if (inst->servable()) {
-                // Warm path. The guest buddy allocator reuses the
-                // same guest-physical frames across invocations on a
-                // live instance (Sec. 4.4), so by default a warm
-                // invocation replays the instance's last input layout
-                // and touches only resident pages. An explicit
-                // inputId overrides this (e.g. to study drift).
-                std::int64_t input = opts.inputId >= 0
-                                         ? opts.inputId
-                                         : inst->lastInput;
-                if (input < 0)
-                    input = pickInput(st, opts);
-                inst->lastInput = input;
-                co_return co_await invokeWarm(
-                    st, *inst, gen.invocation(st.profile, input));
-            }
+            if (inst->servable())
+                co_return co_await invokeWarm(st, *inst, opts);
         }
         if (!opts.warmupOnly) {
             for (auto &inst : st.instances) {
@@ -211,16 +196,8 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
                         break;
                     }
                 }
-                if (cand != nullptr && cand->servable()) {
-                    std::int64_t input = opts.inputId >= 0
-                                             ? opts.inputId
-                                             : cand->lastInput;
-                    if (input < 0)
-                        input = pickInput(st, opts);
-                    cand->lastInput = input;
-                    co_return co_await invokeWarm(
-                        st, *cand, gen.invocation(st.profile, input));
-                }
+                if (cand != nullptr && cand->servable())
+                    co_return co_await invokeWarm(st, *cand, opts);
                 break; // pre-warm died; fall through to a cold start
             }
         }
@@ -315,10 +292,15 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
 }
 
 sim::Task<LatencyBreakdown>
-Orchestrator::invokeWarm(FunctionState &st,
-                         Instance &inst,
-                         const func::InvocationTrace &trace)
+Orchestrator::invokeWarm(FunctionState &st, Instance &inst,
+                         const InvokeOptions &opts)
 {
+    std::int64_t input =
+        opts.inputId >= 0 ? opts.inputId : inst.lastInput;
+    if (input < 0)
+        input = pickInput(st, opts);
+    inst.lastInput = input;
+    const func::InvocationTrace trace = gen.invocation(st.profile, input);
     inst.busy = true;
     LatencyBreakdown bd;
     if (inst.preWarmed) {
@@ -633,7 +615,6 @@ Orchestrator::enforceSsdBudget(Time now)
         auto vi = static_cast<std::size_t>(v);
         FunctionState &st = *owners[vi];
         resident -= cands[vi].bytes;
-        _ssdEvictedBytes += cands[vi].bytes;
         ++_ssdEvictions;
         st.evictLocalArtifacts(fs);
         if (st.wsFile != storage::kInvalidFile)
@@ -722,11 +703,10 @@ Orchestrator::backgroundPrefetch(const std::string &name,
         // chunk neither resident nor in flight, admitted into the
         // worker chunk cache where the next cold start finds them.
         mem::ChunkPageSource src(sim, artifactStore, st.manifests->ws,
-                                 &_localChunks, loader::chunkParams(reap),
-                                 &_chunkFlights,
+                                 &_localChunks, &_chunkFlights,
                                  loader::artifactKey(name).scope);
         src.retain(st.manifests);
-        moved = co_await src.prefetchMissing(reap.bgWarmPace,
+        moved = co_await src.prefetchMissing(loader::kBackgroundWarmPace,
                                              pin_until);
     } else if (st.remoteStaged && !st.artifactsLocal) {
         // Blob path: background-GET the staged WS object and land it
@@ -737,7 +717,8 @@ Orchestrator::backgroundPrefetch(const std::string &name,
                                        loader::artifactKey(name));
         mem::PageFetchPipeline pipeline(sim, remote);
         Bytes len = st.record->wsFileBytes();
-        co_await pipeline.fetchBackground(0, len, reap.bgWarmPace);
+        co_await pipeline.fetchBackground(0, len,
+                                          loader::kBackgroundWarmPace);
         co_await fs.writeBuffered(st.wsFile, 0, len);
         st.artifactsLocal = true;
         moved = len;

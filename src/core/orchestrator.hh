@@ -51,28 +51,22 @@ class Orchestrator
      * @param object_store Serves function *input* payloads (the
      * MinIO-on-the-same-host role, Sec. 6.1).
      * @param artifact_store Serves snapshot/WS artifact staging and
-     * remote cold-start fetches; null = use @p object_store for both
-     * (the single-store historical wiring). The cluster layer passes
-     * the fleet-shared store here so artifact traffic and input
-     * traffic stop sharing one service.
+     * remote cold-start fetches: @p object_store itself on a
+     * standalone worker, the fleet-shared store under cross-worker
+     * sharing, so artifact traffic and input traffic stop sharing one
+     * service.
+     * @param memory_capacity Bound on the worker's instance memory
+     * (Sec. 4.3: colocation makes memory the scarce resource). Before
+     * a cold start exceeds it, the least-recently-used idle instance
+     * is deallocated; 0 disables the bound.
      */
     Orchestrator(sim::Simulation &sim, storage::FileStore &fs,
                  host::CpuPool &host_cpus, host::CpuPool &orch_cpus,
                  net::ObjectStore &object_store,
+                 net::ArtifactStore &artifact_store,
                  const func::TraceGenerator &gen,
-                 vmm::VmmParams vmm_params = vmm::VmmParams{},
-                 ReapOptions reap = ReapOptions{},
-                 mem::UffdParams uffd_params = mem::UffdParams{},
-                 net::ArtifactStore *artifact_store = nullptr);
-
-    /**
-     * Bound the worker's instance memory (Sec. 4.3: colocation makes
-     * memory the scarce resource). Before a cold start exceeds the
-     * budget, the least-recently-used idle instance is deallocated;
-     * 0 disables the bound (default).
-     */
-    void setMemoryCapacity(Bytes capacity) { memoryCapacity = capacity; }
-    Bytes getMemoryCapacity() const { return memoryCapacity; }
+                 vmm::VmmParams vmm_params, ReapOptions reap,
+                 mem::UffdParams uffd_params, Bytes memory_capacity);
 
     /** Idle instances evicted to satisfy the memory bound. */
     std::int64_t capacityEvictions() const { return _capacityEvictions; }
@@ -268,9 +262,6 @@ class Orchestrator
     /** Local-SSD artifact copies evicted by the SSD budget. */
     std::int64_t ssdEvictions() const { return _ssdEvictions; }
 
-    /** Bytes those evictions dropped. */
-    Bytes ssdEvictedBytes() const { return _ssdEvictedBytes; }
-
     /** High-water mark of summed local artifact bytes. */
     Bytes peakSsdBytes() const { return _peakSsdBytes; }
 
@@ -338,9 +329,6 @@ class Orchestrator
         faultTag = std::move(tag);
     }
 
-    /** The installed fault plan (null = none). */
-    sim::FaultPlan *faultPlan() { return faults; }
-
   private:
     FunctionState &state(const std::string &name);
     const FunctionState &state(const std::string &name) const;
@@ -348,9 +336,17 @@ class Orchestrator
     std::int64_t pickInput(FunctionState &st,
                            const InvokeOptions &opts);
 
-    sim::Task<LatencyBreakdown>
-    invokeWarm(FunctionState &st, Instance &inst,
-               const func::InvocationTrace &trace);
+    /**
+     * Serve one invocation on the idle warm instance @p inst. The
+     * guest buddy allocator reuses the same guest-physical frames
+     * across invocations on a live instance (Sec. 4.4), so by default
+     * it replays the instance's last input layout and touches only
+     * resident pages; an explicit InvokeOptions::inputId overrides
+     * this (e.g. to study drift).
+     */
+    sim::Task<LatencyBreakdown> invokeWarm(FunctionState &st,
+                                           Instance &inst,
+                                           const InvokeOptions &opts);
 
     /** Retire one instance (stop monitor, destroy VM). */
     sim::Task<void> stopInstance(FunctionState &st, size_t index);
@@ -385,7 +381,7 @@ class Orchestrator
     storage::ChunkStore _stagedChunks;
     mem::ChunkFlights _chunkFlights;
     mem::TierCacheBudget _tierBudget;
-    Bytes memoryCapacity = 0;
+    const Bytes memoryCapacity;
 
     /** Installed fault plan (borrowed; null = fault-free). */
     sim::FaultPlan *faults = nullptr;
@@ -399,7 +395,6 @@ class Orchestrator
     std::int64_t _wastedPreWarms = 0;
     std::int64_t _bgPrefetches = 0;
     std::int64_t _ssdEvictions = 0;
-    Bytes _ssdEvictedBytes = 0;
     Bytes _peakSsdBytes = 0;
 
     /** Recency counter feeding FunctionState::artifactLruSeq. */

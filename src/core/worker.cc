@@ -24,11 +24,9 @@ Worker::Worker(sim::Simulation &sim, WorkerConfig config,
       _orchCpus(sim, cfg.orchestratorThreads), s3(sim, cfg.objectStore),
       artifacts(shared_store != nullptr ? shared_store : &s3),
       gen(cfg.seed),
-      orch(sim, fs, _hostCpus, _orchCpus, s3, gen, cfg.vmm,
-           cfg.reap, cfg.uffd, artifacts)
+      orch(sim, fs, _hostCpus, _orchCpus, s3, *artifacts, gen, cfg.vmm,
+           cfg.reap, cfg.uffd, cfg.instanceMemoryCapacity)
 {
-    if (cfg.instanceMemoryCapacity > 0)
-        orch.setMemoryCapacity(cfg.instanceMemoryCapacity);
 }
 
 } // namespace vhive::core

@@ -93,7 +93,6 @@ class Worker
     storage::DiskDevice &disk() { return _disk; }
     storage::FileStore &fileStore() { return fs; }
     host::CpuPool &hostCpus() { return _hostCpus; }
-    host::CpuPool &orchestratorCpus() { return _orchCpus; }
 
     /** The worker-private store (inputs; artifacts too standalone). */
     net::ObjectStore &objectStore() { return s3; }
@@ -102,7 +101,6 @@ class Worker
     /** The store artifacts stage into (shared one when given). */
     net::ArtifactStore &artifactStore() { return *artifacts; }
 
-    const func::TraceGenerator &traceGenerator() const { return gen; }
     const WorkerConfig &config() const { return cfg; }
 
   private:

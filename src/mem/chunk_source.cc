@@ -12,15 +12,12 @@ ChunkPageSource::ChunkPageSource(sim::Simulation &sim,
                                  net::ArtifactStore &store,
                                  const storage::ChunkManifest &manifest,
                                  storage::ChunkStore *resident_cache,
-                                 ChunkSourceParams params,
                                  ChunkFlights *flights,
                                  std::uint64_t scope)
     : sim(sim), store(store), manifest(manifest), scope(scope),
       cache(resident_cache != nullptr ? resident_cache : &ownedCache),
-      flights(flights != nullptr ? flights : &ownedFlights),
-      params(params)
+      flights(flights != nullptr ? flights : &ownedFlights)
 {
-    VHIVE_ASSERT(params.batchChunks >= 1);
     cacheRow.label = "chunk-cache";
     remoteRow.label = "chunk-remote";
 }

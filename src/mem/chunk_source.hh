@@ -48,7 +48,7 @@ namespace vhive::mem {
 using ChunkFlights =
     std::map<storage::ChunkHash, std::shared_ptr<sim::Gate>>;
 
-/** Client-side chunk handling costs. */
+/** Client-side chunk handling costs, fixed for every ChunkPageSource. */
 struct ChunkSourceParams
 {
     /** Decompression rate (raw output bytes/sec). */
@@ -102,7 +102,6 @@ class ChunkPageSource final : public PageSource
     ChunkPageSource(sim::Simulation &sim, net::ArtifactStore &store,
                     const storage::ChunkManifest &manifest,
                     storage::ChunkStore *resident_cache,
-                    ChunkSourceParams params = ChunkSourceParams{},
                     ChunkFlights *flights = nullptr,
                     std::uint64_t scope = 0);
 
@@ -163,7 +162,7 @@ class ChunkPageSource final : public PageSource
     ChunkFlights *flights;
     ChunkFlights ownedFlights;
     std::shared_ptr<const void> pinned;
-    ChunkSourceParams params;
+    static constexpr ChunkSourceParams params{};
     ChunkFetchStats _chunkStats;
     TierStats cacheRow;
     TierStats remoteRow;

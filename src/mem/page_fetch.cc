@@ -7,14 +7,7 @@
 namespace vhive::mem {
 
 sim::Task<void>
-PageFetchPipeline::fetchContiguous(Bytes offset, Bytes len)
-{
-    co_await fetchContiguousTimed(offset, len, nullptr);
-}
-
-sim::Task<void>
-PageFetchPipeline::fetchContiguousTimed(Bytes offset, Bytes len,
-                                        Duration *out)
+PageFetchPipeline::fetchContiguous(Bytes offset, Bytes len, Duration *out)
 {
     ++_stats.contiguousFetches;
     _stats.bytesFetched += len;
@@ -23,14 +16,6 @@ PageFetchPipeline::fetchContiguousTimed(Bytes offset, Bytes len,
     snapshotTiers();
     if (out != nullptr)
         *out = sim.now() - t0;
-}
-
-sim::Task<void>
-PageFetchPipeline::fetchWindowed(Bytes offset, Bytes len,
-                                 Bytes windowBytes, int inFlight)
-{
-    co_await fetchWindowedTimed(offset, len, windowBytes, inFlight,
-                                nullptr);
 }
 
 /**
@@ -68,13 +53,13 @@ struct PageFetchPipeline::WindowRace
 };
 
 sim::Task<void>
-PageFetchPipeline::fetchWindowedTimed(Bytes offset, Bytes len,
-                                      Bytes windowBytes, int inFlight,
-                                      Duration *out)
+PageFetchPipeline::fetchWindowed(Bytes offset, Bytes len,
+                                 Bytes windowBytes, int inFlight,
+                                 Duration *out)
 {
     if (windowBytes < 0 || windowBytes >= len) {
         // One window covering the range is the contiguous shape.
-        co_await fetchContiguousTimed(offset, len, out);
+        co_await fetchContiguous(offset, len, out);
         co_return;
     }
     if (windowBytes == 0) {
@@ -286,14 +271,7 @@ PageFetchPipeline::fetchAdaptive(Bytes offset, Bytes len, int inFlight)
 
 sim::Task<void>
 PageFetchPipeline::fetchBackground(Bytes offset, Bytes len,
-                                   Duration pace)
-{
-    co_await fetchBackgroundTimed(offset, len, pace, nullptr);
-}
-
-sim::Task<void>
-PageFetchPipeline::fetchBackgroundTimed(Bytes offset, Bytes len,
-                                        Duration pace, Duration *out)
+                                   Duration pace, Duration *out)
 {
     ++_stats.backgroundFetches;
     _stats.bytesFetched += len;

@@ -139,16 +139,14 @@ class PageFetchPipeline
     PageFetchPipeline(const PageFetchPipeline &) = delete;
     PageFetchPipeline &operator=(const PageFetchPipeline &) = delete;
 
-    /** One bulk read of [offset, offset+len). */
-    sim::Task<void> fetchContiguous(Bytes offset, Bytes len);
-
     /**
-     * Timed variant: *out (when non-null) receives the elapsed fetch
+     * One bulk read of [offset, offset+len). Every fetch shape takes
+     * an optional @p out: when non-null it receives the elapsed fetch
      * time, measured from first byte requested to last byte landed —
      * usable from an overlapped task whose caller cannot time it.
      */
-    sim::Task<void> fetchContiguousTimed(Bytes offset, Bytes len,
-                                         Duration *out);
+    sim::Task<void> fetchContiguous(Bytes offset, Bytes len,
+                                    Duration *out = nullptr);
 
     /**
      * Windowed shape: [offset, offset+len) split into @p windowBytes
@@ -161,12 +159,8 @@ class PageFetchPipeline
      * inFlight).
      */
     sim::Task<void> fetchWindowed(Bytes offset, Bytes len,
-                                  Bytes windowBytes, int inFlight);
-
-    /** Timed variant of fetchWindowed (see fetchContiguousTimed). */
-    sim::Task<void> fetchWindowedTimed(Bytes offset, Bytes len,
-                                       Bytes windowBytes, int inFlight,
-                                       Duration *out);
+                                  Bytes windowBytes, int inFlight,
+                                  Duration *out = nullptr);
 
     /**
      * Background-priority shape: the AIMD-sized windows of the
@@ -177,14 +171,11 @@ class PageFetchPipeline
      * foreground cold starts matters more than fetch latency.
      */
     sim::Task<void> fetchBackground(Bytes offset, Bytes len,
-                                    Duration pace);
+                                    Duration pace,
+                                    Duration *out = nullptr);
 
-    /** Timed variant of fetchBackground (see fetchContiguousTimed). */
-    sim::Task<void> fetchBackgroundTimed(Bytes offset, Bytes len,
-                                         Duration pace, Duration *out);
-
-    /** AIMD constants of the adaptive windowed shape (mutable). */
-    AdaptiveWindowParams &adaptiveParams() { return adaptive; }
+    /** AIMD constants of the adaptive windowed shape. */
+    const AdaptiveWindowParams &adaptiveParams() const { return adaptive; }
 
     /**
      * Hedge fixed-size windowed fetches against tail stragglers: a
@@ -263,7 +254,7 @@ class PageFetchPipeline
     sim::Simulation &sim;
     PageSource &source;
     PageFetchStats _stats;
-    AdaptiveWindowParams adaptive;
+    static constexpr AdaptiveWindowParams adaptive{};
 
     /** Hedge delay for fixed-size windowed fetches (0 = off). */
     Duration hedgeDelay = 0;

@@ -243,9 +243,6 @@ class ObjectStore : public ArtifactStore
         faultTag = std::move(tag);
     }
 
-    /** The installed fault plan (null = none). */
-    sim::FaultPlan *faultPlan() { return faults; }
-
   private:
     /** Shared request path: round trip, service cost, streaming. */
     sim::Task<void> transfer(Bytes bytes);

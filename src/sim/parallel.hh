@@ -186,7 +186,6 @@ class ParallelKernel
     ParallelKernel &operator=(const ParallelKernel &) = delete;
 
     int domainCount() const { return static_cast<int>(_domains.size()); }
-    int threadCount() const { return _threads; }
 
     Domain &domain(int i) { return *_domains[static_cast<size_t>(i)]; }
 

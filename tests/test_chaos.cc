@@ -229,7 +229,7 @@ TEST(ChaosHedge, StragglerHedgeImprovesAndBalances)
             static Task<void>
             run(mem::PageFetchPipeline &p, Bytes len, Duration *out)
             {
-                co_await p.fetchWindowedTimed(0, len, kMiB, 4, out);
+                co_await p.fetchWindowed(0, len, kMiB, 4, out);
             }
         };
         sim.spawn(T::run(pipe, len, &took));

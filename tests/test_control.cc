@@ -156,6 +156,148 @@ TEST(HybridHistogramPolicy, IdleOrWarmingFunctionsAreLeftAlone)
     EXPECT_TRUE(out.empty());
 }
 
+/** One tick of @p p for a single idle-less function view. */
+std::vector<cluster::ControlAction>
+tickOnce(cluster::ControlPolicy &p, Time now, double residency = 1.0)
+{
+    cluster::ControlTickContext ctx;
+    ctx.now = now;
+    ctx.workers = 4;
+    cluster::ControlFunctionView v;
+    v.name = "fn";
+    v.homeWorker = 3;
+    v.homeChunkResidency = residency;
+    ctx.functions.push_back(v);
+    std::vector<cluster::ControlAction> out;
+    p.tick(ctx, out);
+    return out;
+}
+
+TEST(HybridHistogramPolicy, ShortHistoryKeepsAliveForTwoMinutes)
+{
+    // Fewer than three gaps cannot predict: the policy falls back to a
+    // plain keep-alive that pre-warms up to 120 s after the last
+    // arrival and not a microsecond later.
+    for (int arrivals = 1; arrivals <= 3; ++arrivals) {
+        cluster::HybridHistogramPolicy p;
+        Time last = 0;
+        for (int i = 1; i <= arrivals; ++i) {
+            last = sec(10) * i;
+            p.noteArrival("fn", last);
+        }
+        auto at_limit = tickOnce(p, last + sec(120));
+        ASSERT_EQ(at_limit.size(), 1u) << arrivals << " arrivals";
+        EXPECT_EQ(at_limit[0].kind, cluster::ControlAction::Kind::PreWarm);
+        EXPECT_EQ(at_limit[0].worker, 3);
+        EXPECT_TRUE(tickOnce(p, last + sec(121)).empty())
+            << arrivals << " arrivals";
+        EXPECT_TRUE(tickOnce(p, last + sec(120) + 1).empty())
+            << arrivals << " arrivals";
+    }
+}
+
+TEST(HybridHistogramPolicy, DispersedHistoryFallsBackToKeepAlive)
+{
+    // Enough gaps, but [p5, p99] spans far more than six 5 s bins:
+    // the out-of-bounds fallback, the same 120 s keep-alive.
+    cluster::HybridHistogramPolicy p;
+    Time t = 0;
+    for (Duration gap : {sec(0), sec(5), sec(600), sec(30), sec(1500)}) {
+        t += gap;
+        p.noteArrival("fn", t);
+    }
+    auto out = tickOnce(p, t + sec(120), 0.0);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].kind, cluster::ControlAction::Kind::PreWarm);
+    EXPECT_TRUE(tickOnce(p, t + sec(121), 0.0).empty());
+}
+
+TEST(HybridHistogramPolicy, RegularGapsPrefetchThenPreWarmAheadOfWindow)
+{
+    // Arrivals every 60 s: the predicted window opens at the last
+    // arrival plus the histogram's p5 gap. The policy prefetches from
+    // 30 s ahead of it while the home worker lacks chunks (once per
+    // window), and pre-warms from 4 s ahead.
+    cluster::HybridHistogramPolicy p;
+    cluster::InterarrivalHistogram h;
+    Time last = 0;
+    for (int i = 1; i <= 6; ++i) {
+        last = sec(60) * i;
+        p.noteArrival("fn", last);
+        if (i > 1)
+            h.note(sec(60));
+    }
+    const Time w_start = last + h.percentileGap(5.0);
+    const Time w_end = last + h.percentileGap(99.0);
+    using Kind = cluster::ControlAction::Kind;
+
+    // Outside the horizon, and fully resident: nothing.
+    EXPECT_TRUE(tickOnce(p, w_start - sec(30) - 1, 0.5).empty());
+    EXPECT_TRUE(tickOnce(p, w_start - sec(30), 1.0).empty());
+
+    auto pf = tickOnce(p, w_start - sec(30), 0.5);
+    ASSERT_EQ(pf.size(), 1u);
+    EXPECT_EQ(pf[0].kind, Kind::Prefetch);
+    EXPECT_EQ(pf[0].worker, 3);
+    EXPECT_EQ(pf[0].until, w_end);
+    // Already prefetched for this window.
+    EXPECT_TRUE(tickOnce(p, w_start - sec(10), 0.5).empty());
+
+    EXPECT_TRUE(tickOnce(p, w_start - sec(4) - 1, 0.5).empty());
+    auto pw = tickOnce(p, w_start - sec(4), 0.5);
+    ASSERT_EQ(pw.size(), 1u);
+    EXPECT_EQ(pw[0].kind, Kind::PreWarm);
+    EXPECT_EQ(tickOnce(p, w_end, 0.5).size(), 1u);
+    // Past the window the prediction missed: wait for an arrival.
+    EXPECT_TRUE(tickOnce(p, w_end + 1, 0.5).empty());
+}
+
+TEST(HybridHistogramPolicy, ScaleHintNeedsSlowColdsStillLanding)
+{
+    // The hint holds scale-downs only while cold p99 is over 1000 ms
+    // AND cold starts rose since the previous tick.
+    cluster::HybridHistogramPolicy p;
+    auto hints = [&p](std::int64_t colds, double p99) {
+        cluster::ControlTickContext ctx;
+        ctx.coldStarts = colds;
+        ctx.coldP99Ms = p99;
+        std::vector<cluster::ControlAction> out;
+        p.tick(ctx, out);
+        for (const auto &a : out) {
+            EXPECT_EQ(a.kind, cluster::ControlAction::Kind::ScaleHint);
+            EXPECT_EQ(a.hint, 1);
+        }
+        return out.size();
+    };
+    EXPECT_EQ(hints(0, 5000.0), 0u);    // no colds yet
+    EXPECT_EQ(hints(5, 1000.0), 0u);    // at target, not over
+    EXPECT_EQ(hints(10, 1000.5), 1u);   // over target, colds rose
+    EXPECT_EQ(hints(10, 2000.0), 0u);   // no new colds since last tick
+    EXPECT_EQ(hints(11, 2000.0), 1u);
+    EXPECT_EQ(hints(12, 999.0), 0u);
+}
+
+TEST(OraclePolicy, PrefetchesAndPreWarmsAheadOfKnownArrival)
+{
+    // Same lead and horizon as the histogram policy, against the exact
+    // schedule.
+    cluster::OraclePolicy p;
+    p.setEpoch(sec(5));
+    p.setSchedule("fn", {sec(100)});
+    const Time next = sec(105);
+    using Kind = cluster::ControlAction::Kind;
+    EXPECT_TRUE(tickOnce(p, next - sec(30) - 1, 0.0).empty());
+    auto pf = tickOnce(p, next - sec(30), 0.0);
+    ASSERT_EQ(pf.size(), 1u);
+    EXPECT_EQ(pf[0].kind, Kind::Prefetch);
+    EXPECT_EQ(pf[0].until, next);
+    EXPECT_TRUE(tickOnce(p, next - sec(4) - 1, 0.0).empty());
+    auto pw = tickOnce(p, next - sec(4), 0.0);
+    ASSERT_EQ(pw.size(), 1u);
+    EXPECT_EQ(pw[0].kind, Kind::PreWarm);
+    EXPECT_TRUE(tickOnce(p, next + 1, 0.0).empty()); // schedule spent
+}
+
 // ------------------------------------- the control-tick snapshot
 
 /** Three workers; "b" idles one instance more on each higher worker,

@@ -660,8 +660,7 @@ TEST(AdaptiveWindow, ConvergesIntoSweetSpotBand)
         mem::PageFetchPipeline pipe(sim, src);
         Duration took = 0;
         runScenario(sim, [&]() -> Task<void> {
-            co_await pipe.fetchWindowedTimed(0, len, window, 4,
-                                             &took);
+            co_await pipe.fetchWindowed(0, len, window, 4, &took);
         });
         return std::pair<Duration, Bytes>(
             took, pipe.stats().convergedWindowBytes);

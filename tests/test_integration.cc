@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -104,7 +105,9 @@ avgConcurrentColdMs(int n, ColdStartMode mode)
     std::vector<std::string> names;
     for (int i = 0; i < n; ++i) {
         auto p = base;
-        p.name = "f" + std::to_string(i);
+        std::string name = "f";
+        name += std::to_string(i);
+        p.name = std::move(name);
         names.push_back(p.name);
         orch.registerFunction(p);
     }

@@ -303,8 +303,11 @@ TEST(FileStore, SerializedFaultPathLimitsAggregateThroughput)
     const int instances = 32;
     const int faults = 60;
     std::vector<FileId> f;
-    for (int i = 0; i < instances; ++i)
-        f.push_back(fs.createFile("m" + std::to_string(i), 16 * kMiB));
+    for (int i = 0; i < instances; ++i) {
+        std::string name = "m";
+        name += std::to_string(i);
+        f.push_back(fs.createFile(name, 16 * kMiB));
+    }
     sim::Latch done(sim, instances);
     for (int i = 0; i < instances; ++i)
         sim.spawn(Faulter::run(fs, f[i], faults, &done));
@@ -444,9 +447,11 @@ TEST(FileStore, DropCachesClearsEveryFile)
 {
     Fixture fx;
     std::vector<FileId> files;
-    for (int i = 0; i < 3; ++i)
-        files.push_back(
-            fx.fs.createFile("f" + std::to_string(i), 256 * kKiB));
+    for (int i = 0; i < 3; ++i) {
+        std::string name = "f";
+        name += std::to_string(i);
+        files.push_back(fx.fs.createFile(name, 256 * kKiB));
+    }
     Duration d = 0;
     for (FileId f : files)
         fx.sim.spawn(timedBuffered(fx, f, 0, 256 * kKiB, d));
@@ -581,9 +586,11 @@ TEST(FileStore, ConcurrentBufferedReadsShareThePlug)
     const int readers = 16;
     const int reads = 50;
     std::vector<FileId> files;
-    for (int i = 0; i < readers; ++i)
-        files.push_back(
-            fs.createFile("f" + std::to_string(i), 16 * kMiB));
+    for (int i = 0; i < readers; ++i) {
+        std::string name = "f";
+        name += std::to_string(i);
+        files.push_back(fs.createFile(name, 16 * kMiB));
+    }
     sim::Latch done(sim, readers);
     for (int i = 0; i < readers; ++i)
         sim.spawn(Reader::run(fs, files[static_cast<size_t>(i)],
