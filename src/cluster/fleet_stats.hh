@@ -56,10 +56,15 @@ struct FleetConfig
 
     /**
      * Which predictive ControlPolicy runs (pre-warming, chunk
-     * prefetch, scale hints): each scalePeriod in Cluster's janitor,
-     * each controlPeriod in ParallelFleet's control domain. None
-     * (default) spawns no control machinery at all, bit-identical to
-     * the historical behaviour.
+     * prefetch, scale hints), ticking every scalePeriod: in Cluster's
+     * janitor, and in ParallelFleet's control-plane domain against the
+     * mirrored fleet view, where its predictions, like routing, trail
+     * worker reality by one fabric hop and stay bit-identical across
+     * sim thread counts. There, Pre-warm and Prefetch actions travel
+     * to workers as tracked requests (a Prefetch is shielded until the
+     * predicted window by the prefetch-pinned eviction policy);
+     * ScaleHint is Cluster-only. None (default) spawns no control
+     * machinery at all, bit-identical to the historical behaviour.
      */
     ControlPolicyKind controlPolicy = ControlPolicyKind::None;
 

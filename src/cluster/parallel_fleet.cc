@@ -703,7 +703,7 @@ ParallelFleet::controlTickLoop()
         names.push_back(entry.profile.name);
 
     while (!controlStopping) {
-        co_await csim.delay(cfg.controlPeriod);
+        co_await csim.delay(cfg.scalePeriod);
         if (controlStopping)
             break;
 

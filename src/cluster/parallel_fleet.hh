@@ -88,17 +88,6 @@ struct ParallelFleetConfig : FleetConfig
     /** Threads the kernel runs domains on (wall-clock only). */
     int simThreads = 1;
 
-    /**
-     * Control-policy tick period (controlPolicy != None). The policy
-     * runs in the control-plane domain against the mirrored fleet
-     * view, so its predictions, like routing, trail worker reality by
-     * one fabric hop and stay bit-identical across sim thread counts.
-     * Pre-warm and Prefetch actions travel to workers as tracked
-     * requests (a Prefetch is shielded until the predicted window by
-     * the prefetch-pinned eviction policy); ScaleHint is Cluster-only.
-     */
-    Duration controlPeriod = sec(2);
-
     /** The Azure mix to synthesize and drive (closed loop). */
     AzureWorkloadConfig workload{};
 

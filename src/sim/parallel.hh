@@ -69,10 +69,8 @@
  * coordinator alone from simulated state, so results stay
  * bit-identical however the pool's threads are scheduled.
  *
- * Each domain's coroutine frames come from the running thread's
- * FramePool cache; a frame may be freed on a different thread than
- * it was allocated on, and the pool's process-wide depot hands such
- * frames back to whichever thread next runs short.
+ * Coroutine frames come from the global allocator, so a frame may be
+ * freed on a different pool thread than it was allocated on.
  */
 
 #ifndef VHIVE_SIM_PARALLEL_HH

@@ -7,15 +7,15 @@
  * Determinism: events at equal timestamps fire in schedule (FIFO) order,
  * so a given seed always produces bit-identical results.
  *
- * Hot-path design (see event_queue.hh and frame_pool.hh for the two
- * main pieces): same-timestamp wakeups go through an O(1) FIFO ring,
- * future events through one (when, seq) binary heap, which stays a
- * few hundred events deep at most on the fleet workloads; pop takes
- * the smaller head of the two, so events drain in exact (when, seq)
- * order. Coroutine frames come from slab-backed free lists, and
- * detached tasks sit on an intrusive list threaded through their
- * promises, so spawn/complete never hashes or allocates registry
- * nodes.
+ * Hot-path design (see event_queue.hh for the queue): same-timestamp
+ * wakeups go through an O(1) FIFO ring, future events through one
+ * (when, seq) binary heap, which stays a few hundred events deep at
+ * most on the fleet workloads; pop takes the smaller head of the two,
+ * so events drain in exact (when, seq) order. Coroutine frames come
+ * from the global allocator (glibc's per-thread cache already keeps a
+ * free list per size class), and detached tasks sit on an intrusive
+ * list threaded through their promises, so spawn/complete never
+ * hashes or allocates registry nodes.
  */
 
 #ifndef VHIVE_SIM_SIMULATION_HH

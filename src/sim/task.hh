@@ -17,12 +17,10 @@
 #define VHIVE_SIM_TASK_HH
 
 #include <coroutine>
-#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
 
-#include "sim/frame_pool.hh"
 #include "sim/simulation.hh"
 #include "util/logging.hh"
 
@@ -52,19 +50,6 @@ struct PromiseBase
     std::coroutine_handle<> self;
     PromiseBase *detachedPrev = nullptr;
     PromiseBase *detachedNext = nullptr;
-
-    /** Coroutine frames come from the slab pool, not malloc. */
-    static void *
-    operator new(std::size_t n)
-    {
-        return FramePool::allocate(n);
-    }
-
-    static void
-    operator delete(void *p, std::size_t n) noexcept
-    {
-        FramePool::deallocate(p, n);
-    }
 
     std::suspend_always initial_suspend() noexcept { return {}; }
 

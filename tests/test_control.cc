@@ -807,26 +807,5 @@ TEST(ControlParallel, WorkerFoldFillsEveryWorkerField)
     }
 }
 
-TEST(ControlParallel, NoPolicySpawnsNoControlMachinery)
-{
-    // controlPolicy=None spawns no tick loop at all, so the tick
-    // period must be inert: if any control-plane event ran under
-    // None, shrinking the period 20x would perturb the digest.
-    auto run_fleet = [](Duration control_period) {
-        cluster::ParallelFleetConfig cfg;
-        cfg.workers = 3;
-        cfg.simThreads = 2;
-        cfg.workload.functions = 5;
-        cfg.workload.minInterarrival = sec(2);
-        cfg.workload.maxInterarrival = sec(20);
-        cfg.workload.horizon = sec(90);
-        cfg.controlPolicy = cluster::ControlPolicyKind::None;
-        cfg.controlPeriod = control_period;
-        cluster::ParallelFleet fleet(cfg);
-        return fleet.run().digest();
-    };
-    EXPECT_EQ(run_fleet(sec(2)), run_fleet(msec(100)));
-}
-
 } // namespace
 } // namespace vhive

@@ -6,13 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "sim/frame_pool.hh"
 #include "sim/simulation.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
@@ -188,28 +184,32 @@ TEST(Task, SequentialAwaitAccumulatesTime)
 
 TEST(Simulation, TeardownReclaimsBlockedTasks)
 {
-    // A task blocked on a never-opened gate must be reclaimed by the
-    // simulation destructor without leaks or crashes.
+    // Tasks blocked on a never-opened gate must be reclaimed by the
+    // simulation destructor without leaks or crashes: one task, then
+    // ten, each frame destroyed exactly once.
     struct Blocked {
         static Task<void>
-        run(Gate &gate, bool &cleaned)
+        run(Gate &gate, int &cleaned)
         {
             struct OnExit {
-                bool &flag;
-                ~OnExit() { flag = true; }
+                int &count;
+                ~OnExit() { ++count; }
             } on_exit{cleaned};
             co_await gate.wait();
         }
     };
-    bool cleaned = false;
-    {
-        Simulation sim;
-        Gate gate(sim);
-        sim.spawn(Blocked::run(gate, cleaned));
-        sim.run();
-        EXPECT_FALSE(cleaned);
+    for (int tasks : {1, 10}) {
+        int cleaned = 0;
+        {
+            Simulation sim;
+            Gate gate(sim);
+            for (int i = 0; i < tasks; ++i)
+                sim.spawn(Blocked::run(gate, cleaned));
+            sim.run();
+            EXPECT_EQ(cleaned, 0);
+        }
+        EXPECT_EQ(cleaned, tasks);
     }
-    EXPECT_TRUE(cleaned);
 }
 
 TEST(Gate, ReleasesAllWaiters)
@@ -406,213 +406,6 @@ TEST(Semaphore, GuardMoveAssignIntoEmptyGuard)
     sim.spawn(T::run(sem));
     sim.run();
     EXPECT_EQ(sem.availablePermits(), 1);
-}
-
-namespace frame_pool_test {
-
-Task<void>
-shortLived(Simulation &sim)
-{
-    co_await sim.delay(1);
-}
-
-Task<void>
-driver(Simulation &sim, int waves, int perWave)
-{
-    for (int w = 0; w < waves; ++w) {
-        for (int i = 0; i < perWave; ++i)
-            sim.spawn(shortLived(sim));
-        co_await sim.delay(2);
-    }
-}
-
-void
-runChurn()
-{
-    Simulation sim;
-    sim.spawn(driver(sim, 40, 8));
-    sim.run();
-}
-
-} // namespace frame_pool_test
-
-TEST(FramePool, SteadyStateChurnReusesFramesWithoutCarving)
-{
-    if (!FramePool::pooling())
-        GTEST_SKIP() << "frame pool bypassed under sanitizers";
-    // Warm the size classes, then verify an identical second run is
-    // served entirely from recycled frames: no fresh slab memory, and
-    // teardown returns every frame to the pool.
-    frame_pool_test::runChurn();
-    auto mid = FramePool::stats();
-    auto liveMid = FramePool::liveFrames();
-
-    frame_pool_test::runChurn();
-    auto after = FramePool::stats();
-
-    EXPECT_GT(after.poolAllocs, mid.poolAllocs);
-    EXPECT_EQ(after.carvedBlocks, mid.carvedBlocks);
-    EXPECT_EQ(after.slabBytes, mid.slabBytes);
-    EXPECT_EQ(FramePool::liveFrames(), liveMid);
-}
-
-TEST(FramePool, TeardownReturnsBlockedTaskFrames)
-{
-    struct Blocked {
-        static Task<void>
-        run(Gate &gate)
-        {
-            co_await gate.wait();
-        }
-    };
-    if (!FramePool::pooling())
-        GTEST_SKIP() << "frame pool bypassed under sanitizers";
-    auto live0 = FramePool::liveFrames();
-    {
-        Simulation sim;
-        Gate gate(sim);
-        for (int i = 0; i < 10; ++i)
-            sim.spawn(Blocked::run(gate));
-        sim.run();
-        EXPECT_GE(FramePool::liveFrames(), live0 + 10);
-    }
-    // Simulation teardown destroyed the blocked frames; all of them
-    // went back to the free lists.
-    EXPECT_EQ(FramePool::liveFrames(), live0);
-}
-
-TEST(FramePool, ExitedThreadsFramesServeLaterThreads)
-{
-    if (!FramePool::pooling())
-        GTEST_SKIP() << "frame pool bypassed under sanitizers";
-    // Threads that run one after another, as each parallel fleet's
-    // pool threads do: an exiting thread's cached frames go back to
-    // the process-wide depot, so later threads carve no new slabs.
-    auto churnOnThread = [] {
-        std::thread t(frame_pool_test::runChurn);
-        t.join();
-    };
-    churnOnThread();
-    std::uint64_t afterOne = FramePool::processSlabBytes();
-    for (int i = 0; i < 7; ++i)
-        churnOnThread();
-    EXPECT_EQ(FramePool::processSlabBytes(), afterOne);
-}
-
-TEST(FramePool, FramesFreedOnAnotherThreadAreReused)
-{
-    if (!FramePool::pooling())
-        GTEST_SKIP() << "frame pool bypassed under sanitizers";
-    // This thread allocates a round of frames and a second thread
-    // frees them, as when a domain's frames are allocated on one pool
-    // thread and freed on another. The freeing thread keeps at most
-    // two batches and hands the rest to the depot, which refills the
-    // allocating thread: slab memory stays bounded by one round plus
-    // the caches, however many rounds run.
-    constexpr std::size_t kFrame = 192;
-    constexpr int kPerRound = 2000;
-    struct Handoff {
-        std::mutex mu;
-        std::condition_variable cv;
-        std::vector<void *> frames;
-        bool full = false; ///< frames await the freeing thread
-        bool done = false;
-    } h;
-    std::thread freer([&h] {
-        for (;;) {
-            std::vector<void *> frames;
-            {
-                std::unique_lock<std::mutex> lock(h.mu);
-                h.cv.wait(lock, [&h] { return h.full || h.done; });
-                if (!h.full)
-                    return;
-                frames.swap(h.frames);
-            }
-            for (void *p : frames)
-                FramePool::deallocate(p, kFrame);
-            {
-                std::lock_guard<std::mutex> lock(h.mu);
-                h.full = false;
-            }
-            h.cv.notify_all();
-        }
-    });
-    auto runRounds = [&h](int rounds) {
-        for (int r = 0; r < rounds; ++r) {
-            std::vector<void *> frames;
-            for (int i = 0; i < kPerRound; ++i)
-                frames.push_back(FramePool::allocate(kFrame));
-            std::unique_lock<std::mutex> lock(h.mu);
-            h.frames = std::move(frames);
-            h.full = true;
-            h.cv.notify_all();
-            h.cv.wait(lock, [&h] { return !h.full; });
-        }
-    };
-
-    std::uint64_t start = FramePool::processSlabBytes();
-    runRounds(8);
-    std::uint64_t warm = FramePool::processSlabBytes();
-    runRounds(200);
-    std::uint64_t later = FramePool::processSlabBytes();
-    {
-        std::lock_guard<std::mutex> lock(h.mu);
-        h.done = true;
-    }
-    h.cv.notify_all();
-    freer.join();
-
-    // One round, the freeing thread's two cached batches, and one
-    // slab of rounding, with a slab to spare.
-    constexpr std::uint64_t kPerSlab = FramePool::kSlabBytes / kFrame;
-    constexpr std::uint64_t kBound =
-        (kPerRound / kPerSlab + 5) * kPerSlab * kFrame;
-    EXPECT_LE(warm - start, kBound);
-    EXPECT_LE(later - start, kBound);
-}
-
-namespace frame_pool_test {
-
-constexpr std::size_t kLargeFrame = 4000;
-
-/** Frees its frame, and churns one more, after the frame cache is gone. */
-struct LateHolder {
-    void *frame = nullptr;
-
-    ~LateHolder()
-    {
-        FramePool::deallocate(FramePool::allocate(kLargeFrame), kLargeFrame);
-        FramePool::deallocate(frame, kLargeFrame);
-    }
-};
-
-} // namespace frame_pool_test
-
-TEST(FramePool, FramesFreedDuringThreadTeardownGoToTheDepot)
-{
-    if (!FramePool::pooling())
-        GTEST_SKIP() << "frame pool bypassed under sanitizers";
-    using frame_pool_test::kLargeFrame;
-    // A thread-local built before the thread's first frame is destroyed
-    // after the thread's frame cache: what it allocates and frees then
-    // goes through the depot, so a later thread finds those frames.
-    std::thread([] {
-        static thread_local frame_pool_test::LateHolder held;
-        held.frame = FramePool::allocate(kLargeFrame);
-    }).join();
-
-    std::uint64_t before = FramePool::processSlabBytes();
-    std::thread([] {
-        constexpr std::size_t kBlock =
-            (kLargeFrame + FramePool::kGranule - 1) / FramePool::kGranule *
-            FramePool::kGranule;
-        std::vector<void *> frames;
-        for (std::size_t i = 0; i < FramePool::kSlabBytes / kBlock; ++i)
-            frames.push_back(FramePool::allocate(kLargeFrame));
-        for (void *p : frames)
-            FramePool::deallocate(p, kLargeFrame);
-    }).join();
-    EXPECT_EQ(FramePool::processSlabBytes(), before);
 }
 
 TEST(Channel, DeliversFifo)
