@@ -61,13 +61,12 @@ checkFleetConfig(const char *engine, const FleetConfig &cfg, int workers,
 }
 
 std::uint64_t
-FleetStats::digest() const
+FleetStats::outcomeDigest() const
 {
     std::uint64_t h = kFnvOffsetBasis;
     for (std::int64_t v :
          {invocations, coldStarts, warmHits, scaleDowns, preWarms,
-          preWarmHits, eventsProcessed, windows, messages,
-          snapshotBuilds, stagedBytes, dedupSavedBytes, chunksUploaded,
+          preWarmHits, snapshotBuilds, stagedBytes, dedupSavedBytes, chunksUploaded,
           chunksDeduped, remoteArtifactFetches, bgPrefetches,
           pageCachePeakBytes, pageCacheEvictedBytes,
           workerChunkPeakBytes, workerChunkBudgetEvictions,
@@ -83,6 +82,17 @@ FleetStats::digest() const
         for (double v : s->values())
             fnvMix(h, std::bit_cast<std::uint64_t>(v));
     }
+    return h;
+}
+
+std::uint64_t
+FleetStats::digest() const
+{
+    std::uint64_t h = kFnvOffsetBasis;
+    for (std::int64_t v :
+         {static_cast<std::int64_t>(outcomeDigest()), eventsProcessed,
+          windows, messages})
+        fnvMix(h, static_cast<std::uint64_t>(v));
     return h;
 }
 

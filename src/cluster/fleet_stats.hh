@@ -368,13 +368,21 @@ struct FleetStats
     double coldP99() const { return coldE2eMs.percentile(99); }
 
     /**
-     * FNV-1a fingerprint over ParallelFleet's simulated quantities
-     * (per-sample latency bit patterns in arrival order, counters,
-     * event totals). The field list is fixed so pinned digests hold:
+     * FNV-1a fingerprint over ParallelFleet's simulated outcomes:
+     * per-sample latency bit patterns in arrival order, counters and
+     * store traffic. The field list is fixed so pinned digests hold:
      * the staged-index sizes it gained from the registry fold
      * (chunkLogicalBytes, chunkStoredBytes, chunksStored) stay out.
-     * Two runs are bit-identical iff digests match; the determinism
-     * suite asserts equality across thread counts.
+     * The kernel-work fields (eventsProcessed, windows, messages) stay
+     * out too, so a kernel change that removes events but moves no
+     * outcome leaves this hash unchanged.
+     */
+    std::uint64_t outcomeDigest() const;
+
+    /**
+     * outcomeDigest() folded with the kernel-work fields. Two runs are
+     * bit-identical iff digests match; the determinism suite asserts
+     * equality across thread counts.
      */
     std::uint64_t digest() const;
 };

@@ -18,11 +18,12 @@
  * one ctest instead of a manual bench diff:
  *   - remote_presets.txt: every remote mode across a ReapOptions
  *     matrix — breakdowns, tier rows and store traffic per cold start;
- *   - fleet_digests.txt: FleetStats::digest() of the shared tiered,
- *     shared dedup and traffic-driven ParallelFleet runs, plus exact
- *     FleetStats rows of sequential Cluster runs with registry
- *     staging, a delta restage and a full retire — both engines
- *     report the one FleetStats type;
+ *   - fleet_digests.txt: FleetStats::digest(), its outcome part
+ *     (outcomeDigest()) and the kernel-work fields (events, windows,
+ *     messages) of the shared tiered, shared dedup and traffic-driven
+ *     ParallelFleet runs, plus exact FleetStats rows of sequential
+ *     Cluster runs with registry staging, a delta restage and a full
+ *     retire — both engines report the one FleetStats type;
  *   - trace_digests.txt: digests (util/rng.hh fnvMix, the same FNV-1a
  *     helper FleetStats::digest() uses) of the synthesized access
  *     traces (invocations 0-15 and boot) of every FunctionBench
@@ -403,14 +404,17 @@ renderFleetDigests()
     for (const auto &[label, mode, shards, traffic] : runs) {
         cluster::ParallelFleetResult r =
             runSharedFleet(mode, shards, traffic);
-        char digest[32];
+        char digest[32], outcome[32];
         std::snprintf(digest, sizeof digest, "%016llx",
                       static_cast<unsigned long long>(r.digest()));
-        out << label << " digest=" << digest
+        std::snprintf(outcome, sizeof outcome, "%016llx",
+                      static_cast<unsigned long long>(r.outcomeDigest()));
+        out << label << " digest=" << digest << " outcome=" << outcome
             << " invocations=" << r.invocations
             << " colds=" << r.coldStarts
             << " scaleDowns=" << r.scaleDowns
             << " events=" << r.eventsProcessed
+            << " windows=" << r.windows << " messages=" << r.messages
             << " staged=" << r.stagedBytes
             << " uploaded=" << r.chunksUploaded
             << " deduped=" << r.chunksDeduped

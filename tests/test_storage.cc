@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "sim/simulation.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
@@ -148,6 +151,82 @@ TEST(DiskModel, StatsCountRequests)
     EXPECT_EQ(ssd.stats().requests, 1);
     EXPECT_EQ(ssd.stats().subRequests, 8); // 1 MiB / 128 KiB stripes
     EXPECT_EQ(ssd.stats().bytesRead, 1 * kMiB);
+}
+
+using Completions = std::vector<std::pair<int, Time>>;
+
+Task<void>
+recordedRead(Simulation &sim, DiskDevice &d, int id, Duration start,
+             Bytes lba, Bytes len, Completions *done)
+{
+    co_await sim.delay(start);
+    co_await d.read(lba, len);
+    done->emplace_back(id, sim.now());
+}
+
+TEST(DiskModel, CompletionTimesAndOrderArePinned)
+{
+    // Every completion keeps its time and its place in the order:
+    // the controller serves stripes in request-entry order, the
+    // channels serve them FIFO, and an HDD seeks whenever a stripe
+    // does not start where the previous one ended.
+    struct Op {
+        Duration start;
+        Bytes lba, len;
+    };
+    {
+        // Same-instant SSD reads of mixed sizes; read 1 has 24
+        // stripes, more than the 16 channels.
+        Simulation sim;
+        DiskDevice ssd(sim, DiskParams::ssd());
+        const Op ops[] = {
+            {0, 0, 4 * kKiB},
+            {0, 64 * kMiB, 3 * kMiB},
+            {0, 128 * kMiB, 64 * kKiB},
+            {0, 192 * kMiB, 200 * kKiB},
+            {usec(100), 256 * kMiB, 4 * kKiB},
+            {usec(100), 320 * kMiB, 8 * kKiB},
+        };
+        Completions done;
+        for (int i = 0; i < 6; ++i)
+            sim.spawn(recordedRead(sim, ssd, i, ops[i].start, ops[i].lba,
+                                   ops[i].len, &done));
+        EXPECT_EQ(sim.run(), 4943152);
+        const Completions expected = {
+            {0, 123056},  {4, 3767216}, {5, 3824368},
+            {2, 4148720}, {1, 4730544}, {3, 4943152},
+        };
+        EXPECT_EQ(done, expected);
+        EXPECT_EQ(ssd.stats().requests, 6);
+        EXPECT_EQ(ssd.stats().subRequests, 30);
+        EXPECT_EQ(ssd.stats().seeks, 0);
+    }
+    {
+        // An HDD pair on discontiguous LBAs, a read contiguous with
+        // the second one and a late read far away.
+        Simulation sim;
+        DiskDevice hdd(sim, DiskParams::hdd());
+        const Op ops[] = {
+            {0, 1 * kGiB, 4 * kKiB},
+            {0, 0, 256 * kKiB},
+            {0, 256 * kKiB, 4 * kKiB},
+            {msec(1), 2 * kGiB, 4 * kKiB},
+        };
+        Completions done;
+        for (int i = 0; i < 4; ++i)
+            sim.spawn(recordedRead(sim, hdd, i, ops[i].start, ops[i].lba,
+                                   ops[i].len, &done));
+        EXPECT_EQ(sim.run(), 20091640);
+        const Completions expected = {
+            {0, 6089402},
+            {1, 13937028},
+            {2, 14014334},
+            {3, 20091640},
+        };
+        EXPECT_EQ(done, expected);
+        EXPECT_EQ(hdd.stats().subRequests, 5);
+        EXPECT_EQ(hdd.stats().seeks, 3);
+    }
 }
 
 TEST(FileStore, CreateLookupSize)
@@ -602,6 +681,88 @@ TEST(FileStore, ConcurrentBufferedReadsShareThePlug)
     // device's ~340 MB/s at this concurrency.
     EXPECT_LT(mb_s, 180.0);
     EXPECT_GT(mb_s, 80.0);
+}
+
+enum class IoKind { Fault, Buffered, Direct, WriteBuffered };
+
+Task<void>
+recordedIo(Simulation &sim, FileStore &fs, int id, Duration start,
+           IoKind kind, FileId f, Bytes off, Bytes len, Completions *done)
+{
+    co_await sim.delay(start);
+    switch (kind) {
+    case IoKind::Fault:
+        co_await fs.faultRead(f, off, len);
+        break;
+    case IoKind::Buffered:
+        co_await fs.readBuffered(f, off, len);
+        break;
+    case IoKind::Direct:
+        co_await fs.readDirect(f, off, len);
+        break;
+    case IoKind::WriteBuffered:
+        co_await fs.writeBuffered(f, off, len);
+        break;
+    }
+    done->emplace_back(id, sim.now());
+}
+
+TEST(FileStore, PlugCompletionOrderIsPinned)
+{
+    struct Op {
+        Duration start;
+        IoKind kind;
+        Bytes off, len;
+    };
+    {
+        // A buffered write's writeback is spawned at 40.4 us (2 us
+        // syscall + 128 pages x 300 ns copy); an O_DIRECT read reaches
+        // the device at that same instant (2 us syscall + 1.5 us pin)
+        // and is served first. The run ends when the writeback lands.
+        Fixture fx;
+        FileId f = fx.fs.createFile("f", 4 * kMiB);
+        const Op ops[] = {
+            {0, IoKind::WriteBuffered, 0, 512 * kKiB},
+            {36900, IoKind::Direct, 2 * kMiB, 4 * kKiB},
+        };
+        Completions done;
+        for (int i = 0; i < 2; ++i)
+            fx.sim.spawn(recordedIo(fx.sim, fx.fs, i, ops[i].start,
+                                    ops[i].kind, f, ops[i].off,
+                                    ops[i].len, &done));
+        EXPECT_EQ(fx.sim.run(), 1989504);
+        const Completions expected = {{0, 40400}, {1, 163456}};
+        EXPECT_EQ(done, expected);
+    }
+    {
+        // Major faults and buffered misses share the serialized plug:
+        // same-instant arrivals, a five-window read that overflows
+        // its four-deep pipeline, late arrivals that queue behind it
+        // and a minor fault on a page the first fault brought in.
+        Fixture fx;
+        FileId f = fx.fs.createFile("m", 16 * kMiB);
+        const Op ops[] = {
+            {0, IoKind::Fault, 0, 8 * kKiB},
+            {0, IoKind::Buffered, 1 * kMiB, 640 * kKiB},
+            {0, IoKind::Fault, 4 * kMiB, 4 * kKiB},
+            {usec(50), IoKind::Buffered, 8 * kMiB, 4 * kKiB},
+            {usec(50), IoKind::Fault, 12 * kMiB, 12 * kKiB},
+            {usec(400), IoKind::Fault, 0, 8 * kKiB},
+        };
+        Completions done;
+        for (int i = 0; i < 6; ++i)
+            fx.sim.spawn(recordedIo(fx.sim, fx.fs, i, ops[i].start,
+                                    ops[i].kind, f, ops[i].off,
+                                    ops[i].len, &done));
+        EXPECT_EQ(fx.sim.run(), 3413184);
+        const Completions expected = {
+            {0, 288912}, {2, 363456},  {5, 404000},
+            {3, 970332}, {4, 1040655}, {1, 3413184},
+        };
+        EXPECT_EQ(done, expected);
+        EXPECT_EQ(fx.fs.stats().faultMisses, 3);
+        EXPECT_EQ(fx.ssd.stats().requests, 9);
+    }
 }
 
 } // namespace
