@@ -114,16 +114,6 @@ CpuPool::exec(Duration cpu_time)
     return Exec(*this, cpu_time);
 }
 
-/** Platform-wide host configuration (the paper's evaluation server). */
-struct HostConfig
-{
-    /** Logical cores on the worker host. */
-    int hostCores = 48;
-
-    /** Hardware threads available to orchestrator worker goroutines. */
-    int orchestratorThreads = 16;
-};
-
 } // namespace vhive::host
 
 #endif // VHIVE_HOST_CPU_POOL_HH

@@ -66,70 +66,59 @@ DiskParams::remoteStorage()
 }
 
 DiskDevice::DiskDevice(sim::Simulation &sim, DiskParams params)
-    : sim(sim), _params(std::move(params)),
-      controller(sim, 1),
-      channelBank(sim, _params.channels)
+    : sim(sim), _params(std::move(params))
 {
     VHIVE_ASSERT(_params.channels >= 1);
     VHIVE_ASSERT(_params.stripeBytes >= kPageSize);
+    channelFree.assign(static_cast<size_t>(_params.channels), 0);
 }
 
 sim::Task<void>
 DiskDevice::read(Bytes lba, Bytes bytes)
 {
     _stats.bytesRead += bytes;
-    return transfer(lba, bytes, false);
+    return transfer(lba, bytes);
 }
 
 sim::Task<void>
 DiskDevice::write(Bytes lba, Bytes bytes)
 {
     _stats.bytesWritten += bytes;
-    return transfer(lba, bytes, true);
+    return transfer(lba, bytes);
 }
 
 sim::Task<void>
-DiskDevice::transfer(Bytes lba, Bytes bytes, bool is_write)
+DiskDevice::transfer(Bytes lba, Bytes bytes)
 {
-    (void)is_write; // writes share the read service model
     VHIVE_ASSERT(lba >= 0 && bytes > 0);
     ++_stats.requests;
 
-    auto n_subs = (bytes + _params.stripeBytes - 1) / _params.stripeBytes;
-    sim::Latch done(sim, n_subs);
-    Bytes off = 0;
-    while (off < bytes) {
+    // Book each stripe in arrival order: start = max(arrival, stage
+    // free) at the controller, then on the channel that idles first.
+    Time done = sim.now();
+    for (Bytes off = 0; off < bytes; off += _params.stripeBytes) {
         Bytes chunk = std::min<Bytes>(_params.stripeBytes, bytes - off);
-        sim.spawn(subTransfer(lba + off, chunk, &done));
-        off += chunk;
+        ++_stats.subRequests;
+
+        // Stage 1: serialized controller / host-interface submission.
+        controllerFree = std::max(controllerFree, sim.now()) +
+                         _params.controllerFixed +
+                         transferTime(chunk, _params.controllerBw);
+
+        // Stage 2: media access on one of the parallel channels.
+        Duration media = _params.channelLatency +
+                         transferTime(chunk, _params.channelBw);
+        if (_params.seekLatency > 0 && lba + off != lastEndLba) {
+            media += _params.seekLatency;
+            ++_stats.seeks;
+        }
+        lastEndLba = lba + off + chunk;
+        Time &channel =
+            *std::min_element(channelFree.begin(), channelFree.end());
+        channel = std::max(channel, controllerFree) + media;
+        done = std::max(done, channel);
     }
-    co_await done.wait();
-}
-
-sim::Task<void>
-DiskDevice::subTransfer(Bytes lba, Bytes bytes, sim::Latch *done)
-{
-    ++_stats.subRequests;
-
-    // Stage 1: serialized controller / host-interface submission.
-    co_await controller.acquire();
-    co_await sim.delay(_params.controllerFixed +
-                       transferTime(bytes, _params.controllerBw));
-    controller.release();
-
-    // Stage 2: media access on one of the parallel channels.
-    co_await channelBank.acquire();
-    Duration media = _params.channelLatency +
-                     transferTime(bytes, _params.channelBw);
-    if (_params.seekLatency > 0 && lba != lastEndLba) {
-        media += _params.seekLatency;
-        ++_stats.seeks;
-    }
-    lastEndLba = lba + bytes;
-    co_await sim.delay(media);
-    channelBank.release();
-
-    done->arrive();
+    co_await sim.delay(done - sim.now());
 }
 
 } // namespace vhive::storage

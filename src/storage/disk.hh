@@ -9,6 +9,13 @@
  * queue depth 16, and ~850 MB/s for large sequential reads. An HDD is
  * the same model with one channel plus a seek penalty on discontiguous
  * access.
+ *
+ * Both stages are FIFO queues whose service time is known when a
+ * request arrives, so the device keeps no waiting tasks: it holds the
+ * time at which the controller and each channel next go idle, books
+ * every stripe on arrival (start = max(arrival, stage free), Lindley's
+ * recursion; a channel stripe takes the channel that idles first) and
+ * wakes the caller once, when its last stripe lands.
  */
 
 #ifndef VHIVE_STORAGE_DISK_HH
@@ -16,9 +23,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/simulation.hh"
-#include "sim/sync.hh"
 #include "sim/task.hh"
 #include "util/units.hh"
 
@@ -106,15 +113,13 @@ class DiskDevice
     void resetStats() { _stats = DiskStats{}; }
 
   private:
-    sim::Task<void> transfer(Bytes lba, Bytes bytes, bool is_write);
-    sim::Task<void> subTransfer(Bytes lba, Bytes bytes,
-                                sim::Latch *done);
+    sim::Task<void> transfer(Bytes lba, Bytes bytes);
 
     sim::Simulation &sim;
     DiskParams _params;
     DiskStats _stats;
-    sim::Semaphore controller;
-    sim::Semaphore channelBank;
+    Time controllerFree = 0;        ///< when the controller next idles
+    std::vector<Time> channelFree;  ///< when each channel next idles
     Bytes lastEndLba = -1;
 };
 

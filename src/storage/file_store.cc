@@ -8,7 +8,7 @@ namespace vhive::storage {
 
 FileStore::FileStore(sim::Simulation &sim, DiskDevice &disk,
                      IoPathParams params)
-    : sim(sim), disk(disk), _params(params), plug(sim, 1)
+    : sim(sim), disk(disk), _params(params)
 {
     VHIVE_ASSERT(_params.windowBytes >= kPageSize);
     VHIVE_ASSERT(_params.readPipelineDepth >= 1);
@@ -121,10 +121,7 @@ FileStore::fetchWindow(FileId f, Bytes offset, Bytes len,
 {
     co_await pipeline->acquire();
 
-    // Serialized block-layer submission.
-    co_await plug.acquire();
-    co_await sim.delay(_params.preadMissPlug);
-    plug.release();
+    co_await passPlug(_params.preadMissPlug);
 
     co_await disk.read(get(f).baseLba + offset, len);
 
@@ -218,9 +215,7 @@ FileStore::faultRead(FileId f, Bytes offset, Bytes len)
 
     // Major fault: serialized fault-path work (page allocation,
     // fault-around, mmap_sem/page-table locking, block submission)...
-    co_await plug.acquire();
-    co_await sim.delay(_params.faultMissPlug);
-    plug.release();
+    co_await passPlug(_params.faultMissPlug);
 
     // ...then the device read of the faulted range.
     co_await disk.read(file.baseLba + offset, len);

@@ -17,11 +17,16 @@
  *    expensive serialized block-layer stage (fault-around, page-table
  *    and mmap_sem work), which is why lazy paging extracts only tens of
  *    MB/s from a disk capable of hundreds (Sec. 4.2, Fig. 9).
+ *
+ * The plug is one FIFO stage with a known service time, kept as the
+ * time at which it next goes idle: a miss books its slot on arrival
+ * and sleeps once until the slot ends, then enters the device.
  */
 
 #ifndef VHIVE_STORAGE_FILE_STORE_HH
 #define VHIVE_STORAGE_FILE_STORE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -178,6 +183,14 @@ class FileStore
     File &get(FileId f);
     const File &get(FileId f) const;
 
+    /** Awaitable: book the plug's next @p cost slot, sleep to its end. */
+    auto
+    passPlug(Duration cost)
+    {
+        plugFree = std::max(plugFree, sim.now()) + cost;
+        return sim.delay(plugFree - sim.now());
+    }
+
     /** Fetch one missing chunk through the buffered path. */
     sim::Task<void> fetchWindow(FileId f, Bytes offset, Bytes len,
                                 sim::Semaphore *pipeline,
@@ -192,7 +205,7 @@ class FileStore
     // invocation's cold start on the same worker) must not invalidate
     // them. Files are append-only, so deque references are stable.
     std::deque<File> files;
-    sim::Semaphore plug; // serialized block-layer submission stage
+    Time plugFree = 0; ///< when the block-layer plug next idles
     Bytes nextLba = 0;
 };
 
