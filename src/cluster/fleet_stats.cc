@@ -66,8 +66,9 @@ FleetStats::outcomeDigest() const
     std::uint64_t h = kFnvOffsetBasis;
     for (std::int64_t v :
          {invocations, coldStarts, warmHits, scaleDowns, preWarms,
-          preWarmHits, snapshotBuilds, stagedBytes, dedupSavedBytes, chunksUploaded,
-          chunksDeduped, remoteArtifactFetches, bgPrefetches,
+          preWarmHits, snapshotBuilds, stagedBytes, dedupSavedBytes,
+          chunksUploaded, chunksDeduped, remoteArtifactFetches,
+          bgPrefetches,
           pageCachePeakBytes, pageCacheEvictedBytes,
           workerChunkPeakBytes, workerChunkBudgetEvictions,
           ssdEvictions, peakSsdBytes, fleetChunkPeakBytes,
