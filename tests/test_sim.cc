@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -306,6 +307,70 @@ TEST(Latch, ZeroCountOpensImmediately)
     sim.spawn(Joiner::run(sim, latch, when));
     sim.run();
     EXPECT_EQ(when, 0);
+}
+
+/**
+ * Same-instant order of a latch join: who resumes first when the last
+ * child ends at the same time as its siblings. Children A and B end at
+ * t=10 with arrive() as their last statement; B first opens a gate.
+ * The joiner's wake-up is scheduled, so it runs behind S2 (queued
+ * earlier for t=10) and behind the gate waiter B woke before arriving.
+ */
+const std::vector<std::string> kLatchJoinOrder = {"A", "S1", "B", "S2",
+                                                  "G", "W"};
+
+struct LatchJoinScenario
+{
+    static Task<void>
+    joiner(Latch &latch, std::vector<std::string> &log)
+    {
+        co_await latch.wait();
+        log.push_back("W");
+    }
+
+    static Task<void>
+    gateWaiter(Gate &gate, std::vector<std::string> &log)
+    {
+        co_await gate.wait();
+        log.push_back("G");
+    }
+
+    static Task<void>
+    sibling(Simulation &sim, std::string name,
+            std::vector<std::string> &log)
+    {
+        co_await sim.delay(10);
+        log.push_back(std::move(name));
+    }
+
+    static Task<void>
+    child(Simulation &sim, std::string name, Gate *gate, Latch *latch,
+          std::vector<std::string> &log)
+    {
+        co_await sim.delay(10);
+        log.push_back(std::move(name));
+        if (gate != nullptr)
+            gate->openGate();
+        if (latch != nullptr)
+            latch->arrive();
+    }
+};
+
+TEST(Latch, PinnedSameInstantOrderWithManualArrive)
+{
+    using S = LatchJoinScenario;
+    Simulation sim;
+    std::vector<std::string> log;
+    Gate gate(sim);
+    Latch latch(sim, 2);
+    sim.spawn(S::joiner(latch, log));
+    sim.spawn(S::gateWaiter(gate, log));
+    sim.spawn(S::child(sim, "A", nullptr, &latch, log));
+    sim.spawn(S::sibling(sim, "S1", log));
+    sim.spawn(S::child(sim, "B", &gate, &latch, log));
+    sim.spawn(S::sibling(sim, "S2", log));
+    sim.run();
+    EXPECT_EQ(log, kLatchJoinOrder);
 }
 
 Task<void>
