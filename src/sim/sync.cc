@@ -12,6 +12,27 @@ Gate::openGate()
         sim.schedule(waiters.popFront(), sim.now());
 }
 
+Latch::~Latch()
+{
+    if (live > 0 && !sim.tearingDown())
+        panic("sim::Latch destroyed with %lld spawned task(s) still "
+              "running", static_cast<long long>(live));
+}
+
+void
+Latch::wakeWaiters()
+{
+    while (!waiters.empty())
+        sim.schedule(waiters.popFront(), sim.now());
+}
+
+void
+detail::joinChild(Latch &latch)
+{
+    --latch.live;
+    latch.arrive();
+}
+
 void
 Semaphore::release()
 {

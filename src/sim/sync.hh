@@ -1,9 +1,12 @@
 /**
  * @file
  * Synchronization primitives for simulated tasks: Gate (one-shot event),
- * Latch (countdown), Semaphore (FIFO counted resource), and Channel<T>
- * (unbounded FIFO message queue). All wake-ups are funnelled through the
- * simulation event queue so same-time ordering stays deterministic.
+ * Latch (join: a countdown that also owns the tasks spawned through
+ * it), Semaphore (FIFO counted resource), and Channel<T> (unbounded
+ * FIFO message queue). All wake-ups are funnelled through the
+ * simulation event queue so same-time ordering stays deterministic: a
+ * latch's waiters resume behind the events already queued for the
+ * instant its count reaches zero, never inline in the last child.
  */
 
 #ifndef VHIVE_SIM_SYNC_HH
@@ -15,6 +18,7 @@
 
 #include "sim/simulation.hh"
 #include "sim/small_ring.hh"
+#include "sim/task.hh"
 #include "util/logging.hh"
 
 namespace vhive::sim {
@@ -61,20 +65,29 @@ class Gate
 };
 
 /**
- * Countdown latch: wait() completes after @p count arrive() calls.
- * Useful to join a dynamic number of spawned tasks (e.g. Fig. 9's
- * concurrent cold starts).
+ * Join of a dynamic set of tasks (e.g. Fig. 9's concurrent cold
+ * starts, a fetch's window workers). The count starts at @p count;
+ * arrive() takes one off, and spawn() adds one for a task that it
+ * starts detached and takes off again at that task's final suspend.
+ * wait() is ready while the count is zero. A count that reaches zero
+ * wakes only the tasks waiting at that moment, so tasks spawned after
+ * a zero re-arm the latch and still join. Destroying the latch while a
+ * task spawned through it is live panics, except during simulation
+ * teardown: no child outlives its join.
  */
 class Latch
 {
   public:
     Latch(Simulation &sim, std::int64_t count)
-        : gate(sim), remaining(count)
+        : sim(sim), remaining(count)
     {
         VHIVE_ASSERT(count >= 0);
-        if (remaining == 0)
-            gate.openGate();
     }
+
+    ~Latch();
+
+    Latch(const Latch &) = delete;
+    Latch &operator=(const Latch &) = delete;
 
     /** Signal one completion. */
     void
@@ -82,15 +95,52 @@ class Latch
     {
         VHIVE_ASSERT(remaining > 0);
         if (--remaining == 0)
-            gate.openGate();
+            wakeWaiters();
     }
 
-    /** Awaitable: resume once the count reaches zero. */
-    auto wait() { return gate.wait(); }
+    /**
+     * Start @p task detached at the current time, counted until it
+     * ends. Like Simulation::spawn, but joined by wait().
+     */
+    void
+    spawn(Task<void> task)
+    {
+        auto h = task.release();
+        h.promise().joiner = this;
+        ++remaining;
+        ++live;
+        sim.spawn(Task<void>(h));
+    }
+
+    /** Awaitable: resume once the count is zero. */
+    auto
+    wait()
+    {
+        struct Awaiter {
+            Latch &latch;
+            bool await_ready() const noexcept
+            {
+                return latch.remaining == 0;
+            }
+            void
+            await_suspend(std::coroutine_handle<> h)
+            {
+                latch.waiters.pushBack(h);
+            }
+            void await_resume() const noexcept {}
+        };
+        return Awaiter{*this};
+    }
 
   private:
-    Gate gate;
+    friend void detail::joinChild(Latch &latch);
+
+    void wakeWaiters();
+
+    Simulation &sim;
+    SmallRing<std::coroutine_handle<>> waiters;
     std::int64_t remaining;
+    std::int64_t live = 0; ///< spawned tasks that have not ended
 };
 
 /**

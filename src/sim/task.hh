@@ -11,6 +11,11 @@
  *                        co_awaited (or outlive completion).
  *  - sim.spawn(move(t))  detaches; the frame self-destroys on completion
  *                        or is reclaimed at simulation teardown.
+ *  - latch.spawn(move(t)) detaches like sim.spawn and joins: the latch
+ *                        counts the task until its final suspend, so
+ *                        latch.wait() returns only after the task ended.
+ *                        The latch must outlive the task; destroying it
+ *                        first panics outside simulation teardown.
  */
 
 #ifndef VHIVE_SIM_TASK_HH
@@ -29,7 +34,12 @@ namespace vhive::sim {
 template <typename T>
 class Task;
 
+class Latch;
+
 namespace detail {
+
+/** A task spawned through @p latch ended (defined in sync.cc). */
+void joinChild(Latch &latch);
 
 /** State shared by all task promises. */
 struct PromiseBase
@@ -51,13 +61,17 @@ struct PromiseBase
     PromiseBase *detachedPrev = nullptr;
     PromiseBase *detachedNext = nullptr;
 
+    /** Latch this task was spawned through (Latch::spawn), if any. */
+    Latch *joiner = nullptr;
+
     std::suspend_always initial_suspend() noexcept { return {}; }
 
     void unhandled_exception() { exception = std::current_exception(); }
 
     /**
      * On completion: resume the joining parent via symmetric transfer,
-     * or self-destroy when detached.
+     * or self-destroy when detached, first arriving at the joining
+     * latch if there is one.
      */
     struct FinalAwaiter
     {
@@ -77,6 +91,8 @@ struct PromiseBase
                 }
                 if (p.sim)
                     p.sim->unregisterDetached(p);
+                if (p.joiner)
+                    joinChild(*p.joiner);
                 h.destroy();
             }
             return std::noop_coroutine();

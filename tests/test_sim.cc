@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -312,9 +313,11 @@ TEST(Latch, ZeroCountOpensImmediately)
 /**
  * Same-instant order of a latch join: who resumes first when the last
  * child ends at the same time as its siblings. Children A and B end at
- * t=10 with arrive() as their last statement; B first opens a gate.
- * The joiner's wake-up is scheduled, so it runs behind S2 (queued
- * earlier for t=10) and behind the gate waiter B woke before arriving.
+ * t=10; B first opens a gate. The joiner's wake-up is scheduled, so it
+ * runs behind S2 (queued earlier for t=10) and behind the gate waiter
+ * B woke before it ended. A child joined through Latch::spawn arrives
+ * at its final suspend, which must give the order of a child whose
+ * last statement is arrive().
  */
 const std::vector<std::string> kLatchJoinOrder = {"A", "S1", "B", "S2",
                                                   "G", "W"};
@@ -343,6 +346,7 @@ struct LatchJoinScenario
         log.push_back(std::move(name));
     }
 
+    /** Ends at t=10, arriving at @p latch last when it is non-null. */
     static Task<void>
     child(Simulation &sim, std::string name, Gate *gate, Latch *latch,
           std::vector<std::string> &log)
@@ -354,23 +358,121 @@ struct LatchJoinScenario
         if (latch != nullptr)
             latch->arrive();
     }
+
+    /** Spawn order: W, G, A, S1, B, S2; children joined either way. */
+    static std::vector<std::string>
+    run(bool via_spawn)
+    {
+        Simulation sim;
+        std::vector<std::string> log;
+        Gate gate(sim);
+        Latch latch(sim, via_spawn ? 0 : 2);
+        auto start_child = [&](const char *name, Gate *g) {
+            if (via_spawn)
+                latch.spawn(child(sim, name, g, nullptr, log));
+            else
+                sim.spawn(child(sim, name, g, &latch, log));
+        };
+        sim.spawn(joiner(latch, log));
+        sim.spawn(gateWaiter(gate, log));
+        start_child("A", nullptr);
+        sim.spawn(sibling(sim, "S1", log));
+        start_child("B", &gate);
+        sim.spawn(sibling(sim, "S2", log));
+        sim.run();
+        return log;
+    }
 };
 
 TEST(Latch, PinnedSameInstantOrderWithManualArrive)
 {
-    using S = LatchJoinScenario;
+    EXPECT_EQ(LatchJoinScenario::run(false), kLatchJoinOrder);
+}
+
+TEST(Latch, PinnedSameInstantOrderThroughSpawn)
+{
+    EXPECT_EQ(LatchJoinScenario::run(true), kLatchJoinOrder);
+}
+
+TEST(Latch, RearmsWhenChildrenSpawnAfterZero)
+{
+    struct T {
+        static Task<void>
+        child(Simulation &sim, Duration d)
+        {
+            co_await sim.delay(d);
+        }
+
+        static Task<void>
+        driver(Simulation &sim, Latch &latch, std::vector<Time> &joins)
+        {
+            latch.spawn(child(sim, 5));
+            co_await latch.wait();
+            joins.push_back(sim.now());
+            // The count is zero: wait() does not suspend.
+            co_await latch.wait();
+            joins.push_back(sim.now());
+            co_await sim.delay(5);
+            latch.spawn(child(sim, 3));
+            latch.spawn(child(sim, 7));
+            co_await latch.wait();
+            joins.push_back(sim.now());
+        }
+    };
     Simulation sim;
-    std::vector<std::string> log;
-    Gate gate(sim);
-    Latch latch(sim, 2);
-    sim.spawn(S::joiner(latch, log));
-    sim.spawn(S::gateWaiter(gate, log));
-    sim.spawn(S::child(sim, "A", nullptr, &latch, log));
-    sim.spawn(S::sibling(sim, "S1", log));
-    sim.spawn(S::child(sim, "B", &gate, &latch, log));
-    sim.spawn(S::sibling(sim, "S2", log));
+    Latch latch(sim, 0);
+    std::vector<Time> joins;
+    sim.spawn(T::driver(sim, latch, joins));
     sim.run();
-    EXPECT_EQ(log, kLatchJoinOrder);
+    EXPECT_EQ(joins, std::vector<Time>({5, 5, 17}));
+}
+
+TEST(Latch, TeardownReclaimsLiveChildren)
+{
+    // A parent blocked on its latch at teardown: the simulation
+    // destroys both frames, and the latch dies with a live child
+    // without panicking.
+    struct T {
+        static Task<void>
+        child(Simulation &sim)
+        {
+            co_await sim.delay(msec(10));
+        }
+
+        static Task<void>
+        parent(Simulation &sim)
+        {
+            Latch latch(sim, 0);
+            latch.spawn(child(sim));
+            co_await latch.wait();
+        }
+    };
+    auto sim = std::make_unique<Simulation>();
+    sim->spawn(T::parent(*sim));
+    sim->runUntil(msec(5));
+    sim.reset();
+    SUCCEED();
+}
+
+TEST(LatchDeathTest, DestroyedWithLiveSpawnedChildPanics)
+{
+    struct T {
+        static Task<void>
+        child(Simulation &sim)
+        {
+            co_await sim.delay(msec(10));
+        }
+    };
+    EXPECT_DEATH(
+        {
+            Simulation sim;
+            {
+                Latch latch(sim, 0);
+                latch.spawn(T::child(sim));
+                sim.runUntil(msec(5));
+            }
+        },
+        "Latch destroyed with 1 spawned task");
 }
 
 Task<void>
