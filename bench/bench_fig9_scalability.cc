@@ -44,13 +44,12 @@ struct Result {
 
 sim::Task<void>
 oneInstance(core::Orchestrator &orch, std::string name,
-            core::ColdStartMode mode, Samples *lat, sim::Latch *done)
+            core::ColdStartMode mode, Samples *lat)
 {
     core::InvokeOptions opts;
     opts.forceCold = true;
     auto bd = co_await orch.invoke(name, mode, opts);
     lat->add(toMs(bd.total));
-    done->arrive();
 }
 
 Result
@@ -84,9 +83,9 @@ measure(int concurrency, core::ColdStartMode mode)
         orch.flushHostCaches();
 
         Time t0 = sim.now();
-        sim::Latch done(sim, concurrency);
+        sim::Latch done(sim, 0);
         for (const auto &n : names)
-            sim.spawn(oneInstance(orch, n, mode, &lat, &done));
+            done.spawn(oneInstance(orch, n, mode, &lat));
         co_await done.wait();
         wall = sim.now() - t0;
     });

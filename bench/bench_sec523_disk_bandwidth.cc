@@ -22,13 +22,11 @@ using namespace vhive;
 namespace {
 
 sim::Task<void>
-qdWorker(storage::DiskDevice &dev, int reads, Bytes base,
-         sim::Latch *done)
+qdWorker(storage::DiskDevice &dev, int reads, Bytes base)
 {
     for (int i = 0; i < reads; ++i)
         co_await dev.read(base + static_cast<Bytes>(i) * 64 * kKiB,
                           4 * kKiB);
-    done->arrive();
 }
 
 double
@@ -37,10 +35,9 @@ randomThroughput(const storage::DiskParams &params, int depth)
     sim::Simulation sim;
     storage::DiskDevice dev(sim, params);
     const int reads = 300;
-    sim::Latch done(sim, depth);
+    sim::Latch done(sim, 0);
     for (int i = 0; i < depth; ++i)
-        sim.spawn(qdWorker(dev, reads,
-                           static_cast<Bytes>(i) * kGiB, &done));
+        done.spawn(qdWorker(dev, reads, static_cast<Bytes>(i) * kGiB));
     Time end = sim.run();
     return mbps(static_cast<Bytes>(depth) * reads * 4 * kKiB, end);
 }

@@ -56,22 +56,14 @@ driveLoad(sim::Simulation &sim, cluster::Cluster &c, Duration horizon,
 
     std::vector<std::unique_ptr<cluster::PoissonTraffic>> gens;
     std::int64_t total = 0;
-    sim::Latch done(sim, static_cast<std::int64_t>(std::size(kMix)));
-    struct Gen {
-        static sim::Task<void>
-        run(cluster::PoissonTraffic *g, sim::Latch *done)
-        {
-            co_await g->run();
-            done->arrive();
-        }
-    };
+    sim::Latch done(sim, 0);
     for (const auto &f : kMix) {
         auto count = static_cast<std::int64_t>(
             toMs(horizon) / 1000.0 / f.mean_interarrival_s);
         total += count;
         gens.push_back(std::make_unique<cluster::PoissonTraffic>(
             sim, c, f.name, sec(f.mean_interarrival_s), count, seed));
-        sim.spawn(Gen::run(gens.back().get(), &done));
+        done.spawn(gens.back()->run());
     }
     co_await done.wait();
     c.stopAutoscaler();

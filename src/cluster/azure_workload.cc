@@ -80,7 +80,7 @@ AzureWorkload::AzureWorkload(sim::Simulation &sim, Cluster &cluster,
 }
 
 sim::Task<void>
-AzureWorkload::arrivalLoop(int idx, sim::Latch *done)
+AzureWorkload::arrivalLoop(int idx)
 {
     const std::string &name = names[static_cast<size_t>(idx)];
     Rng local = azureArrivalStream(cfg.seed, name);
@@ -94,7 +94,6 @@ AzureWorkload::arrivalLoop(int idx, sim::Latch *done)
         co_await sim.delay(gap);
         (void)co_await cluster.invoke(name);
     }
-    done->arrive();
 }
 
 sim::Task<void>
@@ -118,9 +117,9 @@ AzureWorkload::run()
     cluster.startAutoscaler();
     sim.spawn(memorySampler());
 
-    sim::Latch done(sim, cfg.functions);
+    sim::Latch done(sim, 0);
     for (int i = 0; i < cfg.functions; ++i)
-        sim.spawn(arrivalLoop(i, &done));
+        done.spawn(arrivalLoop(i));
     co_await done.wait();
 
     samplerStopping = true;

@@ -123,7 +123,7 @@ class AzureWorkload
     sim::Task<AzureWorkloadResult> run();
 
   private:
-    sim::Task<void> arrivalLoop(int idx, sim::Latch *done);
+    sim::Task<void> arrivalLoop(int idx);
     sim::Task<void> memorySampler();
 
     sim::Simulation &sim;

@@ -565,7 +565,7 @@ ParallelFleet::workerJanitor(int w)
 // --------------------------------------------------- control domain
 
 sim::Task<void>
-ParallelFleet::replyPump(int w, sim::Latch *ready, sim::Latch *byes)
+ParallelFleet::replyPump(int w, sim::Latch *ready)
 {
     WorkerNode &node = *nodes[static_cast<std::size_t>(w)];
     sim::Simulation &csim = kernel.sim(0);
@@ -609,7 +609,6 @@ ParallelFleet::replyPump(int w, sim::Latch *ready, sim::Latch *byes)
                 msg.idleNow;
             break;
           case ControlMsg::Bye:
-            byes->arrive();
             co_return;
         }
     }
@@ -650,7 +649,7 @@ ParallelFleet::dispatch(int fn_idx, sim::Gate *done)
 }
 
 sim::Task<void>
-ParallelFleet::arrivalLoop(int fn_idx, sim::Latch *done)
+ParallelFleet::arrivalLoop(int fn_idx)
 {
     sim::Simulation &csim = kernel.sim(0);
     const AzureMixEntry &entry =
@@ -669,11 +668,10 @@ ParallelFleet::arrivalLoop(int fn_idx, sim::Latch *done)
         (void)dispatch(fn_idx, &gate);
         co_await gate.wait(); // closed loop: next draw after reply
     }
-    done->arrive();
 }
 
 sim::Task<void>
-ParallelFleet::trafficArrivalLoop(int fn_idx, sim::Latch *done)
+ParallelFleet::trafficArrivalLoop(int fn_idx)
 {
     // Open loop: arrivals fire on the engine's schedule whether or
     // not earlier invocations completed, so burst events genuinely
@@ -691,7 +689,6 @@ ParallelFleet::trafficArrivalLoop(int fn_idx, sim::Latch *done)
         co_await csim.delay(start + t - csim.now());
         (void)dispatch(fn_idx, nullptr);
     }
-    done->arrive();
 }
 
 sim::Task<void>
@@ -757,21 +754,19 @@ ParallelFleet::controlMain()
     sim::Simulation &csim = kernel.sim(0);
 
     sim::Latch ready(csim, cfg.workers);
-    sim::Latch byes(csim, cfg.workers);
+    sim::Latch byes(csim, 0);
     for (int w = 0; w < cfg.workers; ++w)
-        csim.spawn(replyPump(w, &ready, &byes));
+        byes.spawn(replyPump(w, &ready));
     co_await ready.wait();
 
     if (activeControl)
         csim.spawn(controlTickLoop());
 
-    sim::Latch done(csim, static_cast<std::int64_t>(mix.size()));
+    sim::Latch loops(csim, 0);
     for (std::size_t fn = 0; fn < mix.size(); ++fn)
-        csim.spawn(trafficEng
-                       ? trafficArrivalLoop(static_cast<int>(fn),
-                                            &done)
-                       : arrivalLoop(static_cast<int>(fn), &done));
-    co_await done.wait();
+        loops.spawn(trafficEng ? trafficArrivalLoop(static_cast<int>(fn))
+                               : arrivalLoop(static_cast<int>(fn)));
+    co_await loops.wait();
 
     // Stop issuing control actions before draining: a tick runs
     // synchronously within one resumption, so after this flag no

@@ -393,10 +393,9 @@ class ParallelFleet
     /** @name Control-domain coroutines. */
     /// @{
     sim::Task<void> controlMain();
-    sim::Task<void> arrivalLoop(int fn_idx, sim::Latch *done);
-    sim::Task<void> trafficArrivalLoop(int fn_idx, sim::Latch *done);
-    sim::Task<void> replyPump(int w, sim::Latch *ready,
-                              sim::Latch *byes);
+    sim::Task<void> arrivalLoop(int fn_idx);
+    sim::Task<void> trafficArrivalLoop(int fn_idx);
+    sim::Task<void> replyPump(int w, sim::Latch *ready);
 
     /** Route + dispatch one invocation; returns its request id. */
     std::int64_t dispatch(int fn_idx, sim::Gate *done);

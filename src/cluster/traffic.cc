@@ -20,20 +20,19 @@ PoissonTraffic::PoissonTraffic(sim::Simulation &sim, Cluster &cluster,
 }
 
 sim::Task<void>
-PoissonTraffic::fireOne(sim::Latch *done)
+PoissonTraffic::fireOne()
 {
     (void)co_await cluster.invoke(function);
-    done->arrive();
 }
 
 sim::Task<void>
 PoissonTraffic::run()
 {
-    sim::Latch done(sim, count);
+    sim::Latch done(sim, 0);
     for (std::int64_t i = 0; i < count; ++i) {
         co_await sim.delay(static_cast<Duration>(rng.exponential(
             static_cast<double>(meanInterarrival))));
-        sim.spawn(fireOne(&done));
+        done.spawn(fireOne());
     }
     co_await done.wait();
 }
@@ -59,17 +58,15 @@ ClosedLoopTraffic::client(int idx)
         ++_completed;
         co_await sim.delay(thinkTime);
     }
-    drain->arrive();
 }
 
 void
 ClosedLoopTraffic::start()
 {
     VHIVE_ASSERT(!drain); // start() may only be called once
-    drain = std::make_unique<sim::Latch>(
-        sim, static_cast<std::int64_t>(clients));
+    drain = std::make_unique<sim::Latch>(sim, 0);
     for (int i = 0; i < clients; ++i)
-        sim.spawn(client(i));
+        drain->spawn(client(i));
 }
 
 sim::Task<void>
@@ -296,13 +293,10 @@ sim::Task<void>
 TrafficWorkload::fireOne(int fn)
 {
     (void)co_await cluster.invoke(eng.profile(fn).name);
-    --inFlight;
-    if (launchDone && inFlight == 0 && drained)
-        drained->openGate();
 }
 
 sim::Task<void>
-TrafficWorkload::arrivalLoop(int fn, sim::Latch *loops_done)
+TrafficWorkload::arrivalLoop(int fn, sim::Latch *fires)
 {
     Rng local = eng.arrivalStream(fn);
     Time start = sim.now();
@@ -314,10 +308,8 @@ TrafficWorkload::arrivalLoop(int fn, sim::Latch *loops_done)
         co_await sim.delay(start + t - sim.now());
         // Open loop: fire and move on. The invocation completes (or
         // fails) on its own task; run() waits for the stragglers.
-        ++inFlight;
-        sim.spawn(fireOne(fn));
+        fires->spawn(fireOne(fn));
     }
-    loops_done->arrive();
 }
 
 sim::Task<void>
@@ -331,16 +323,12 @@ TrafficWorkload::run()
 
     cluster.startAutoscaler();
 
-    sim::Latch loops_done(sim, eng.functionCount());
+    sim::Latch fires(sim, 0);
+    sim::Latch loops(sim, 0);
     for (int i = 0; i < eng.functionCount(); ++i)
-        sim.spawn(arrivalLoop(i, &loops_done));
-    co_await loops_done.wait();
-
-    launchDone = true;
-    if (inFlight > 0) {
-        drained = std::make_unique<sim::Gate>(sim);
-        co_await drained->wait();
-    }
+        loops.spawn(arrivalLoop(i, &fires));
+    co_await loops.wait();
+    co_await fires.wait();
 
     cluster.stopAutoscaler();
 }

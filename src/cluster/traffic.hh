@@ -52,7 +52,7 @@ class PoissonTraffic
     sim::Task<void> run();
 
   private:
-    sim::Task<void> fireOne(sim::Latch *done);
+    sim::Task<void> fireOne();
 
     sim::Simulation &sim;
     Cluster &cluster;
@@ -80,8 +80,8 @@ class ClosedLoopTraffic
     /**
      * Ask the clients to finish their current request and exit. The
      * clients still reference this object until they drain: callers
-     * MUST keep it alive until stopAndDrain() completes (or the
-     * simulation ends).
+     * MUST keep it alive until stopAndDrain() completes. Destroying it
+     * earlier panics, unless the simulation is tearing down.
      */
     void stop() { stopping = true; }
 
@@ -314,17 +314,13 @@ class TrafficWorkload
     sim::Task<void> run();
 
   private:
-    sim::Task<void> arrivalLoop(int fn, sim::Latch *loops_done);
+    /** Fires each arrival of @p fn as a task joined by @p fires. */
+    sim::Task<void> arrivalLoop(int fn, sim::Latch *fires);
     sim::Task<void> fireOne(int fn);
 
     sim::Simulation &sim;
     Cluster &cluster;
     TrafficEngine eng;
-
-    /** Fired invocations not yet returned (the drain condition). */
-    std::int64_t inFlight = 0;
-    bool launchDone = false;
-    std::unique_ptr<sim::Gate> drained;
 };
 
 } // namespace vhive::cluster

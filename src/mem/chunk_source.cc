@@ -90,14 +90,12 @@ ChunkPageSource::read(Bytes offset, Bytes len)
         // per-shard batch RTTs that overlap-aware placement trades
         // for its waits collapse.
         if (by_shard.size() == 1) {
-            co_await fetchGroup(std::move(by_shard.begin()->second), 0,
-                                nullptr);
+            co_await fetchGroup(std::move(by_shard.begin()->second), 0);
         } else {
-            sim::Latch done(sim,
-                            static_cast<std::int64_t>(by_shard.size()));
+            sim::Latch done(sim, 0);
             for (auto &[shard, group] : by_shard) {
                 (void)shard;
-                sim.spawn(fetchGroup(std::move(group), 0, &done));
+                done.spawn(fetchGroup(std::move(group), 0));
             }
             co_await done.wait();
         }
@@ -143,7 +141,7 @@ ChunkPageSource::read(Bytes offset, Bytes len)
 
 sim::Task<void>
 ChunkPageSource::fetchGroup(std::vector<size_t> group, Duration pace,
-                            sim::Latch *done, Time pin_until)
+                            Time pin_until)
 {
     // Admissions stay hard-pinned until the whole group lands: later
     // batches' budget enforcement must not shed a chunk this fetch
@@ -199,8 +197,6 @@ ChunkPageSource::fetchGroup(std::vector<size_t> group, Duration pace,
     // Pins held across the group may have blocked reclamation; settle
     // the budget now that they are gone.
     cache->enforceBudget(sim.now());
-    if (done != nullptr)
-        done->arrive();
 }
 
 sim::Task<void>
@@ -235,8 +231,7 @@ ChunkPageSource::prefetchMissing(Duration pace, Time pin_until)
     // unlike read(), which fans groups out for latency.
     for (auto &[shard, group] : by_shard) {
         (void)shard;
-        co_await fetchGroup(std::move(group), pace, nullptr,
-                            pin_until);
+        co_await fetchGroup(std::move(group), pace, pin_until);
     }
     co_return _chunkStats.rawBytesFetched - before;
 }

@@ -144,14 +144,13 @@ class ChunkPageSource final : public PageSource
     /**
      * Fetch one shard's group of missing chunk indices as batched
      * GETs: transfer, decompress, admit, open flight gates. @p pace
-     * inserts a pause between batches (background prefetch); @p done,
-     * when non-null, is arrived at on completion (concurrent per-shard
-     * issue from read()). Admitted chunks are hard-pinned for the
-     * duration of the group so a budgeted cache never sheds a chunk
-     * mid-fetch; @p pin_until additionally soft-shields them.
+     * inserts a pause between batches (background prefetch). Admitted
+     * chunks are hard-pinned for the duration of the group so a
+     * budgeted cache never sheds a chunk mid-fetch; @p pin_until
+     * additionally soft-shields them.
      */
     sim::Task<void> fetchGroup(std::vector<size_t> group, Duration pace,
-                               sim::Latch *done, Time pin_until = -1);
+                               Time pin_until = -1);
 
     sim::Simulation &sim;
     net::ArtifactStore &store;

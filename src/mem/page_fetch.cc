@@ -19,28 +19,6 @@ PageFetchPipeline::fetchContiguous(Bytes offset, Bytes len, Duration *out)
 }
 
 /**
- * Tracks every racing GET leg one fetchWindowed call has spawned.
- * The fetch closes the join after its workers finish, then waits for
- * outstanding (loser) legs, so no leg outlives the fetch frame — and
- * with it the pipeline, which legs dereference.
- */
-struct PageFetchPipeline::FetchJoin
-{
-    explicit FetchJoin(sim::Simulation &sim) : all(sim) {}
-
-    void
-    legDone()
-    {
-        if (--legs == 0 && closed)
-            all.openGate();
-    }
-
-    sim::Gate all;
-    std::int64_t legs = 0;
-    bool closed = false;
-};
-
-/**
  * One hedged window's race. Held by shared_ptr so a hedge timer that
  * outlives the fetch (its race long since won) still has valid state
  * to check before it quietly expires.
@@ -80,19 +58,17 @@ PageFetchPipeline::fetchWindowed(Bytes offset, Bytes len,
     Time t0 = sim.now();
     int workers = static_cast<int>(std::min<std::int64_t>(
         std::max(1, inFlight), windows));
-    FetchJoin join(sim);
-    sim::Latch done(sim, workers);
-    for (int w = 0; w < workers; ++w) {
-        sim.spawn(windowWorker(offset, len, windowBytes, w, workers,
-                               &done, &join));
-    }
+    sim::Latch legs(sim, 0);
+    sim::Latch done(sim, 0);
+    for (int w = 0; w < workers; ++w)
+        done.spawn(windowWorker(offset, len, windowBytes, w, workers,
+                                &legs));
     co_await done.wait();
     // Workers proceed on each window's first leg; drain the losers
-    // before returning so no leg outlives this frame. Every race is
-    // won by now, so sleeping hedge timers cannot add legs.
-    join.closed = true;
-    if (join.legs > 0)
-        co_await join.all.wait();
+    // before returning so no leg outlives this frame (and with it the
+    // pipeline, which legs dereference). Every race is won by now, so
+    // sleeping hedge timers cannot add legs.
+    co_await legs.wait();
     snapshotTiers();
     if (out != nullptr)
         *out = sim.now() - t0;
@@ -101,35 +77,32 @@ PageFetchPipeline::fetchWindowed(Bytes offset, Bytes len,
 sim::Task<void>
 PageFetchPipeline::windowWorker(Bytes offset, Bytes len,
                                 Bytes windowBytes, std::int64_t begin,
-                                std::int64_t stride, sim::Latch *done,
-                                FetchJoin *join)
+                                std::int64_t stride, sim::Latch *legs)
 {
     std::int64_t windows = (len + windowBytes - 1) / windowBytes;
     for (std::int64_t i = begin; i < windows; i += stride) {
         Bytes off = offset + i * windowBytes;
         Bytes n = std::min(windowBytes, offset + len - off);
         if (hedgeDelay > 0)
-            co_await hedgedRead(off, n, join);
+            co_await hedgedRead(off, n, legs);
         else
             co_await source.read(off, n);
     }
-    done->arrive();
 }
 
 sim::Task<void>
-PageFetchPipeline::hedgedRead(Bytes off, Bytes n, FetchJoin *join)
+PageFetchPipeline::hedgedRead(Bytes off, Bytes n, sim::Latch *legs)
 {
     auto race = std::make_shared<WindowRace>(sim);
-    ++join->legs;
-    sim.spawn(hedgeLeg(off, n, race, false, join));
-    sim.spawn(hedgeTimer(off, n, race, join));
+    legs->spawn(hedgeLeg(off, n, race, false));
+    sim.spawn(hedgeTimer(off, n, race, legs));
     co_await race->first.wait();
 }
 
 sim::Task<void>
 PageFetchPipeline::hedgeLeg(Bytes off, Bytes n,
                             std::shared_ptr<WindowRace> race,
-                            bool hedge, FetchJoin *join)
+                            bool hedge)
 {
     co_await source.read(off, n);
     if (!race->first.isOpen()) {
@@ -137,23 +110,21 @@ PageFetchPipeline::hedgeLeg(Bytes off, Bytes n,
             ++_stats.hedgeWins;
         race->first.openGate();
     }
-    join->legDone();
 }
 
 sim::Task<void>
 PageFetchPipeline::hedgeTimer(Bytes off, Bytes n,
                               std::shared_ptr<WindowRace> race,
-                              FetchJoin *join)
+                              sim::Latch *legs)
 {
     co_await sim.delay(hedgeDelay);
     if (race->first.isOpen())
         co_return;
-    // The primary leg is still in flight, which keeps the join open
+    // The primary leg is still in flight, which keeps the legs latch
     // and the pipeline alive: safe to issue the duplicate GET.
     ++_stats.hedgesIssued;
     _stats.hedgedBytes += n;
-    ++join->legs;
-    sim.spawn(hedgeLeg(off, n, race, true, join));
+    legs->spawn(hedgeLeg(off, n, race, true));
 }
 
 /**
@@ -168,8 +139,7 @@ struct PageFetchPipeline::AdaptiveState
 {
     AdaptiveState(sim::Simulation &sim, const AdaptiveWindowParams &p,
                   int in_flight)
-        : params(p), window(p.minWindow), slots(sim, in_flight),
-          done(sim)
+        : params(p), window(p.minWindow), slots(sim, in_flight)
     {
     }
 
@@ -221,9 +191,6 @@ struct PageFetchPipeline::AdaptiveState
     const AdaptiveWindowParams &params;
     Bytes window;
     sim::Semaphore slots;
-    sim::Gate done;
-    int outstanding = 0;
-    bool launcherDone = false;
     std::int64_t windowsIssued = 0;
 
     bool havePrev = false;
@@ -241,8 +208,6 @@ PageFetchPipeline::adaptiveWorker(Bytes offset, Bytes len,
     co_await source.read(offset, len);
     st->observe(len, sim.now() - t0);
     st->slots.release();
-    if (--st->outstanding == 0 && st->launcherDone)
-        st->done.openGate();
 }
 
 sim::Task<void>
@@ -252,19 +217,17 @@ PageFetchPipeline::fetchAdaptive(Bytes offset, Bytes len, int inFlight)
     _stats.bytesFetched += len;
 
     AdaptiveState st(sim, adaptive, std::max(1, inFlight));
+    sim::Latch workers(sim, 0);
     Bytes cursor = offset;
     const Bytes end = offset + len;
     while (cursor < end) {
         co_await st.slots.acquire();
         Bytes n = std::min(st.window, end - cursor);
-        ++st.outstanding;
         ++st.windowsIssued;
-        sim.spawn(adaptiveWorker(cursor, n, &st));
+        workers.spawn(adaptiveWorker(cursor, n, &st));
         cursor += n;
     }
-    st.launcherDone = true;
-    if (st.outstanding > 0)
-        co_await st.done.wait();
+    co_await workers.wait();
     _stats.windowsIssued += st.windowsIssued;
     _stats.convergedWindowBytes = st.window;
 }
@@ -303,15 +266,13 @@ PageFetchPipeline::fetchBackground(Bytes offset, Bytes len,
 sim::Task<void>
 PageFetchPipeline::pageWorker(const std::vector<std::int64_t> &pages,
                               size_t begin, size_t stride,
-                              UserFaultFd &uffd, GuestMemory &guest,
-                              sim::Latch *done)
+                              UserFaultFd &uffd, GuestMemory &guest)
 {
     for (size_t i = begin; i < pages.size(); i += stride) {
         co_await source.read(bytesForPages(pages[i]), kPageSize);
         co_await uffd.copyCost(1, 1);
         guest.installRange(pages[i], 1);
     }
-    done->arrive();
 }
 
 sim::Task<void>
@@ -323,11 +284,11 @@ PageFetchPipeline::fetchAndInstallPages(
     _stats.pageFetches += static_cast<std::int64_t>(pages.size());
     _stats.bytesFetched +=
         bytesForPages(static_cast<std::int64_t>(pages.size()));
-    sim::Latch done(sim, workers);
+    sim::Latch done(sim, 0);
     for (int w = 0; w < workers; ++w) {
-        sim.spawn(pageWorker(pages, static_cast<size_t>(w),
-                             static_cast<size_t>(workers), uffd, guest,
-                             &done));
+        done.spawn(pageWorker(pages, static_cast<size_t>(w),
+                              static_cast<size_t>(workers), uffd,
+                              guest));
     }
     co_await done.wait();
     snapshotTiers();

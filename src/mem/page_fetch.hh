@@ -205,37 +205,32 @@ class PageFetchPipeline
     /** One strided worker of fetchAndInstallPages. */
     sim::Task<void>
     pageWorker(const std::vector<std::int64_t> &pages, size_t begin,
-               size_t stride, UserFaultFd &uffd, GuestMemory &guest,
-               sim::Latch *done);
-
-    /**
-     * Join of every racing GET leg one fetchWindowed call spawned;
-     * the fetch drains it before returning so no leg outlives the
-     * pipeline.
-     */
-    struct FetchJoin;
+               size_t stride, UserFaultFd &uffd, GuestMemory &guest);
 
     /** First-leg-lands race of one hedged window (shared by legs). */
     struct WindowRace;
 
-    /** One strided worker of fetchWindowed. */
+    /**
+     * One strided worker of fetchWindowed. Hedge legs are spawned
+     * through @p legs, which the fetch drains after its workers so no
+     * leg outlives the pipeline.
+     */
     sim::Task<void> windowWorker(Bytes offset, Bytes len,
                                  Bytes windowBytes, std::int64_t begin,
-                                 std::int64_t stride, sim::Latch *done,
-                                 FetchJoin *join);
+                                 std::int64_t stride, sim::Latch *legs);
 
     /** One window read, hedged with a delayed duplicate GET. */
-    sim::Task<void> hedgedRead(Bytes off, Bytes n, FetchJoin *join);
+    sim::Task<void> hedgedRead(Bytes off, Bytes n, sim::Latch *legs);
 
     /** One racing GET (primary or the hedge) of a hedged window. */
     sim::Task<void> hedgeLeg(Bytes off, Bytes n,
                              std::shared_ptr<WindowRace> race,
-                             bool hedge, FetchJoin *join);
+                             bool hedge);
 
     /** Issues the duplicate GET when the primary outlives the delay. */
     sim::Task<void> hedgeTimer(Bytes off, Bytes n,
                                std::shared_ptr<WindowRace> race,
-                               FetchJoin *join);
+                               sim::Latch *legs);
 
     /** Shared state of one adaptive fetch's AIMD controller. */
     struct AdaptiveState;

@@ -3,23 +3,6 @@
 namespace vhive::sim {
 
 void
-Gate::openGate()
-{
-    if (open)
-        return;
-    open = true;
-    while (!waiters.empty())
-        sim.schedule(waiters.popFront(), sim.now());
-}
-
-Latch::~Latch()
-{
-    if (live > 0 && !sim.tearingDown())
-        panic("sim::Latch destroyed with %lld spawned task(s) still "
-              "running", static_cast<long long>(live));
-}
-
-void
 Latch::wakeWaiters()
 {
     while (!waiters.empty())

@@ -1,8 +1,8 @@
 /**
  * @file
- * Synchronization primitives for simulated tasks: Gate (one-shot event),
- * Latch (join: a countdown that also owns the tasks spawned through
- * it), Semaphore (FIFO counted resource), and Channel<T> (unbounded
+ * Synchronization primitives for simulated tasks: Latch (join: a
+ * countdown that also owns the tasks spawned through it), Gate
+ * (one-shot event, a latch of one), Semaphore (FIFO counted resource), and Channel<T> (unbounded
  * FIFO message queue). All wake-ups are funnelled through the
  * simulation event queue so same-time ordering stays deterministic: a
  * latch's waiters resume behind the events already queued for the
@@ -24,47 +24,6 @@
 namespace vhive::sim {
 
 /**
- * One-shot event. Tasks co_await wait(); open() releases all current and
- * future waiters at the current simulated time.
- */
-class Gate
-{
-  public:
-    explicit Gate(Simulation &sim) : sim(sim) {}
-
-    Gate(const Gate &) = delete;
-    Gate &operator=(const Gate &) = delete;
-
-    /** True once open() has been called. */
-    bool isOpen() const { return open; }
-
-    /** Release all waiters; idempotent. */
-    void openGate();
-
-    /** Awaitable: suspend until the gate opens (no-op if already open). */
-    auto
-    wait()
-    {
-        struct Awaiter {
-            Gate &gate;
-            bool await_ready() const noexcept { return gate.open; }
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                gate.waiters.pushBack(h);
-            }
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this};
-    }
-
-  private:
-    Simulation &sim;
-    SmallRing<std::coroutine_handle<>> waiters;
-    bool open = false;
-};
-
-/**
  * Join of a dynamic set of tasks (e.g. Fig. 9's concurrent cold
  * starts, a fetch's window workers). The count starts at @p count;
  * arrive() takes one off, and spawn() adds one for a task that it
@@ -84,7 +43,12 @@ class Latch
         VHIVE_ASSERT(count >= 0);
     }
 
-    ~Latch();
+    ~Latch()
+    {
+        if (live > 0 && !sim.tearingDown())
+            panic("sim::Latch destroyed with %lld spawned task(s) still "
+                  "running", static_cast<long long>(live));
+    }
 
     Latch(const Latch &) = delete;
     Latch &operator=(const Latch &) = delete;
@@ -112,16 +76,16 @@ class Latch
         sim.spawn(Task<void>(h));
     }
 
+    /** True while the count is zero. */
+    bool isZero() const { return remaining == 0; }
+
     /** Awaitable: resume once the count is zero. */
     auto
     wait()
     {
         struct Awaiter {
             Latch &latch;
-            bool await_ready() const noexcept
-            {
-                return latch.remaining == 0;
-            }
+            bool await_ready() const noexcept { return latch.isZero(); }
             void
             await_suspend(std::coroutine_handle<> h)
             {
@@ -141,6 +105,34 @@ class Latch
     SmallRing<std::coroutine_handle<>> waiters;
     std::int64_t remaining;
     std::int64_t live = 0; ///< spawned tasks that have not ended
+};
+
+/**
+ * One-shot event: a latch of one. Tasks co_await wait(); openGate()
+ * releases all current and future waiters at the current simulated
+ * time.
+ */
+class Gate
+{
+  public:
+    explicit Gate(Simulation &sim) : latch(sim, 1) {}
+
+    /** True once openGate() has been called. */
+    bool isOpen() const { return latch.isZero(); }
+
+    /** Release all waiters; idempotent. */
+    void
+    openGate()
+    {
+        if (!isOpen())
+            latch.arrive();
+    }
+
+    /** Awaitable: suspend until the gate opens (no-op if already open). */
+    auto wait() { return latch.wait(); }
+
+  private:
+    Latch latch;
 };
 
 /**

@@ -117,7 +117,7 @@ FileStore::dropFileCacheRange(FileId f, Bytes offset, Bytes len)
 
 sim::Task<void>
 FileStore::fetchWindow(FileId f, Bytes offset, Bytes len,
-                       sim::Semaphore *pipeline, sim::Latch *done)
+                       sim::Semaphore *pipeline)
 {
     co_await pipeline->acquire();
 
@@ -131,7 +131,6 @@ FileStore::fetchWindow(FileId f, Bytes offset, Bytes len,
     co_await sim.delay(_params.perPageInsert * pages);
 
     pipeline->release();
-    done->arrive();
 }
 
 sim::Task<void>
@@ -167,10 +166,10 @@ FileStore::readBuffered(FileId f, Bytes offset, Bytes len)
 
     if (!chunks.empty()) {
         sim::Semaphore pipeline(sim, _params.readPipelineDepth);
-        sim::Latch done(sim, static_cast<std::int64_t>(chunks.size()));
+        sim::Latch done(sim, 0);
         for (const Chunk &c : chunks) {
             _stats.cacheMisses += pagesForBytes(c.len);
-            sim.spawn(fetchWindow(f, c.off, c.len, &pipeline, &done));
+            done.spawn(fetchWindow(f, c.off, c.len, &pipeline));
         }
         co_await done.wait();
     }

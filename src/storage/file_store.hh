@@ -193,8 +193,7 @@ class FileStore
 
     /** Fetch one missing chunk through the buffered path. */
     sim::Task<void> fetchWindow(FileId f, Bytes offset, Bytes len,
-                                sim::Semaphore *pipeline,
-                                sim::Latch *done);
+                                sim::Semaphore *pipeline);
 
     sim::Simulation &sim;
     DiskDevice &disk;
