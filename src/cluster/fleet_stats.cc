@@ -142,25 +142,6 @@ mergeTierRow(std::vector<core::TierBreakdown> &into,
 }
 
 void
-mergeStoreStats(net::ObjectStoreStats &a, const net::ObjectStoreStats &b)
-{
-    a.gets += b.gets;
-    a.puts += b.puts;
-    a.rangedGets += b.rangedGets;
-    a.bytesServed += b.bytesServed;
-    a.bytesStored += b.bytesStored;
-    a.streamWaits += b.streamWaits;
-    a.streamWaitTime += b.streamWaitTime;
-    a.peakStreamQueue =
-        std::max(a.peakStreamQueue, b.peakStreamQueue);
-    a.chunkPuts += b.chunkPuts;
-    a.chunkBatches += b.chunkBatches;
-    a.chunksServed += b.chunksServed;
-    a.requestRetries += b.requestRetries;
-    a.outageStalls += b.outageStalls;
-}
-
-void
 WorkerFleetRow::note(const core::LatencyBreakdown &bd)
 {
     if (bd.crashed)
@@ -223,7 +204,7 @@ addWorkerFold(FleetStats &fs, int w, const core::Worker &worker,
 
     if (!shared) {
         fs.snapshotBuilds += orch.snapshotBuilds();
-        mergeStoreStats(fs.store, worker.objectStore().stats());
+        net::mergeStoreStats(fs.store, worker.objectStore().stats());
     }
 }
 

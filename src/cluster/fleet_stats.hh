@@ -219,7 +219,7 @@ struct FleetStats
     /**
      * Per-shard rows of the shared store, in shard order (empty when
      * snapshot sharing is off). The summed `store` field above and
-     * these rows agree by construction: mergeStoreStats over the rows
+     * these rows agree by construction: net::mergeStoreStats over the rows
      * reproduces the aggregate. [both]
      */
     std::vector<net::ObjectStoreStats> storeShards;
@@ -393,10 +393,6 @@ struct FleetStats
  */
 void mergeTierRow(std::vector<core::TierBreakdown> &into,
                   const core::TierBreakdown &row);
-
-/** Sum @p b's request/byte/contention counters into @p a. */
-void mergeStoreStats(net::ObjectStoreStats &a,
-                     const net::ObjectStoreStats &b);
 
 /**
  * Fold worker @p w and its @p row into @p fs: both engines call it

@@ -21,6 +21,24 @@ ObjectStoreParams::remote()
     return p;
 }
 
+void
+mergeStoreStats(ObjectStoreStats &a, const ObjectStoreStats &b)
+{
+    a.gets += b.gets;
+    a.puts += b.puts;
+    a.rangedGets += b.rangedGets;
+    a.bytesServed += b.bytesServed;
+    a.bytesStored += b.bytesStored;
+    a.streamWaits += b.streamWaits;
+    a.streamWaitTime += b.streamWaitTime;
+    a.peakStreamQueue = std::max(a.peakStreamQueue, b.peakStreamQueue);
+    a.chunkPuts += b.chunkPuts;
+    a.chunkBatches += b.chunkBatches;
+    a.chunksServed += b.chunksServed;
+    a.requestRetries += b.requestRetries;
+    a.outageStalls += b.outageStalls;
+}
+
 std::uint64_t
 placementScope(std::string_view name)
 {

@@ -129,6 +129,13 @@ struct ObjectStoreStats
 };
 
 /**
+ * Sum @p b's request/byte/contention counters into @p a (the deepest
+ * stream queue is a max): the one field list behind every aggregate
+ * of store rows.
+ */
+void mergeStoreStats(ObjectStoreStats &a, const ObjectStoreStats &b);
+
+/**
  * Abstract artifact-store surface: the five operations every snapshot
  * consumer (loaders, page sources, the fleet registry) issues. Each
  * op carries an optional PlacementKey; implementations with a single

@@ -1,7 +1,5 @@
 #include "net/sharded_store.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace vhive::net {
@@ -126,23 +124,8 @@ ObjectStoreStats
 ShardedObjectStore::stats() const
 {
     ObjectStoreStats sum;
-    for (const auto &s : _shards) {
-        const ObjectStoreStats &st = s->stats();
-        sum.gets += st.gets;
-        sum.puts += st.puts;
-        sum.rangedGets += st.rangedGets;
-        sum.bytesServed += st.bytesServed;
-        sum.bytesStored += st.bytesStored;
-        sum.chunkPuts += st.chunkPuts;
-        sum.chunkBatches += st.chunkBatches;
-        sum.chunksServed += st.chunksServed;
-        sum.streamWaits += st.streamWaits;
-        sum.streamWaitTime += st.streamWaitTime;
-        sum.peakStreamQueue =
-            std::max(sum.peakStreamQueue, st.peakStreamQueue);
-        sum.requestRetries += st.requestRetries;
-        sum.outageStalls += st.outageStalls;
-    }
+    for (const auto &s : _shards)
+        mergeStoreStats(sum, s->stats());
     return sum;
 }
 

@@ -132,7 +132,7 @@ TEST(ShardedStore, ShardStatsSumToAggregate)
     ObjectStoreStats sum;
     std::int64_t peak = 0;
     for (const ObjectStoreStats &row : store.shardStats()) {
-        cluster::mergeStoreStats(sum, row);
+        net::mergeStoreStats(sum, row);
         peak = std::max(peak, row.peakStreamQueue);
     }
     ObjectStoreStats agg = store.stats();
@@ -175,7 +175,7 @@ TEST(ShardedStore, ClusterFleetStatsCarryPerShardRows)
     ASSERT_EQ(static_cast<int>(fs.storeShards.size()), 4);
     ObjectStoreStats sum;
     for (const ObjectStoreStats &row : fs.storeShards)
-        cluster::mergeStoreStats(sum, row);
+        net::mergeStoreStats(sum, row);
     EXPECT_EQ(fs.store.gets, sum.gets);
     EXPECT_EQ(fs.store.puts, sum.puts);
     EXPECT_EQ(fs.store.bytesStored, sum.bytesStored);
