@@ -37,7 +37,6 @@ struct FunctionStats
     std::int64_t warmInvocations = 0;
     std::int64_t recordPhases = 0;
     std::int64_t rerecordsTriggered = 0;
-    std::int64_t bootInvocations = 0;
     std::int64_t layoutRerandomizations = 0;
 
     /** Cold starts torn down by an injected WorkerCrash fault. */

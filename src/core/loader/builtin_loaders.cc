@@ -47,7 +47,6 @@ BootLoader::load(LoadContext ctx)
     noteServe(bd, res);
     bd.total = ctx.sim.now() - t0;
     inst.busy = false;
-    ++st.stats.bootInvocations;
     co_return bd;
 }
 
