@@ -57,6 +57,7 @@ Simulation::spawn(Task<void> task)
     VHIVE_ASSERT(!p.started);
     p.started = true;
     p.detached = true;
+    p.joiner = nullptr;
     p.sim = this;
     p.self = handle;
     registerDetached(p);

@@ -70,10 +70,10 @@ class Latch
     spawn(Task<void> task)
     {
         auto h = task.release();
-        h.promise().joiner = this;
+        sim.spawn(Task<void>(h));
+        h.promise().joiner = this; // after spawn, which clears it
         ++remaining;
         ++live;
-        sim.spawn(Task<void>(h));
     }
 
     /** True while the count is zero. */

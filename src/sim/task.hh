@@ -44,7 +44,16 @@ void joinChild(Latch &latch);
 /** State shared by all task promises. */
 struct PromiseBase
 {
-    std::coroutine_handle<> continuation;
+    /**
+     * Who joins this task: the awaiting parent, or, once detached, the
+     * latch it was spawned through (Latch::spawn; null for a plain
+     * Simulation::spawn). The two never coexist, so they share one
+     * pointer and a detached task's frame is no larger for the hook.
+     */
+    union {
+        std::coroutine_handle<> continuation{};
+        Latch *joiner;
+    };
     Simulation *sim = nullptr;
     bool started = false;
     bool detached = false;
@@ -60,9 +69,6 @@ struct PromiseBase
     std::coroutine_handle<> self;
     PromiseBase *detachedPrev = nullptr;
     PromiseBase *detachedNext = nullptr;
-
-    /** Latch this task was spawned through (Latch::spawn), if any. */
-    Latch *joiner = nullptr;
 
     std::suspend_always initial_suspend() noexcept { return {}; }
 
@@ -82,19 +88,18 @@ struct PromiseBase
         await_suspend(std::coroutine_handle<Promise> h) noexcept
         {
             auto &p = h.promise();
-            if (p.continuation)
-                return p.continuation;
-            if (p.detached) {
-                if (p.exception) {
-                    // A detached task must not fail silently.
-                    panic("unhandled exception in detached sim task");
-                }
-                if (p.sim)
-                    p.sim->unregisterDetached(p);
-                if (p.joiner)
-                    joinChild(*p.joiner);
-                h.destroy();
+            if (!p.detached)
+                return p.continuation ? p.continuation
+                                      : std::noop_coroutine();
+            if (p.exception) {
+                // A detached task must not fail silently.
+                panic("unhandled exception in detached sim task");
             }
+            if (p.sim)
+                p.sim->unregisterDetached(p);
+            if (p.joiner)
+                joinChild(*p.joiner);
+            h.destroy();
             return std::noop_coroutine();
         }
 
