@@ -2,11 +2,12 @@
  * @file
  * Synchronization primitives for simulated tasks: Latch (join: a
  * countdown that also owns the tasks spawned through it), Gate
- * (one-shot event, a latch of one), Semaphore (FIFO counted resource), and Channel<T> (unbounded
- * FIFO message queue). All wake-ups are funnelled through the
- * simulation event queue so same-time ordering stays deterministic: a
- * latch's waiters resume behind the events already queued for the
- * instant its count reaches zero, never inline in the last child.
+ * (one-shot event, a latch of one), Semaphore (FIFO counted
+ * resource), and Channel<T> (unbounded FIFO message queue). All
+ * wake-ups are funnelled through the simulation event queue so
+ * same-time ordering stays deterministic: a latch's waiters resume
+ * behind the events already queued for the instant its count reaches
+ * zero, never inline in the last child.
  */
 
 #ifndef VHIVE_SIM_SYNC_HH
