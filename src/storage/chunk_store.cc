@@ -1,75 +1,10 @@
 #include "storage/chunk_store.hh"
 
 #include <algorithm>
-#include <array>
 
 #include "util/logging.hh"
 
 namespace vhive::storage {
-
-namespace {
-
-constexpr std::array<std::uint8_t, 8> kMagic = {'V', 'H', 'C', 'M',
-                                                'N', 'F', 'S', '1'};
-
-void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
-}
-
-size_t
-varintSize(std::uint64_t v)
-{
-    size_t n = 1;
-    while (v >= 0x80) {
-        v >>= 7;
-        ++n;
-    }
-    return n;
-}
-
-bool
-getVarint(const std::vector<std::uint8_t> &in, size_t &pos,
-          std::uint64_t &out)
-{
-    out = 0;
-    int shift = 0;
-    while (pos < in.size() && shift < 64) {
-        std::uint8_t b = in[pos++];
-        out |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return true;
-        shift += 7;
-    }
-    return false;
-}
-
-/** CRC32 (IEEE, reflected) — same polynomial as the trace codec. */
-std::uint32_t
-manifestCrc(const std::uint8_t *data, size_t len)
-{
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    std::uint32_t c = 0xffffffffu;
-    for (size_t i = 0; i < len; ++i)
-        c = table[(c ^ data[i]) & 0xff] ^ (c >> 8);
-    return c ^ 0xffffffffu;
-}
-
-} // namespace
 
 // ----------------------------------------------------- ChunkManifest
 
@@ -101,104 +36,6 @@ ChunkManifest::chunkSpan(Bytes offset, Bytes len) const
     size_t last = static_cast<size_t>((offset + len - 1) / chunkBytes);
     VHIVE_ASSERT(last < chunks.size());
     return {first, last};
-}
-
-// ----------------------------------------------------- ManifestCodec
-
-Bytes
-ManifestCodec::encodedSize(const ChunkManifest &m)
-{
-    size_t size = kMagic.size();
-    size += varintSize(m.artifact.size()) + m.artifact.size();
-    size += varintSize(static_cast<std::uint64_t>(m.chunkBytes));
-    size += varintSize(m.chunks.size());
-    for (const ChunkRef &c : m.chunks) {
-        size += varintSize(c.hash);
-        size += varintSize(static_cast<std::uint64_t>(c.rawBytes));
-        size += varintSize(static_cast<std::uint64_t>(c.storedBytes));
-    }
-    size += 4; // crc
-    return static_cast<Bytes>(size);
-}
-
-std::vector<std::uint8_t>
-ManifestCodec::encode(const ChunkManifest &m)
-{
-    std::vector<std::uint8_t> out;
-    out.reserve(static_cast<size_t>(encodedSize(m)));
-    for (std::uint8_t b : kMagic)
-        out.push_back(b);
-    putVarint(out, m.artifact.size());
-    for (char ch : m.artifact)
-        out.push_back(static_cast<std::uint8_t>(ch));
-    putVarint(out, static_cast<std::uint64_t>(m.chunkBytes));
-    putVarint(out, m.chunks.size());
-    for (const ChunkRef &c : m.chunks) {
-        putVarint(out, c.hash);
-        putVarint(out, static_cast<std::uint64_t>(c.rawBytes));
-        putVarint(out, static_cast<std::uint64_t>(c.storedBytes));
-    }
-    std::uint32_t crc = manifestCrc(out.data(), out.size());
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-    return out;
-}
-
-std::optional<ChunkManifest>
-ManifestCodec::decode(const std::vector<std::uint8_t> &bytes)
-{
-    if (bytes.size() < kMagic.size() + 4)
-        return std::nullopt;
-    if (!std::equal(kMagic.begin(), kMagic.end(), bytes.begin()))
-        return std::nullopt;
-
-    std::uint32_t stored = 0;
-    for (int i = 0; i < 4; ++i)
-        stored |= static_cast<std::uint32_t>(
-                      bytes[bytes.size() - 4 + static_cast<size_t>(i)])
-                  << (8 * i);
-    if (manifestCrc(bytes.data(), bytes.size() - 4) != stored)
-        return std::nullopt;
-
-    size_t pos = kMagic.size();
-    std::uint64_t name_len = 0;
-    if (!getVarint(bytes, pos, name_len) ||
-        pos + name_len > bytes.size() - 4)
-        return std::nullopt;
-    ChunkManifest m;
-    m.artifact.assign(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                      bytes.begin() +
-                          static_cast<std::ptrdiff_t>(pos + name_len));
-    pos += name_len;
-
-    std::uint64_t chunk_bytes = 0, count = 0;
-    if (!getVarint(bytes, pos, chunk_bytes) ||
-        !getVarint(bytes, pos, count))
-        return std::nullopt;
-    m.chunkBytes = static_cast<Bytes>(chunk_bytes);
-    if (m.chunkBytes <= 0)
-        return std::nullopt;
-    m.chunks.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t hash = 0, raw = 0, comp = 0;
-        if (!getVarint(bytes, pos, hash) ||
-            !getVarint(bytes, pos, raw) || !getVarint(bytes, pos, comp))
-            return std::nullopt;
-        ChunkRef ref{hash, static_cast<Bytes>(raw),
-                     static_cast<Bytes>(comp)};
-        // Sizing invariants: every chunk but the last is exactly the
-        // nominal size, none is empty or larger than its raw form
-        // claims to fit, and stored bytes are positive.
-        if (ref.rawBytes <= 0 || ref.storedBytes <= 0 ||
-            ref.rawBytes > m.chunkBytes)
-            return std::nullopt;
-        if (i + 1 < count && ref.rawBytes != m.chunkBytes)
-            return std::nullopt;
-        m.chunks.push_back(ref);
-    }
-    if (pos != bytes.size() - 4)
-        return std::nullopt;
-    return m;
 }
 
 // --------------------------------------------------------- ChunkStore

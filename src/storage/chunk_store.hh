@@ -9,9 +9,7 @@
  * hash:
  *
  *  - ChunkRef/ChunkManifest: the per-artifact recipe — an ordered list
- *    of (hash, raw size, compressed size) chunk references. Manifests
- *    have a real binary codec (magic, version, varints, CRC32) so the
- *    on-disk format is testable for corruption rejection.
+ *    of (hash, raw size, compressed size) chunk references.
  *  - ChunkStore: a refcounted content-addressed index. Each distinct
  *    chunk is stored exactly once no matter how many manifests (or
  *    functions) reference it; releasing the last reference evicts it.
@@ -26,8 +24,6 @@
 #define VHIVE_STORAGE_CHUNK_STORE_HH
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -58,9 +54,6 @@ struct ChunkRef
  */
 struct ChunkManifest
 {
-    /** Artifact name (diagnostics; not part of chunk identity). */
-    std::string artifact;
-
     /** Nominal chunk size every non-final chunk has. */
     Bytes chunkBytes = 0;
 
@@ -83,24 +76,6 @@ struct ChunkManifest
      * [offset, offset+len). The range must lie inside the artifact.
      */
     std::pair<size_t, size_t> chunkSpan(Bytes offset, Bytes len) const;
-};
-
-/** Binary manifest codec (magic, version, varints, CRC32). */
-class ManifestCodec
-{
-  public:
-    /** Serialized size of @p m without building the buffer. */
-    static Bytes encodedSize(const ChunkManifest &m);
-
-    /** Encode to the on-disk byte layout. */
-    static std::vector<std::uint8_t> encode(const ChunkManifest &m);
-
-    /**
-     * Decode; std::nullopt on corruption (bad magic/version/CRC,
-     * truncation, or inconsistent chunk sizing).
-     */
-    static std::optional<ChunkManifest>
-    decode(const std::vector<std::uint8_t> &bytes);
 };
 
 /** Counters for dedup effectiveness, readable by tests and benches. */

@@ -64,7 +64,6 @@ chunkArtifact(const std::string &artifact, Bytes raw_bytes,
         1, model.sharedPoolBytes / model.chunkBytes);
 
     storage::ChunkManifest m;
-    m.artifact = artifact;
     m.chunkBytes = model.chunkBytes;
     std::int64_t count =
         (raw_bytes + model.chunkBytes - 1) / model.chunkBytes;

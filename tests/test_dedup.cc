@@ -1,11 +1,11 @@
 /**
  * @file
- * The content-addressed artifact layer: manifest codec round-trips and
- * corruption rejection, ChunkStore refcount lifecycle (store once,
- * evict only at zero), the chunked-reassembly == blob-path property,
- * ChunkPageSource cache/remote accounting, the DedupReap loader
- * end-to-end (worker and fleet), the adaptive (AIMD) window satellite,
- * the admit-on-N-hits satellite, and chunk-aware routing.
+ * The content-addressed artifact layer: ChunkStore refcount lifecycle
+ * (store once, evict only at zero), the chunked-reassembly ==
+ * blob-path property, ChunkPageSource cache/remote accounting, the
+ * DedupReap loader end-to-end (worker and fleet), the adaptive (AIMD)
+ * window satellite, the admit-on-N-hits satellite, and chunk-aware
+ * routing.
  */
 
 #include <gtest/gtest.h>
@@ -58,52 +58,6 @@ model(Bytes chunk_bytes = 64 * kKiB, double dup = 0.35,
     m.crossFunctionDupRatio = dup;
     m.compression = compression;
     return m;
-}
-
-// ------------------------------------------------------ manifest codec
-
-TEST(ManifestCodec, RoundTripsBitExactly)
-{
-    auto m = vmm::chunkArtifact("fn/ws", 3 * kMiB + 12 * kKiB, model());
-    auto bytes = storage::ManifestCodec::encode(m);
-    EXPECT_EQ(static_cast<Bytes>(bytes.size()),
-              storage::ManifestCodec::encodedSize(m));
-
-    auto decoded = storage::ManifestCodec::decode(bytes);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->artifact, m.artifact);
-    EXPECT_EQ(decoded->chunkBytes, m.chunkBytes);
-    ASSERT_EQ(decoded->chunks.size(), m.chunks.size());
-    for (size_t i = 0; i < m.chunks.size(); ++i) {
-        EXPECT_EQ(decoded->chunks[i].hash, m.chunks[i].hash);
-        EXPECT_EQ(decoded->chunks[i].rawBytes, m.chunks[i].rawBytes);
-        EXPECT_EQ(decoded->chunks[i].storedBytes,
-                  m.chunks[i].storedBytes);
-    }
-}
-
-TEST(ManifestCodec, RejectsCorruption)
-{
-    auto m = vmm::chunkArtifact("fn/ws", kMiB, model());
-    auto good = storage::ManifestCodec::encode(m);
-
-    // Any single flipped byte must fail the CRC (or the magic).
-    for (size_t pos : {size_t{0}, size_t{4}, good.size() / 2,
-                       good.size() - 1}) {
-        auto bad = good;
-        bad[pos] ^= 0x40;
-        EXPECT_FALSE(storage::ManifestCodec::decode(bad).has_value())
-            << "flipped byte " << pos;
-    }
-    // Truncation at every prefix length must be rejected.
-    for (size_t len : {size_t{0}, size_t{7}, size_t{11},
-                       good.size() - 5, good.size() - 1}) {
-        auto bad = std::vector<std::uint8_t>(good.begin(),
-                                             good.begin() +
-                                                 static_cast<std::ptrdiff_t>(len));
-        EXPECT_FALSE(storage::ManifestCodec::decode(bad).has_value())
-            << "truncated to " << len;
-    }
 }
 
 // ------------------------------------------------- refcount lifecycle
