@@ -112,7 +112,7 @@ sweepStore(const char *label, net::ObjectStoreParams store_params,
                         std::printf(
                             "  %-10s hits %4lld  misses %4lld  "
                             "admitted %4lld  %6.1f MiB  %7.2f ms\n",
-                            tier.tier.c_str(),
+                            tier.label.c_str(),
                             static_cast<long long>(tier.hits),
                             static_cast<long long>(tier.misses),
                             static_cast<long long>(tier.admissions),

@@ -114,15 +114,16 @@ FleetStats::noteInvocation(Duration e2e, bool cold, bool failed)
 }
 
 void
-mergeTierRow(std::vector<core::TierBreakdown> &into,
-             const core::TierBreakdown &row)
+mergeTierRow(std::vector<mem::TierStats> &into,
+             const mem::TierStats &row)
 {
     for (auto &t : into) {
-        if (t.tier == row.tier) {
+        if (t.label == row.label) {
             t.hits += row.hits;
             t.misses += row.misses;
             t.admissions += row.admissions;
             t.bytes += row.bytes;
+            t.bytesAdmitted += row.bytesAdmitted;
             // Resident/peak/evicted are cumulative worker-wide
             // samples (each cold's row carries the counter's value at
             // that instant), not per-invocation increments: summing

@@ -137,7 +137,7 @@ struct WorkerFleetRow
     Bytes residentBytes = 0;
 
     /** Summed LatencyBreakdown::tierHits of this worker's colds. */
-    std::vector<core::TierBreakdown> tierHits;
+    std::vector<mem::TierStats> tierHits;
 
     /** This worker's share of the FleetStats idle-waste integrals. */
     double wastedResidentByteSec = 0;
@@ -206,7 +206,7 @@ struct FleetStats
     std::vector<WorkerFleetRow> perWorker; ///< in worker order [both]
 
     /** Per-tier accounting summed across workers. [both] */
-    std::vector<core::TierBreakdown> tierHits;
+    std::vector<mem::TierStats> tierHits;
 
     /**
      * Object-store traffic: the shared store when snapshot sharing is
@@ -391,8 +391,8 @@ struct FleetStats
  * Merge one tier row into @p into, keyed by tier label (same label ->
  * counters summed; new label -> appended in arrival order).
  */
-void mergeTierRow(std::vector<core::TierBreakdown> &into,
-                  const core::TierBreakdown &row);
+void mergeTierRow(std::vector<mem::TierStats> &into,
+                  const mem::TierStats &row);
 
 /**
  * Fold worker @p w and its @p row into @p fs: both engines call it

@@ -43,7 +43,7 @@ pulledStagedArtifact(core::ColdStartMode mode,
                        core::loader::TieredPreset::Tiers::None ||
                    !artifacts_were_local;
     for (const auto &t : bd.tierHits)
-        if (t.tier == "remote")
+        if (t.label == "remote")
             fetched = t.bytes > 0;
     return fetched;
 }

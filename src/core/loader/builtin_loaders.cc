@@ -253,26 +253,14 @@ PrefetchLoader::load(LoadContext ctx)
     // Waste is judged against the record this start fetched, which a
     // re-record may have replaced by now.
     bd.wastedPrefetch = rec->wastedAgainst(ctx.trace.touchedSet());
-    for (const auto &t : pipeline.stats().tiers) {
-        TierBreakdown row;
-        row.tier = t.label;
-        row.hits = t.hits;
-        row.misses = t.misses;
-        row.admissions = t.admissions;
-        row.bytes = t.bytes;
-        row.residentBytes = t.residentBytes;
-        row.peakResidentBytes = t.peakResidentBytes;
-        row.bytesEvicted = t.bytesEvicted;
-        row.time = t.time;
-        bd.tierHits.push_back(std::move(row));
-    }
+    bd.tierHits = pipeline.stats().tiers;
     if (ctx.tierBudget != nullptr) {
         // The page-cache tier's byte economics are worker-wide (one
         // tracker spans every function's WS file), so the row carries
         // the tracker's aggregate residency rather than a per-chain
         // figure.
         for (auto &row : bd.tierHits) {
-            if (row.tier != "page-cache")
+            if (row.label != "page-cache")
                 continue;
             row.residentBytes = ctx.tierBudget->residentBytes();
             row.peakResidentBytes =

@@ -8,9 +8,9 @@
 #define VHIVE_CORE_OPTIONS_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "mem/tier_stats.hh"
 #include "storage/eviction.hh"
 #include "util/units.hh"
 
@@ -241,31 +241,6 @@ struct ReapOptions
         storage::EvictionPolicyKind::Lru;
 };
 
-/**
- * Per-tier fetch accounting as reported at the orchestrator level
- * (mirror of mem::TierStats, kept separate so core/options.hh stays a
- * leaf header).
- */
-struct TierBreakdown
-{
-    std::string tier;
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t admissions = 0;
-    Bytes bytes = 0;
-
-    /** Bytes resident in the tier when this row was sampled. */
-    Bytes residentBytes = 0;
-
-    /** High-water mark of bytes resident in the tier. */
-    Bytes peakResidentBytes = 0;
-
-    /** Bytes evicted from the tier by budget pressure. */
-    Bytes bytesEvicted = 0;
-
-    Duration time = 0;
-};
-
 /** Per-invocation latency decomposition at the orchestrator level. */
 struct LatencyBreakdown
 {
@@ -293,7 +268,7 @@ struct LatencyBreakdown
      * Per-tier WS-fetch accounting; populated only by loaders whose
      * PageSource is a tiered fallback chain.
      */
-    std::vector<TierBreakdown> tierHits;
+    std::vector<mem::TierStats> tierHits;
 };
 
 } // namespace vhive::core

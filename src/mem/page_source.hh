@@ -18,9 +18,9 @@
 #ifndef VHIVE_MEM_PAGE_SOURCE_HH
 #define VHIVE_MEM_PAGE_SOURCE_HH
 
-#include <string>
 #include <vector>
 
+#include "mem/tier_stats.hh"
 #include "net/object_store.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
@@ -28,43 +28,6 @@
 #include "util/units.hh"
 
 namespace vhive::mem {
-
-/**
- * Accounting row for one tier of a tiered fallback chain: which tier
- * served how many reads, how many bytes, and for how long. Plain
- * sources report none; TieredPageSource reports one row per tier.
- */
-struct TierStats
-{
-    std::string label;
-
-    /** Reads served by this tier. */
-    std::int64_t hits = 0;
-
-    /** Reads that probed this tier and fell through to a lower one. */
-    std::int64_t misses = 0;
-
-    /** Ranges admitted into this tier from a lower tier. */
-    std::int64_t admissions = 0;
-
-    /** Bytes served by this tier. */
-    Bytes bytes = 0;
-
-    /** Bytes admitted into this tier from below. */
-    Bytes bytesAdmitted = 0;
-
-    /** Bytes resident in this tier when the row was sampled. */
-    Bytes residentBytes = 0;
-
-    /** High-water mark of bytes resident in this tier. */
-    Bytes peakResidentBytes = 0;
-
-    /** Bytes evicted from this tier by budget pressure. */
-    Bytes bytesEvicted = 0;
-
-    /** Time spent serving from this tier (source occupancy). */
-    Duration time = 0;
-};
 
 /**
  * A supplier of snapshot bytes, addressed as ranges of one backing

@@ -756,7 +756,7 @@ workerFold(const cluster::FleetStats &fs)
         f.rowScaleDowns.push_back(row.scaleDowns);
         f.rowResident.push_back(row.residentBytes);
     }
-    for (const core::TierBreakdown &t : fs.tierHits) {
+    for (const mem::TierStats &t : fs.tierHits) {
         f.tierHits.push_back(t.hits);
         f.tierHits.push_back(t.misses);
         f.tierHits.push_back(t.bytes);

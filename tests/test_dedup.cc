@@ -270,9 +270,9 @@ TEST(DedupReap, WorkerColdStartUsesChunkedRemotePath)
     });
 
     auto row = [&](const core::LatencyBreakdown &bd,
-                   const char *label) -> const core::TierBreakdown * {
+                   const char *label) -> const mem::TierStats * {
         for (const auto &t : bd.tierHits)
-            if (t.tier == label)
+            if (t.label == label)
                 return &t;
         return nullptr;
     };

@@ -203,14 +203,14 @@ TEST(RemoteStorage, SnapshotArtifactsAreStagedOnce)
  * failure and yields a zeroed row, so chain-shape regressions fail
  * with context instead of crashing the test.
  */
-core::TierBreakdown
+mem::TierStats
 tierRow(const core::LatencyBreakdown &bd, const std::string &label)
 {
     for (const auto &t : bd.tierHits)
-        if (t.tier == label)
+        if (t.label == label)
             return t;
     ADD_FAILURE() << "no tier row labelled '" << label << "'";
-    return core::TierBreakdown{label};
+    return mem::TierStats{label};
 }
 
 TEST(TieredReap, FallbackChainWalksDownThenWarmsUp)

@@ -165,7 +165,7 @@ TEST(SnapshotRegistry, NonHomeWorkerColdStartsThroughRemoteTier)
         EXPECT_FALSE(bd.recordPhase); // adopted record, no re-record
         Bytes remote_bytes = 0;
         for (const auto &t : bd.tierHits)
-            if (t.tier == "remote")
+            if (t.label == "remote")
                 remote_bytes = t.bytes;
         EXPECT_GT(remote_bytes, 0);
         // Admission re-localized the artifacts: the next cold start
@@ -174,7 +174,7 @@ TEST(SnapshotRegistry, NonHomeWorkerColdStartsThroughRemoteTier)
         auto bd2 = co_await orch.invoke(
             profile.name, core::ColdStartMode::TieredReap, cold);
         for (const auto &t : bd2.tierHits) {
-            if (t.tier == "remote") {
+            if (t.label == "remote") {
                 EXPECT_EQ(t.bytes, 0);
             }
         }
@@ -383,7 +383,7 @@ TEST(FleetStats, AggregatesColdPercentilesTiersAndContention)
     // has a remote row with actual bytes.
     bool found_remote = false;
     for (const auto &t : fs.tierHits) {
-        if (t.tier == "remote" && t.bytes > 0)
+        if (t.label == "remote" && t.bytes > 0)
             found_remote = true;
     }
     EXPECT_TRUE(found_remote);

@@ -100,7 +100,7 @@ appendBreakdown(std::ostringstream &out, const std::string &label,
         << " prefetched=" << bd.prefetchedPages
         << " residual=" << bd.residualFaults << "\n";
     for (const auto &t : bd.tierHits) {
-        out << "  tier=" << t.tier << " hits=" << t.hits
+        out << "  tier=" << t.label << " hits=" << t.hits
             << " misses=" << t.misses << " admitted=" << t.admissions
             << " bytes=" << t.bytes << " time=" << t.time << "\n";
     }
@@ -216,10 +216,10 @@ appendStore(std::ostringstream &out, const net::ObjectStoreStats &s)
 
 void
 appendTiers(std::ostringstream &out,
-            const std::vector<core::TierBreakdown> &rows)
+            const std::vector<mem::TierStats> &rows)
 {
     for (const auto &t : rows) {
-        out << "  tier=" << t.tier << " hits=" << t.hits
+        out << "  tier=" << t.label << " hits=" << t.hits
             << " misses=" << t.misses << " admitted=" << t.admissions
             << " bytes=" << t.bytes << " resident=" << t.residentBytes
             << " peak=" << t.peakResidentBytes
