@@ -1,22 +1,9 @@
 #include "net/sharded_store.hh"
 
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace vhive::net {
-
-namespace {
-
-/** SplitMix64 finalizer: decorrelates shard choice from raw hashes. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 int
 hashShardOf(std::uint64_t content, int shards)

@@ -26,11 +26,9 @@ std::uint64_t
 Rng::next()
 {
     // SplitMix64 (Steele et al.); passes BigCrush when used this way.
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    std::uint64_t z = mix64(state);
+    state += kSplitMixGolden;
+    return z;
 }
 
 double

@@ -69,6 +69,23 @@ class Rng
     std::uint64_t state;
 };
 
+/** SplitMix64 increment (the 64-bit golden ratio). */
+inline constexpr std::uint64_t kSplitMixGolden = 0x9e3779b97f4a7c15ULL;
+
+/**
+ * SplitMix64 finalizer of @p x plus the golden increment: cheap,
+ * stable, platform-independent mixing. Rng::next() draws
+ * mix64(state); chunk hashes and shard placement hash through it.
+ */
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += kSplitMixGolden;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 /** Stable 64-bit FNV-1a hash of a string, used to derive stream seeds. */
 std::uint64_t hashName(std::string_view name);
 

@@ -10,16 +10,6 @@ namespace vhive::vmm {
 
 namespace {
 
-/** SplitMix64 finalizer: cheap, stable, platform-independent mixing. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 /** Uniform double in [0, 1) from a hash. */
 double
 unit(std::uint64_t h)
