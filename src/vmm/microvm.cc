@@ -118,14 +118,6 @@ MicroVm::resumeVcpus()
     _state = VmState::Running;
 }
 
-sim::Task<void>
-MicroVm::resumeWithUffd(const SnapshotFiles &files,
-                        mem::UserFaultFd *uffd)
-{
-    registerUffd(files, uffd);
-    co_await resumeVcpus();
-}
-
 sim::Task<InvocationBreakdown>
 MicroVm::serveInvocation(const func::InvocationTrace &trace,
                          net::ObjectStore *input_store)

@@ -104,24 +104,17 @@ class MicroVm
 
     /**
      * Phase two, REAP flavor: register guest memory with @p uffd so a
-     * monitor serves the faults, then resume vCPUs. Also injects the
-     * first fault at the first byte of guest memory so the monitor
-     * learns the mapping base (Sec. 5.2.1).
-     */
-    sim::Task<void> resumeWithUffd(const SnapshotFiles &files,
-                                   mem::UserFaultFd *uffd);
-
-    /**
-     * Register guest memory with @p uffd without resuming — used by
-     * REAP so the orchestrator can eagerly install the working set
-     * before the vCPUs run (Sec. 5.2.2).
+     * monitor serves the faults, without resuming, so the
+     * orchestrator can eagerly install the working set before the
+     * vCPUs run (Sec. 5.2.2).
      */
     void registerUffd(const SnapshotFiles &files,
                       mem::UserFaultFd *uffd);
 
     /**
      * Resume vCPUs after registerUffd() (and any eager installs),
-     * injecting the first-byte fault.
+     * injecting the first fault at the first byte of guest memory so
+     * the monitor learns the mapping base (Sec. 5.2.1).
      */
     sim::Task<void> resumeVcpus();
 

@@ -220,7 +220,8 @@ TEST(MicroVm, UffdRestoreDeliversFaultsToMonitor)
             fx.sim.spawn(Monitor::run(fx, vm, uffd, files.guestMemory,
                                       saw_first_byte));
             co_await vm.loadVmmState(files);
-            co_await vm.resumeWithUffd(files, &uffd);
+            vm.registerUffd(files, &uffd);
+            co_await vm.resumeVcpus();
             bd = co_await vm.serveInvocation(fx.gen.invocation(p, 0),
                                              nullptr);
             // Stop the monitor.
