@@ -54,7 +54,7 @@ measureReapCold(bool with_background)
                 (void)co_await c.invoke(n);
                 bg.push_back(
                     std::make_unique<cluster::ClosedLoopTraffic>(
-                        sim, c, n, 1, msec(150), 99));
+                        sim, c, n, 1, msec(150)));
                 bg.back()->start();
             }
         }

@@ -40,19 +40,16 @@ PoissonTraffic::run()
 ClosedLoopTraffic::ClosedLoopTraffic(sim::Simulation &sim,
                                      Cluster &cluster,
                                      std::string function, int clients,
-                                     Duration think_time,
-                                     std::uint64_t seed)
+                                     Duration think_time)
     : sim(sim), cluster(cluster), function(std::move(function)),
-      clients(clients), thinkTime(think_time),
-      rng(seed, "closed/" + this->function)
+      clients(clients), thinkTime(think_time)
 {
     VHIVE_ASSERT(clients >= 1);
 }
 
 sim::Task<void>
-ClosedLoopTraffic::client(int idx)
+ClosedLoopTraffic::client()
 {
-    (void)idx;
     while (!stopping) {
         (void)co_await cluster.invoke(function);
         ++_completed;
@@ -66,7 +63,7 @@ ClosedLoopTraffic::start()
     VHIVE_ASSERT(!drain); // start() may only be called once
     drain = std::make_unique<sim::Latch>(sim, 0);
     for (int i = 0; i < clients; ++i)
-        drain->spawn(client(i));
+        drain->spawn(client());
 }
 
 sim::Task<void>

@@ -72,7 +72,7 @@ class ClosedLoopTraffic
   public:
     ClosedLoopTraffic(sim::Simulation &sim, Cluster &cluster,
                       std::string function, int clients,
-                      Duration think_time, std::uint64_t seed);
+                      Duration think_time);
 
     /** Start the clients as detached tasks; they run until stop(). */
     void start();
@@ -92,14 +92,13 @@ class ClosedLoopTraffic
     std::int64_t completed() const { return _completed; }
 
   private:
-    sim::Task<void> client(int idx);
+    sim::Task<void> client();
 
     sim::Simulation &sim;
     Cluster &cluster;
     std::string function;
     int clients;
     Duration thinkTime;
-    Rng rng;
     bool stopping = false;
     std::int64_t _completed = 0;
     std::unique_ptr<sim::Latch> drain;

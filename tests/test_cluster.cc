@@ -240,7 +240,7 @@ TEST(Cluster, ClosedLoopKeepsInstancesWarm)
     cluster.deploy(func::profileByName("pyaes"));
     runScenario(sim, [&]() -> Task<void> {
         co_await cluster.prepareAllSnapshots();
-        ClosedLoopTraffic bg(sim, cluster, "pyaes", 2, msec(50), 7);
+        ClosedLoopTraffic bg(sim, cluster, "pyaes", 2, msec(50));
         bg.start();
         co_await sim.delay(sec(5));
         co_await bg.stopAndDrain();
