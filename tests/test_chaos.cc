@@ -468,15 +468,14 @@ TEST(ChaosStaging, SingleFlightNeverDoubleStagesUnderStorm)
     runScenario(sim, [&]() -> Task<void> {
         struct Prep {
             static Task<void>
-            run(cluster::Cluster &c, sim::Latch *done)
+            run(cluster::Cluster &c)
             {
                 co_await c.prepareAllSnapshots();
-                done->arrive();
             }
         };
-        sim::Latch done(sim, 4);
+        sim::Latch done(sim, 0);
         for (int i = 0; i < 4; ++i)
-            sim.spawn(Prep::run(c, &done));
+            done.spawn(Prep::run(c));
         co_await done.wait();
     });
     c.installFaultPlan(nullptr);

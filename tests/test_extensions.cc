@@ -641,15 +641,14 @@ TEST(QueueProxy, BoundsConcurrencyAndQueues)
 
         struct Arrival {
             static Task<void>
-            run(cluster::Cluster &c, sim::Latch *done)
+            run(cluster::Cluster &c)
             {
                 (void)co_await c.invoke("helloworld");
-                done->arrive();
             }
         };
-        sim::Latch done(sim, 6);
+        sim::Latch done(sim, 0);
         for (int i = 0; i < 6; ++i)
-            sim.spawn(Arrival::run(c, &done));
+            done.spawn(Arrival::run(c));
         co_await done.wait();
         // At most the concurrency limit of instances ever existed.
         EXPECT_LE(c.instanceCount("helloworld"), 2);
@@ -724,18 +723,17 @@ TEST(MemoryCapacity, BusyInstancesAreNotEvicted)
         // cold-start pyaes while it is busy.
         struct Long {
             static Task<void>
-            run(core::Orchestrator &orch, sim::Latch *done)
+            run(core::Orchestrator &orch)
             {
                 InvokeOptions keep;
                 keep.keepWarm = true;
                 (void)co_await orch.invoke(
                     "cnn_serving", ColdStartMode::VanillaSnapshot,
                     keep);
-                done->arrive();
             }
         };
-        sim::Latch done(sim, 1);
-        sim.spawn(Long::run(orch, &done));
+        sim::Latch done(sim, 0);
+        done.spawn(Long::run(orch));
         co_await sim.delay(msec(50)); // cnn is mid-flight
         (void)co_await orch.invoke("pyaes",
                                    ColdStartMode::VanillaSnapshot);

@@ -128,15 +128,14 @@ TEST(SnapshotRegistry, StagesOnceUnderConcurrentPrepare)
     runScenario(sim, [&]() -> Task<void> {
         struct Prep {
             static Task<void>
-            run(Cluster &c, sim::Latch *done)
+            run(Cluster &c)
             {
                 co_await c.prepareAllSnapshots();
-                done->arrive();
             }
         };
-        sim::Latch done(sim, 4);
+        sim::Latch done(sim, 0);
         for (int i = 0; i < 4; ++i)
-            sim.spawn(Prep::run(c, &done));
+            done.spawn(Prep::run(c));
         co_await done.wait();
     });
     EXPECT_EQ(c.fleetStats().snapshotBuilds, 2);
@@ -195,15 +194,14 @@ TEST(SnapshotRegistry, TracksFetchFanInThroughFrontEnd)
         co_await c.prepareAllSnapshots();
         struct Arrival {
             static Task<void>
-            run(Cluster &c, std::string n, sim::Latch *done)
+            run(Cluster &c, std::string n)
             {
                 (void)co_await c.invoke(n);
-                done->arrive();
             }
         };
-        sim::Latch done(sim, 4);
+        sim::Latch done(sim, 0);
         for (int i = 0; i < 4; ++i)
-            sim.spawn(Arrival::run(c, profile.name, &done));
+            done.spawn(Arrival::run(c, profile.name));
         co_await done.wait();
     });
     const StagedArtifact &art =
@@ -251,15 +249,14 @@ TEST(RoutingPolicy, LeastLoadedSpreadsConcurrentColds)
         co_await c.prepareAllSnapshots();
         struct Arrival {
             static Task<void>
-            run(Cluster &c, sim::Latch *done)
+            run(Cluster &c)
             {
                 (void)co_await c.invoke("helloworld");
-                done->arrive();
             }
         };
-        sim::Latch done(sim, 4);
+        sim::Latch done(sim, 0);
         for (int i = 0; i < 4; ++i)
-            sim.spawn(Arrival::run(c, &done));
+            done.spawn(Arrival::run(c));
         co_await done.wait();
         // One instance per worker: each arrival saw the previous
         // dispatches as in-flight load and moved on.
@@ -285,15 +282,14 @@ TEST(RoutingPolicy, LocalityHashConcentratesColdsOnHomeWorker)
         co_await c.prepareAllSnapshots();
         struct Arrival {
             static Task<void>
-            run(Cluster &c, sim::Latch *done)
+            run(Cluster &c)
             {
                 (void)co_await c.invoke("pyaes");
-                done->arrive();
             }
         };
-        sim::Latch done(sim, 3);
+        sim::Latch done(sim, 0);
         for (int i = 0; i < 3; ++i)
-            sim.spawn(Arrival::run(c, &done));
+            done.spawn(Arrival::run(c));
         co_await done.wait();
         // All three colds landed on the hash-home worker (spill
         // threshold not reached), keeping its artifact tiers hot.
@@ -352,21 +348,20 @@ TEST(FleetStats, AggregatesColdPercentilesTiersAndContention)
         co_await c.prepareAllSnapshots();
         struct Arrival {
             static Task<void>
-            run(Cluster &c, std::string n, sim::Latch *done)
+            run(Cluster &c, std::string n)
             {
                 (void)co_await c.invoke(n);
-                done->arrive();
             }
         };
-        sim::Latch done(sim, 6);
+        sim::Latch done(sim, 0);
         // Four concurrent colds of one function spread across both
         // workers under least-loaded, so whichever worker is not the
         // function's staging home provably pulls through the remote
         // tier.
         for (int i = 0; i < 4; ++i)
-            sim.spawn(Arrival::run(c, "helloworld", &done));
+            done.spawn(Arrival::run(c, "helloworld"));
         for (int i = 0; i < 2; ++i)
-            sim.spawn(Arrival::run(c, "json_serdes", &done));
+            done.spawn(Arrival::run(c, "json_serdes"));
         co_await done.wait();
     });
     FleetStats fs = c.fleetStats();
@@ -416,15 +411,14 @@ TEST(Autoscaler, ScaleDownSkipsBusyInstance)
         // Two concurrent colds leave two warm instances.
         struct Arrival {
             static Task<void>
-            run(Cluster &c, sim::Latch *done)
+            run(Cluster &c)
             {
                 (void)co_await c.invoke("lr_training");
-                done->arrive();
             }
         };
-        sim::Latch done(sim, 2);
+        sim::Latch done(sim, 0);
         for (int i = 0; i < 2; ++i)
-            sim.spawn(Arrival::run(c, &done));
+            done.spawn(Arrival::run(c));
         co_await done.wait();
         EXPECT_EQ(c.instanceCount("lr_training"), 2);
 

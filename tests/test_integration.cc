@@ -84,15 +84,13 @@ TEST(Integration, SeedChangesPerturbButStaySane)
 
 Task<void>
 concurrentCold(Orchestrator &orch, std::string name, Samples *lat,
-               sim::Latch *done, ColdStartMode mode,
-               Simulation &sim)
+               ColdStartMode mode, Simulation &sim)
 {
     InvokeOptions opts;
     opts.forceCold = true;
     Time t0 = sim.now();
     (void)co_await orch.invoke(name, mode, opts);
     lat->add(toMs(sim.now() - t0));
-    done->arrive();
 }
 
 double
@@ -121,10 +119,9 @@ avgConcurrentColdMs(int n, ColdStartMode mode)
             }
         }
         orch.flushHostCaches();
-        sim::Latch done(sim, n);
+        sim::Latch done(sim, 0);
         for (const auto &nm : names)
-            sim.spawn(concurrentCold(orch, nm, &lat, &done, mode,
-                                     sim));
+            done.spawn(concurrentCold(orch, nm, &lat, mode, sim));
         co_await done.wait();
     });
     return lat.mean();

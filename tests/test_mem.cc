@@ -40,17 +40,16 @@ TEST(CpuPool, SerializesBeyondCoreCount)
 {
     Simulation sim;
     host::CpuPool pool(sim, 2);
-    sim::Latch done(sim, 4);
+    sim::Latch done(sim, 0);
     struct Job {
         static Task<void>
-        run(host::CpuPool &pool, sim::Latch *done)
+        run(host::CpuPool &pool)
         {
             co_await pool.exec(msec(10));
-            done->arrive();
         }
     };
     for (int i = 0; i < 4; ++i)
-        sim.spawn(Job::run(pool, &done));
+        done.spawn(Job::run(pool));
     Time end = sim.run();
     EXPECT_EQ(end, msec(20)); // two waves on two cores
     EXPECT_EQ(pool.idleCores(), 2);

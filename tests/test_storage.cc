@@ -53,13 +53,10 @@ TEST(DiskModel, SingleSmallReadLatency)
 }
 
 Task<void>
-qdWorker(Simulation &sim, DiskDevice &d, int reads, Bytes stride,
-         Bytes base, sim::Latch *done)
+qdWorker(DiskDevice &d, int reads, Bytes stride, Bytes base)
 {
     for (int i = 0; i < reads; ++i)
         co_await d.read(base + i * stride, 4 * kKiB);
-    done->arrive();
-    (void)sim;
 }
 
 double
@@ -67,11 +64,11 @@ randomReadThroughput(int depth, int reads_per_worker)
 {
     Simulation sim;
     DiskDevice ssd(sim, DiskParams::ssd());
-    sim::Latch done(sim, depth);
+    sim::Latch done(sim, 0);
     for (int w = 0; w < depth; ++w) {
         // Disjoint, non-adjacent regions approximate random access.
-        sim.spawn(qdWorker(sim, ssd, reads_per_worker, 64 * kKiB,
-                           w * 512 * kMiB, &done));
+        done.spawn(qdWorker(ssd, reads_per_worker, 64 * kKiB,
+                            w * 512 * kMiB));
     }
     Time end = sim.run();
     Bytes total = static_cast<Bytes>(depth) * reads_per_worker * 4 * kKiB;
@@ -367,13 +364,12 @@ TEST(FileStore, SerializedFaultPathLimitsAggregateThroughput)
     // because the per-miss serialized stage dominates.
     struct Faulter {
         static Task<void>
-        run(FileStore &fs, FileId f, int faults, sim::Latch *done)
+        run(FileStore &fs, FileId f, int faults)
         {
             for (int i = 0; i < faults; ++i)
                 co_await fs.faultRead(f, static_cast<Bytes>(i) * 64 *
                                              kKiB,
                                       3 * kPageSize);
-            done->arrive();
         }
     };
     Simulation sim;
@@ -387,9 +383,9 @@ TEST(FileStore, SerializedFaultPathLimitsAggregateThroughput)
         name += std::to_string(i);
         f.push_back(fs.createFile(name, 16 * kMiB));
     }
-    sim::Latch done(sim, instances);
+    sim::Latch done(sim, 0);
     for (int i = 0; i < instances; ++i)
-        sim.spawn(Faulter::run(fs, f[i], faults, &done));
+        done.spawn(Faulter::run(fs, f[i], faults));
     Time end = sim.run();
     Bytes useful =
         static_cast<Bytes>(instances) * faults * 3 * kPageSize;
@@ -651,12 +647,11 @@ TEST(FileStore, ConcurrentBufferedReadsShareThePlug)
     // plug stage: aggregate throughput is bounded by it.
     struct Reader {
         static sim::Task<void>
-        run(FileStore &fs, FileId f, int reads, sim::Latch *done)
+        run(FileStore &fs, FileId f, int reads)
         {
             for (int i = 0; i < reads; ++i)
                 co_await fs.readBuffered(
                     f, static_cast<Bytes>(i) * 64 * kKiB, 4 * kKiB);
-            done->arrive();
         }
     };
     sim::Simulation sim;
@@ -670,10 +665,10 @@ TEST(FileStore, ConcurrentBufferedReadsShareThePlug)
         name += std::to_string(i);
         files.push_back(fs.createFile(name, 16 * kMiB));
     }
-    sim::Latch done(sim, readers);
+    sim::Latch done(sim, 0);
     for (int i = 0; i < readers; ++i)
-        sim.spawn(Reader::run(fs, files[static_cast<size_t>(i)],
-                              reads, &done));
+        done.spawn(Reader::run(fs, files[static_cast<size_t>(i)],
+                               reads));
     Time end = sim.run();
     double mb_s =
         mbps(static_cast<Bytes>(readers) * reads * 4 * kKiB, end);
