@@ -33,6 +33,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/common.hh"
 #include "cluster/azure_workload.hh"
@@ -106,10 +107,40 @@ arm(sim::FaultPlan &plan, Intensity lvl, Time base, Duration horizon)
     }
 }
 
+/**
+ * Faults the fleet's hooks delivered: store stragglers, error retries
+ * and outage stalls over the shared and every worker's store, crashes
+ * of cold starts and of staging passes.
+ */
+struct Delivered
+{
+    std::int64_t stragglers = 0;
+    std::int64_t retries = 0;
+    std::int64_t crashes = 0;
+    std::int64_t stalls = 0;
+};
+
+Delivered
+delivered(cluster::Cluster &c, const std::vector<std::string> &fns)
+{
+    net::ObjectStoreStats s = c.sharedObjectStore()->stats();
+    Delivered d;
+    d.crashes = c.snapshotRegistry()->stagingCrashes();
+    for (int w = 0; w < c.workerCount(); ++w) {
+        net::mergeStoreStats(s, c.worker(w).objectStore().stats());
+        for (const std::string &fn : fns)
+            d.crashes += c.worker(w).orchestrator().stats(fn).crashes;
+    }
+    d.stragglers = s.stragglers;
+    d.retries = s.requestRetries;
+    d.stalls = s.outageStalls;
+    return d;
+}
+
 struct CellResult
 {
     cluster::FleetStats fleet;
-    sim::FaultStats faults;
+    Delivered faults;
     double wall_s = 0;
     double events_per_sec = 0;
 };
@@ -149,7 +180,7 @@ runCell(Intensity lvl)
     });
     auto host1 = std::chrono::steady_clock::now();
     r.fleet = c.fleetStats();
-    r.faults = plan.stats();
+    r.faults = delivered(c, workload.functionNames());
     r.wall_s = std::chrono::duration<double>(host1 - host0).count();
     r.events_per_sec =
         r.wall_s > 0
@@ -222,7 +253,10 @@ runShardOutageCell(cluster::ControlPolicyKind control)
     });
     auto host1 = std::chrono::steady_clock::now();
     r.fleet = c.fleetStats();
-    r.faults = plan.stats();
+    std::vector<std::string> fns;
+    for (int i = 0; i < workload.engine().functionCount(); ++i)
+        fns.push_back(workload.engine().profile(i).name);
+    r.faults = delivered(c, fns);
     r.wall_s = std::chrono::duration<double>(host1 - host0).count();
     r.events_per_sec =
         r.wall_s > 0
@@ -262,9 +296,9 @@ main()
             .cell(fs.coldP99(), 1)
             .cell(fs.e2eLatencyMs.percentile(99), 1)
             .cell(r.faults.stragglers)
-            .cell(r.faults.requestErrors)
-            .cell(r.faults.workerCrashes)
-            .cell(r.faults.outageStalls)
+            .cell(r.faults.retries)
+            .cell(r.faults.crashes)
+            .cell(r.faults.stalls)
             .cell(r.wall_s, 2)
             .cell(r.events_per_sec / 1e6, 1);
         json.row(cell, "cold_p50_ms", fs.coldP50());
@@ -275,7 +309,7 @@ main()
         json.row(cell, "failed_invocations",
                  static_cast<double>(fs.failedInvocations));
         json.row(cell, "worker_crashes",
-                 static_cast<double>(r.faults.workerCrashes));
+                 static_cast<double>(r.faults.crashes));
         json.row(cell, "wall_s", r.wall_s, r.events_per_sec);
     }
 
@@ -306,9 +340,9 @@ main()
             .cell(fs.coldP99(), 1)
             .cell(fs.e2eLatencyMs.percentile(99), 1)
             .cell(r.faults.stragglers)
-            .cell(r.faults.requestErrors)
-            .cell(r.faults.workerCrashes)
-            .cell(r.faults.outageStalls)
+            .cell(r.faults.retries)
+            .cell(r.faults.crashes)
+            .cell(r.faults.stalls)
             .cell(r.wall_s, 2)
             .cell(r.events_per_sec / 1e6, 1);
         json.row(cell, "cold_p99_ms", fs.coldP99());
@@ -316,7 +350,7 @@ main()
         json.row(cell, "invocations",
                  static_cast<double>(fs.invocations));
         json.row(cell, "outage_stalls",
-                 static_cast<double>(r.faults.outageStalls));
+                 static_cast<double>(r.faults.stalls));
         json.row(cell, "store_stream_waits",
                  static_cast<double>(fs.store.streamWaits));
         if (predictive) {

@@ -57,7 +57,7 @@ Cluster::setControlPolicy(ControlPolicyKind kind)
 }
 
 void
-Cluster::installFaultPlan(sim::FaultPlan *plan)
+Cluster::installFaultPlan(const sim::FaultPlan *plan)
 {
     if (_sharedStore)
         _sharedStore->setFaultPlan(plan, "store/shared");

@@ -218,7 +218,7 @@ class Cluster : private FleetView
      * without one, every path is bit-identical to the historical
      * fault-free behaviour.
      */
-    void installFaultPlan(sim::FaultPlan *plan);
+    void installFaultPlan(const sim::FaultPlan *plan);
 
   private:
     struct Deployment

@@ -62,20 +62,10 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
             kernel.sim(storeDomain()), cfg.sharedStoreParams());
         registry = std::make_unique<SnapshotRegistry>(
             kernel.sim(storeDomain()), *sharedStore, cfg, cfg.workers);
-        if (!cfg.storeFaults.empty()) {
-            // The store domain draws its own deterministic fault
-            // stream (FaultPlan is not thread-safe across domains),
-            // under the same "store/shared[/<s>]" and
-            // "staging/<fn>" tags the sequential Cluster uses.
-            sharedFaults = std::make_unique<sim::FaultPlan>(
-                cfg.faultSeed +
-                static_cast<std::uint64_t>(cfg.workers));
-            for (const sim::FaultSpec &spec : cfg.storeFaults)
-                sharedFaults->add(spec);
-            sharedStore->setFaultPlan(sharedFaults.get(),
-                                      "store/shared");
-            registry->setFaultPlan(sharedFaults.get());
-        }
+        // The one immutable plan, under the same "store/shared[/<s>]"
+        // and "staging/<fn>" tags the sequential Cluster uses.
+        sharedStore->setFaultPlan(&cfg.faults, "store/shared");
+        registry->setFaultPlan(&cfg.faults);
     }
 
     nodes.reserve(static_cast<std::size_t>(cfg.workers));
@@ -110,18 +100,8 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
             kernel.sim(1 + w), cfg.workerConfig(w),
             node->storeClient.get());
         node->lastUsed.assign(mix.size(), 0);
-        if (!cfg.storeFaults.empty()) {
-            // One plan per domain (FaultPlan is not thread-safe),
-            // seeded per worker so domains draw independent but
-            // deterministic fault streams for any simThreads.
-            node->faults = std::make_unique<sim::FaultPlan>(
-                cfg.faultSeed + static_cast<std::uint64_t>(w));
-            for (const sim::FaultSpec &spec : cfg.storeFaults)
-                node->faults->add(spec);
-            node->worker->objectStore().setFaultPlan(
-                node->faults.get(),
-                "store/worker/" + std::to_string(w));
-        }
+        node->worker->objectStore().setFaultPlan(
+            &cfg.faults, "store/worker/" + std::to_string(w));
         nodes.push_back(std::move(node));
     }
 }

@@ -100,22 +100,17 @@ struct ParallelFleetConfig : FleetConfig
     std::optional<TrafficConfig> traffic;
 
     /**
-     * Store-fault specs applied to every worker's object store. A
-     * FaultPlan is not thread-safe, so each worker domain gets its
-     * own plan built from these specs, seeded faultSeed + worker and
-     * installed under "store/worker/<w>" — deterministic per domain
-     * and safe under any simThreads. With sharedSnapshots the store
-     * domain builds one more, seeded faultSeed + workers: it serves
-     * the shared store ("store/shared[/<s>]") and the registry's
-     * staging passes ("staging/<fn>": StagingOutage stalls,
-     * WorkerCrash rollback), as a plan installed on Cluster does.
-     * Empty (default) = fault-free, bit-identical to the historical
-     * behaviour.
+     * The fleet's fault plan, one immutable value read by every
+     * domain: installed on each worker's object store
+     * ("store/worker/<w>") and, with sharedSnapshots, on the shared
+     * store ("store/shared[/<s>]") and the registry's staging passes
+     * ("staging/<fn>": StagingOutage stalls, WorkerCrash rollback), as
+     * a plan installed on Cluster is. Draws are keyed by request, so
+     * results are the same for any simThreads. Cold-start crashes
+     * ("worker/<w>") are not wired here. An empty plan (the default)
+     * rolls nothing: fault-free, bit-identical to no plan.
      */
-    std::vector<sim::FaultSpec> storeFaults;
-
-    /** Base seed of the per-worker fault plans. */
-    std::uint64_t faultSeed = 0;
+    sim::FaultPlan faults;
 };
 
 /** Older name of the parallel engine's result, kept for callers. */
@@ -326,9 +321,6 @@ class ParallelFleet
         /** Declared after the ports/client it may reference. */
         std::unique_ptr<core::Worker> worker;
 
-        /** This domain's fault plan (null without storeFaults). */
-        std::unique_ptr<sim::FaultPlan> faults;
-
         /** Completion time per function (index), for keep-alive. */
         std::vector<Time> lastUsed;
 
@@ -414,7 +406,6 @@ class ParallelFleet
     /** @name Store-domain state (domain workers+1 only). */
     /// @{
     std::unique_ptr<net::ShardedObjectStore> sharedStore;
-    std::unique_ptr<sim::FaultPlan> sharedFaults;
     std::unique_ptr<SnapshotRegistry> registry;
 
     /** Prefix of sharedStore->placements() already sent in an Adopt. */

@@ -150,14 +150,20 @@ SnapshotRegistry::stage(const std::string &name, const StagedBuild &build)
 {
     Entry &e = entries[name];
     const std::string fault_key = "staging/" + name;
+    const std::uint64_t name_key = net::placementScope(name);
     if (faults != nullptr) {
         // Staging service unavailable: work entering an outage window
         // stalls until it closes (windows are finite, so the loop
         // always exits).
-        while (const sim::FaultWindow *w = faults->roll(
-                   sim::FaultKind::StagingOutage, fault_key,
-                   sim.now())) {
-            ++faults->stats().stagingStalls;
+        const std::uint64_t request = sim::faultRequestKey(
+            {name_key, static_cast<std::uint64_t>(sim.now())});
+        for (int attempt = 0;; ++attempt) {
+            const sim::FaultWindow *w =
+                faults->roll(sim::FaultKind::StagingOutage, fault_key,
+                             sim.now(), request, attempt);
+            if (w == nullptr)
+                break;
+            ++_stagingStalls;
             co_await sim.delay(w->end - sim.now());
         }
     }
@@ -173,20 +179,26 @@ SnapshotRegistry::stage(const std::string &name, const StagedBuild &build)
     const std::int64_t tot0 = e.art.chunksTotal;
 
     // A WorkerCrash rolled mid-pass aborts the staging attempt: the
-    // lost work is paid in simulated time and the pass retries.
-    auto crash = [this, &fault_key]() -> Duration {
+    // lost work is paid in simulated time and the pass retries. Each
+    // chunk draws by (function, pass start, position in the pass).
+    Time pass_start = 0;
+    auto crash = [&](std::int64_t position) -> Duration {
         if (faults == nullptr)
             return 0;
         const sim::FaultWindow *w = faults->roll(
-            sim::FaultKind::WorkerCrash, fault_key, sim.now());
+            sim::FaultKind::WorkerCrash, fault_key, sim.now(),
+            sim::faultRequestKey(
+                {name_key, static_cast<std::uint64_t>(pass_start)}),
+            static_cast<int>(position));
         if (w == nullptr)
             return 0;
-        ++faults->stats().workerCrashes;
+        ++_stagingCrashes;
         return std::max<Duration>(usec(1), msec(w->magnitude));
     };
     // Crash windows are finite and every crash advances time, so the
     // loop terminates and the function still stages exactly once.
     while (true) {
+        pass_start = sim.now();
         if (build.manifests) {
             // Chunked staging: upload only chunks no earlier function
             // staged. Duplicate chunks — the shared runtime pages
@@ -206,7 +218,7 @@ SnapshotRegistry::stage(const std::string &name, const StagedBuild &build)
             e.art.stagedBytes = tally.uploadedBytes;
             e.art.logicalBytes = m.rawBytes();
         } else {
-            if (Duration lost = crash(); lost > 0) {
+            if (Duration lost = crash(0); lost > 0) {
                 co_await sim.delay(lost);
                 continue;
             }

@@ -247,6 +247,12 @@ class SnapshotRegistry
     /** Stored bytes retire() reclaimed from the shared index. */
     Bytes gcReleasedBytes() const { return _gcReleasedBytes; }
 
+    /** Staging passes stalled by a StagingOutage window. */
+    std::int64_t stagingStalls() const { return _stagingStalls; }
+
+    /** Staging attempts aborted by a WorkerCrash window. */
+    std::int64_t stagingCrashes() const { return _stagingCrashes; }
+
     /** Whether @p name has been staged. */
     bool isStaged(const std::string &name) const;
 
@@ -285,10 +291,11 @@ class SnapshotRegistry
     /**
      * Install a fault plan on staging passes; specs are matched
      * against "staging/<function>" by stage() (StagingOutage stalls,
-     * WorkerCrash aborts and retries). Null detaches; the plan is
+     * WorkerCrash aborts and retries). Draws are keyed by (function,
+     * pass start, chunk position). Null detaches; the plan is
      * borrowed and must outlive the registry.
      */
-    void setFaultPlan(sim::FaultPlan *plan) { faults = plan; }
+    void setFaultPlan(const sim::FaultPlan *plan) { faults = plan; }
 
   private:
     struct Entry
@@ -322,12 +329,14 @@ class SnapshotRegistry
     storage::ChunkStore sharedChunks;
 
     /** Installed fault plan (borrowed; null = fault-free). */
-    sim::FaultPlan *faults = nullptr;
+    const sim::FaultPlan *faults = nullptr;
 
-    /** @name GC accounting (retire()). */
+    /** @name GC and injected-fault accounting. */
     /// @{
     std::int64_t _retires = 0;
     Bytes _gcReleasedBytes = 0;
+    std::int64_t _stagingStalls = 0;
+    std::int64_t _stagingCrashes = 0;
     /// @}
 };
 

@@ -69,7 +69,8 @@ FunctionState::evictLocalArtifacts(storage::FileStore &fs)
 sim::Task<ChunkStageTally>
 stageChunks(sim::Simulation &sim, const vmm::SnapshotManifests &m,
             storage::ChunkStore &index, net::ArtifactStore &store,
-            std::uint64_t scope, std::function<Duration()> abort)
+            std::uint64_t scope,
+            std::function<Duration(std::int64_t)> abort)
 {
     ChunkStageTally tally;
     // Chunks whose upload this pass counted (abortable passes only).
@@ -77,7 +78,7 @@ stageChunks(sim::Simulation &sim, const vmm::SnapshotManifests &m,
     for (const storage::ChunkManifest *man : {&m.vmmState, &m.ws}) {
         for (const storage::ChunkRef &c : man->chunks) {
             if (abort) {
-                if (Duration lost = abort(); lost > 0) {
+                if (Duration lost = abort(tally.total); lost > 0) {
                     co_await sim.delay(lost);
                     tally.aborted = true;
                     break;

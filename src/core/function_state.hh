@@ -278,17 +278,18 @@ struct ChunkStageTally
  * ones new to it. Duplicates (cross-function and in-artifact repeats)
  * are referenced, never re-uploaded. The single chunk-staging routine
  * of the DedupReap loader and the fleet registry (both fleet engines).
- * @p abort, when set, runs before each chunk; a positive return aborts
- * the pass after that much lost simulated time and releases every
- * reference it took — an upload a concurrent pass still references
- * stays stored and is orphaned, so the next pass that references it
- * counts the upload (ChunkStore::orphan).
+ * @p abort, when set, runs before each chunk with the chunk's position
+ * in the pass; a positive return aborts the pass after that much lost
+ * simulated time and releases every reference it took — an upload a
+ * concurrent pass still references stays stored and is orphaned, so
+ * the next pass that references it counts the upload
+ * (ChunkStore::orphan).
  */
 sim::Task<ChunkStageTally>
 stageChunks(sim::Simulation &sim, const vmm::SnapshotManifests &m,
             storage::ChunkStore &index, net::ArtifactStore &store,
             std::uint64_t scope,
-            std::function<Duration()> abort = nullptr);
+            std::function<Duration(std::int64_t)> abort = nullptr);
 
 } // namespace vhive::core
 

@@ -5,6 +5,7 @@
 #include "core/loader/builtin_loaders.hh"
 #include "mem/page_fetch.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace vhive::core {
 
@@ -228,16 +229,20 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
     }
 
     if (faults != nullptr) {
-        // Worker crash mid-cold-start: the window's magnitude is the
-        // milliseconds of work lost before the crash is detected. The
-        // instance is torn down and the breakdown reports crashed so
-        // the cluster layer can retry; this is NOT counted as a cold
-        // invocation served.
+        // Worker crash mid-cold-start, keyed by (function, cold-start
+        // instant): the window's magnitude is the milliseconds of work
+        // lost before the crash is detected, floored at 1 us so a
+        // retry always rolls at a later instant. The instance is torn
+        // down and the breakdown reports crashed so the cluster layer
+        // can retry; this is NOT counted as a cold invocation served.
+        const std::uint64_t request = sim::faultRequestKey(
+            {hashName(name), static_cast<std::uint64_t>(cold_t0)});
         if (const sim::FaultWindow *w = faults->roll(
-                sim::FaultKind::WorkerCrash, faultTag, sim.now())) {
-            ++faults->stats().workerCrashes;
+                sim::FaultKind::WorkerCrash, faultTag, sim.now(),
+                request)) {
             ++st.stats.crashes;
-            co_await sim.delay(msec(w->magnitude));
+            co_await sim.delay(
+                std::max<Duration>(usec(1), msec(w->magnitude)));
             // Open the ready gate after teardown so an invoke waiting
             // on this pre-warm wakes, fails to re-locate the instance,
             // and falls through to its own cold start.

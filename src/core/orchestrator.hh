@@ -317,13 +317,15 @@ class Orchestrator
      * is the registry key WorkerCrash specs are matched against
      * (convention: "worker/<i>"). A cold start rolled inside an
      * active crash window pays the window's magnitude in milliseconds
-     * of lost work, tears its instance down, and returns a breakdown
-     * with crashed set — the cluster layer retries elsewhere. Null
-     * detaches; the plan is borrowed and must outlive the
-     * orchestrator (or be detached first).
+     * of lost work (at least 1 us), tears its instance down, and
+     * returns a breakdown with crashed set — the cluster layer
+     * retries elsewhere. The crash is drawn per (function, cold-start
+     * instant) and counted in FunctionStats::crashes. Null detaches;
+     * the plan is borrowed and must outlive the orchestrator (or be
+     * detached first).
      */
     void
-    setFaultPlan(sim::FaultPlan *plan, std::string tag = "worker")
+    setFaultPlan(const sim::FaultPlan *plan, std::string tag = "worker")
     {
         faults = plan;
         faultTag = std::move(tag);
@@ -384,7 +386,7 @@ class Orchestrator
     const Bytes memoryCapacity;
 
     /** Installed fault plan (borrowed; null = fault-free). */
-    sim::FaultPlan *faults = nullptr;
+    const sim::FaultPlan *faults = nullptr;
 
     /** Registry key crash faults are rolled under. */
     std::string faultTag = "worker";

@@ -37,6 +37,9 @@ mergeStoreStats(ObjectStoreStats &a, const ObjectStoreStats &b)
     a.chunksServed += b.chunksServed;
     a.requestRetries += b.requestRetries;
     a.outageStalls += b.outageStalls;
+    a.outageStallTime += b.outageStallTime;
+    a.stormHits += b.stormHits;
+    a.stragglers += b.stragglers;
 }
 
 std::uint64_t
@@ -71,20 +74,29 @@ scaledBy(Duration d, double factor)
 } // namespace
 
 sim::Task<void>
-ObjectStore::transfer(Bytes bytes)
+ObjectStore::transfer(Op op, PlacementKey key, Bytes offset, Bytes bytes)
 {
+    std::uint64_t request = 0;
     if (faults != nullptr) {
+        request = sim::faultRequestKey(
+            {static_cast<std::uint64_t>(op), key.content, key.scope,
+             static_cast<std::uint64_t>(offset),
+             static_cast<std::uint64_t>(bytes),
+             static_cast<std::uint64_t>(sim.now())});
         // Unreachable store: the request stalls until the outage
         // window closes (client retry-with-backoff collapses to
         // waiting out the outage in simulated time), then proceeds.
         // Back-to-back windows are waited out in turn; windows are
         // finite, so the loop always exits.
-        while (const sim::FaultWindow *w = faults->roll(
-                   sim::FaultKind::StoreOutage, faultTag, sim.now())) {
+        for (int attempt = 0;; ++attempt) {
+            const sim::FaultWindow *w =
+                faults->roll(sim::FaultKind::StoreOutage, faultTag,
+                             sim.now(), request, attempt);
+            if (w == nullptr)
+                break;
             Duration stall = w->end - sim.now();
-            ++faults->stats().outageStalls;
-            faults->stats().outageStallTime += stall;
             ++_stats.outageStalls;
+            _stats.outageStallTime += stall;
             co_await sim.delay(stall);
         }
     }
@@ -110,15 +122,17 @@ ObjectStore::transfer(Bytes bytes)
         // Degraded backend: the whole request slows by the window's
         // magnitude (every affected request, service-wide).
         if (const sim::FaultWindow *w = faults->roll(
-                sim::FaultKind::LatencyStorm, faultTag, sim.now())) {
+                sim::FaultKind::LatencyStorm, faultTag, sim.now(),
+                request)) {
             service = scaledBy(service, w->magnitude);
-            ++faults->stats().stormHits;
+            ++_stats.stormHits;
         }
         // Tail straggler: this request alone got unlucky.
         if (const sim::FaultWindow *w = faults->roll(
-                sim::FaultKind::Straggler, faultTag, sim.now())) {
+                sim::FaultKind::Straggler, faultTag, sim.now(),
+                request)) {
             service = scaledBy(service, w->magnitude);
-            ++faults->stats().stragglers;
+            ++_stats.stragglers;
         }
         // Mid-stream errors: each failed attempt pays the round trip,
         // service cost and half the streaming before the client
@@ -126,10 +140,11 @@ ObjectStore::transfer(Bytes bytes)
         // loop exits once the window closes even at probability 1.
         Duration retry_cost =
             _params.rtt + _params.requestOverhead + xfer / 2;
-        while (retry_cost > 0 &&
-               faults->roll(sim::FaultKind::RequestError, faultTag,
-                            sim.now()) != nullptr) {
-            ++faults->stats().requestErrors;
+        for (int attempt = 0;
+             retry_cost > 0 &&
+             faults->roll(sim::FaultKind::RequestError, faultTag,
+                          sim.now(), request, attempt) != nullptr;
+             ++attempt) {
             ++_stats.requestRetries;
             co_await sim.delay(retry_cost);
         }
@@ -140,50 +155,50 @@ ObjectStore::transfer(Bytes bytes)
 sim::Task<void>
 ObjectStore::get(Bytes bytes, PlacementKey key)
 {
-    (void)key;
     ++_stats.gets;
     _stats.bytesServed += bytes;
-    co_await transfer(bytes);
+    co_await transfer(Op::Get, key, 0, bytes);
 }
 
 sim::Task<void>
 ObjectStore::getRange(Bytes offset, Bytes bytes, PlacementKey key)
 {
-    // The model prices requests by size; the offset only matters to
-    // the caller's data layout.
-    (void)offset;
-    (void)key;
+    // The model prices requests by size; the offset only keys faults.
     ++_stats.rangedGets;
-    co_await get(bytes);
+    ++_stats.gets;
+    _stats.bytesServed += bytes;
+    co_await transfer(Op::GetRange, key, offset, bytes);
 }
 
 sim::Task<void>
 ObjectStore::put(Bytes bytes, PlacementKey key)
 {
-    (void)key;
     ++_stats.puts;
     _stats.bytesStored += bytes;
-    co_await transfer(bytes);
+    co_await transfer(Op::Put, key, 0, bytes);
 }
 
 sim::Task<void>
 ObjectStore::putChunk(Bytes stored_bytes, PlacementKey key)
 {
-    (void)key;
     ++_stats.chunkPuts;
-    co_await put(stored_bytes);
+    ++_stats.puts;
+    _stats.bytesStored += stored_bytes;
+    co_await transfer(Op::PutChunk, key, 0, stored_bytes);
 }
 
 sim::Task<void>
 ObjectStore::getChunks(std::int64_t chunks, Bytes stored_bytes,
                        PlacementKey key)
 {
-    (void)key;
-    ++_stats.chunkBatches;
-    _stats.chunksServed += chunks;
     // One multi-range request; the cost and base accounting are
     // exactly a ranged GET of the batch's compressed bytes.
-    co_await getRange(0, stored_bytes);
+    ++_stats.chunkBatches;
+    _stats.chunksServed += chunks;
+    ++_stats.rangedGets;
+    ++_stats.gets;
+    _stats.bytesServed += stored_bytes;
+    co_await transfer(Op::GetChunks, key, 0, stored_bytes);
 }
 
 } // namespace vhive::net

@@ -119,13 +119,17 @@ struct ObjectStoreStats
     std::int64_t peakStreamQueue = 0;
 
     /**
-     * Injected-fault visibility (zero without a FaultPlan): requests
-     * that paid at least one mid-stream error retry, and transfers
-     * stalled by a store outage window. Latency-shaping faults
-     * (storms, stragglers) count in the plan's FaultStats only.
+     * Injected faults this store delivered (zero without a
+     * FaultPlan): mid-stream error retries paid, transfers stalled by
+     * a store outage window and the simulated time they spent
+     * stalled, requests slowed by a latency storm, and requests
+     * turned into stragglers.
      */
     std::int64_t requestRetries = 0;
     std::int64_t outageStalls = 0;
+    Duration outageStallTime = 0;
+    std::int64_t stormHits = 0;
+    std::int64_t stragglers = 0;
 };
 
 /**
@@ -244,15 +248,23 @@ class ObjectStore : public ArtifactStore
      * bit-identical to builds before fault injection existed.
      */
     void
-    setFaultPlan(sim::FaultPlan *plan, std::string tag = "store")
+    setFaultPlan(const sim::FaultPlan *plan, std::string tag = "store")
     {
         faults = plan;
         faultTag = std::move(tag);
     }
 
   private:
-    /** Shared request path: round trip, service cost, streaming. */
-    sim::Task<void> transfer(Bytes bytes);
+    /** The five operations, as the first part of a fault request key. */
+    enum class Op : std::uint64_t { Get, GetRange, Put, PutChunk, GetChunks };
+
+    /**
+     * Shared request path: round trip, service cost, streaming. With a
+     * plan installed, (@p op, @p key, @p offset, @p bytes, the instant
+     * of entry) key every fault this request rolls.
+     */
+    sim::Task<void> transfer(Op op, PlacementKey key, Bytes offset,
+                             Bytes bytes);
 
     sim::Simulation &sim;
     ObjectStoreParams _params;
@@ -262,7 +274,7 @@ class ObjectStore : public ArtifactStore
     std::unique_ptr<sim::Semaphore> streams;
 
     /** Installed fault plan (borrowed; null = fault-free). */
-    sim::FaultPlan *faults = nullptr;
+    const sim::FaultPlan *faults = nullptr;
 
     /** Registry key this store's hooks roll faults under. */
     std::string faultTag = "store";

@@ -134,7 +134,7 @@ ShardedObjectStore::resetStats()
 }
 
 void
-ShardedObjectStore::setFaultPlan(sim::FaultPlan *plan,
+ShardedObjectStore::setFaultPlan(const sim::FaultPlan *plan,
                                  const std::string &prefix)
 {
     if (_shards.size() == 1) {

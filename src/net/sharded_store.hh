@@ -113,7 +113,7 @@ class ShardedObjectStore final : public ArtifactStore
      * specs can hit one shard ("store/shared/0") or, via the usual
      * glob target, every shard at once.
      */
-    void setFaultPlan(sim::FaultPlan *plan,
+    void setFaultPlan(const sim::FaultPlan *plan,
                       const std::string &prefix = "store");
 
     /**

@@ -1,5 +1,7 @@
 #include "sim/fault.hh"
 
+#include "util/rng.hh"
+
 namespace vhive::sim {
 
 const char *
@@ -48,37 +50,30 @@ FaultPlan::windowFor(FaultKind kind, std::string_view target,
     return nullptr;
 }
 
-Rng &
-FaultPlan::streamFor(FaultKind kind, std::string_view target)
+std::uint64_t
+faultRequestKey(std::initializer_list<std::uint64_t> parts)
 {
-    std::string key = std::string(faultKindName(kind)) + "/" +
-                      std::string(target);
-    auto it = _streams.find(key);
-    if (it == _streams.end())
-        it = _streams.emplace(key, Rng(_seed, key)).first;
-    return it->second;
+    std::uint64_t h = 0;
+    for (std::uint64_t p : parts)
+        h = mix64(h ^ p);
+    return h;
 }
 
 const FaultWindow *
-FaultPlan::roll(FaultKind kind, std::string_view target, Time now)
+FaultPlan::roll(FaultKind kind, std::string_view target, Time now,
+                std::uint64_t request, int attempt) const
 {
     const FaultWindow *w = windowFor(kind, target, now);
     if (w == nullptr)
         return nullptr;
     if (w->probability >= 1.0)
         return w;
-    return streamFor(kind, target).chance(w->probability) ? w
-                                                          : nullptr;
-}
-
-bool
-FaultPlan::exhausted(Time now) const
-{
-    for (const FaultSpec &spec : _specs)
-        for (const FaultWindow &w : spec.windows)
-            if (w.end > now)
-                return false;
-    return true;
+    std::uint64_t h = faultRequestKey(
+        {_seed, static_cast<std::uint64_t>(kind), hashName(target),
+         request, static_cast<std::uint64_t>(attempt)});
+    // The top 53 bits as a uniform double in [0, 1), as Rng::uniform.
+    double u = static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
+    return u < w->probability ? w : nullptr;
 }
 
 } // namespace vhive::sim

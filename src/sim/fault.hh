@@ -8,27 +8,32 @@
  * requests until the outage lifts, a latency storm multiplies transfer
  * times, stragglers slow individual GETs, request errors force paid
  * retries, and a worker crash tears a cold start down mid-flight so
- * the cluster layer retries elsewhere.
+ * the cluster layer retries elsewhere. Each hook counts the faults it
+ * delivers in its own stats (net::ObjectStoreStats,
+ * core::FunctionStats::crashes, the registry's staging counters).
  *
- * Determinism: every probabilistic decision draws from a named Rng
- * sub-stream derived from (plan seed, kind, target), and draws happen
- * only while a window is active — so a plan whose windows never open
- * perturbs nothing, and the same (seed, plan, workload) triple always
- * produces bit-identical histories. Components with no plan installed
- * (the default) skip the hooks entirely: fault-free runs are
- * bit-identical to builds without this layer.
+ * Determinism: a plan is immutable after setup and every draw is a
+ * pure function of (plan seed, kind, target, request key, attempt),
+ * where the request key names the request from identities its caller
+ * already holds — for a store request (op, placement key, offset,
+ * bytes, instant). One request's fault therefore does not depend on
+ * how many requests rolled before it, and requests identical in all
+ * of those share one draw. Draws happen only while a window is
+ * active, so a plan whose windows never open perturbs nothing.
+ * Components with no plan installed (the default) skip the hooks
+ * entirely: fault-free runs are bit-identical to builds without this
+ * layer.
  */
 
 #ifndef VHIVE_SIM_FAULT_HH
 #define VHIVE_SIM_FAULT_HH
 
 #include <cstdint>
-#include <map>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "util/rng.hh"
 #include "util/units.hh"
 
 namespace vhive::sim {
@@ -69,8 +74,8 @@ enum class FaultKind
      * Snapshot staging unavailable: a staging pass entering the
      * window (SnapshotRegistry::stage, the registry's store-side
      * pass) stalls until it closes. Both fleet engines honour it:
-     * Cluster through its installed plan, ParallelFleet through the
-     * store domain's plan built from storeFaults.
+     * Cluster through its installed plan, ParallelFleet through
+     * ParallelFleetConfig::faults.
      */
     StagingOutage,
 
@@ -84,7 +89,7 @@ enum class FaultKind
     WorkerCrash,
 };
 
-/** Human-readable kind name (also the Rng sub-stream prefix). */
+/** Human-readable kind name. */
 const char *faultKindName(FaultKind kind);
 
 /** One scheduled fault window in simulated time. */
@@ -105,7 +110,7 @@ struct FaultWindow
 
     /**
      * Per-event chance the fault fires on an event inside the window
-     * (Bernoulli, drawn from the plan's (kind, target) stream).
+     * (Bernoulli, keyed by the event's request; 1 draws nothing).
      */
     double probability = 1.0;
 };
@@ -127,81 +132,49 @@ struct FaultSpec
     std::vector<FaultWindow> windows;
 };
 
-/** Counters of faults actually delivered, readable by tests/benches. */
-struct FaultStats
-{
-    /** Requests stalled by a StoreOutage window. */
-    std::int64_t outageStalls = 0;
-
-    /** Total simulated time requests spent stalled in outages. */
-    Duration outageStallTime = 0;
-
-    /** Requests slowed by a LatencyStorm window. */
-    std::int64_t stormHits = 0;
-
-    /** Requests turned into stragglers. */
-    std::int64_t stragglers = 0;
-
-    /** Request errors injected (each one paid a retry). */
-    std::int64_t requestErrors = 0;
-
-    /** Staging passes stalled by a StagingOutage window. */
-    std::int64_t stagingStalls = 0;
-
-    /** Cold starts / staging passes aborted by a WorkerCrash. */
-    std::int64_t workerCrashes = 0;
-};
+/**
+ * Fold @p parts (identities a hook already holds: name hashes,
+ * instants, offsets) into one request key for FaultPlan::roll.
+ */
+std::uint64_t faultRequestKey(std::initializer_list<std::uint64_t> parts);
 
 /**
  * A seeded, registry-keyed fault schedule. Build one, add() specs,
- * install it on the components under test (they keep a raw pointer;
- * the plan must outlive them or be detached first). Thread-safety:
- * none — a plan must stay within one simulation domain. For the
- * parallel kernel, build one plan per domain from the same specs
- * (see cluster::ParallelFleetConfig::storeFaults).
+ * install it on the components under test (they keep a const pointer;
+ * the plan must outlive them or be detached first). A plan is
+ * immutable after setup and rolls are pure, so one plan can be shared
+ * across every simulation domain and every thread of the parallel
+ * kernel (see cluster::ParallelFleetConfig::faults).
  */
 class FaultPlan
 {
   public:
     explicit FaultPlan(std::uint64_t seed = 0) : _seed(seed) {}
 
-    /** Append one fault spec. */
+    /** Append one fault spec (setup only, before installing). */
     void add(FaultSpec spec) { _specs.push_back(std::move(spec)); }
 
-    /**
-     * The window of (kind, target) active at @p now, or nullptr.
-     * Non-consuming: draws nothing, so probes are free.
-     */
+    /** The window of (kind, target) active at @p now, or nullptr. */
     const FaultWindow *windowFor(FaultKind kind,
                                  std::string_view target,
                                  Time now) const;
 
     /**
      * Roll the fault: when a (kind, target) window is active at
-     * @p now, draw Bernoulli(window.probability) from the stream
-     * named after (kind, target) and return the window when the
-     * fault fires. Returns nullptr (and draws nothing) outside all
-     * windows, so inactive plans never perturb the Rng state.
+     * @p now, fire with the window's probability and return the
+     * window, else nullptr. The draw hashes (seed, kind, target,
+     * @p request, @p attempt) — the same arguments always give the
+     * same answer — and a probability-1 window fires without one.
+     * Loops that re-roll one request (outage stalls, error retries)
+     * pass their iteration as @p attempt.
      */
     const FaultWindow *roll(FaultKind kind, std::string_view target,
-                            Time now);
-
-    FaultStats &stats() { return _stats; }
-    const FaultStats &stats() const { return _stats; }
-
-    const std::vector<FaultSpec> &specs() const { return _specs; }
-    std::uint64_t seed() const { return _seed; }
-
-    /** True when no spec has any window at or after @p now. */
-    bool exhausted(Time now) const;
+                            Time now, std::uint64_t request,
+                            int attempt = 0) const;
 
   private:
-    Rng &streamFor(FaultKind kind, std::string_view target);
-
     std::uint64_t _seed;
     std::vector<FaultSpec> _specs;
-    std::map<std::string, Rng> _streams;
-    FaultStats _stats;
 };
 
 } // namespace vhive::sim

@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -107,16 +109,16 @@ TEST(ChaosStore, OutageDelaysButCompletes)
     // Stalled to the end of the outage window, then served normally.
     EXPECT_GE(took, sec(2));
     EXPECT_LT(took, sec(2) + msec(100));
-    EXPECT_EQ(plan.stats().outageStalls, 1);
-    EXPECT_EQ(plan.stats().outageStallTime, sec(2));
     EXPECT_EQ(store.stats().outageStalls, 1);
+    EXPECT_EQ(store.stats().outageStallTime, sec(2));
     // Byte accounting is oblivious to the fault.
     EXPECT_EQ(store.stats().bytesServed, kMiB);
 }
 
 TEST(ChaosStore, LatencyStormScalesServiceTime)
 {
-    auto timed_get = [](FaultPlan *plan) {
+    std::int64_t storm_hits = 0;
+    auto timed_get = [&storm_hits](const FaultPlan *plan) {
         Simulation sim;
         net::ObjectStore store(sim, net::ObjectStoreParams::remote());
         if (plan != nullptr)
@@ -133,6 +135,7 @@ TEST(ChaosStore, LatencyStormScalesServiceTime)
         };
         sim.spawn(T::run(sim, store, took));
         sim.run();
+        storm_hits = store.stats().stormHits;
         return took;
     };
 
@@ -141,7 +144,7 @@ TEST(ChaosStore, LatencyStormScalesServiceTime)
     storm.add(spec(FaultKind::LatencyStorm, "store", 0, sec(10), 3.0));
     Duration stormy = timed_get(&storm);
     EXPECT_EQ(stormy, 3 * base);
-    EXPECT_EQ(storm.stats().stormHits, 1);
+    EXPECT_EQ(storm_hits, 1);
 }
 
 TEST(ChaosStore, RequestErrorsPayRetriesAndBalance)
@@ -168,8 +171,7 @@ TEST(ChaosStore, RequestErrorsPayRetriesAndBalance)
 
     // Errors fired (p=0.5 over 8 windows is overwhelmingly likely),
     // every one paid a retry, and no byte was counted twice.
-    EXPECT_GT(plan.stats().requestErrors, 0);
-    EXPECT_EQ(store.stats().requestRetries, plan.stats().requestErrors);
+    EXPECT_GT(store.stats().requestRetries, 0);
     EXPECT_EQ(pipe.stats().bytesFetched, len);
     EXPECT_EQ(store.stats().bytesServed, len);
 }
@@ -178,7 +180,8 @@ TEST(ChaosStore, InactivePlanDrawsNothing)
 {
     // A plan whose windows never open must not perturb a run: the
     // Bernoulli streams are only consulted inside active windows.
-    auto run_once = [](FaultPlan *plan) {
+    std::int64_t stragglers = 0;
+    auto run_once = [&stragglers](const FaultPlan *plan) {
         Simulation sim;
         net::ObjectStore store(sim, net::ObjectStoreParams::remote());
         if (plan != nullptr)
@@ -192,7 +195,9 @@ TEST(ChaosStore, InactivePlanDrawsNothing)
             }
         };
         sim.spawn(T::run(store));
-        return sim.run();
+        Time end = sim.run();
+        stragglers = store.stats().stragglers;
+        return end;
     };
 
     Time base = run_once(nullptr);
@@ -200,7 +205,78 @@ TEST(ChaosStore, InactivePlanDrawsNothing)
     dormant.add(spec(FaultKind::Straggler, "*", sec(9000), sec(9999),
                      10.0, 0.5));
     EXPECT_EQ(run_once(&dormant), base);
-    EXPECT_EQ(dormant.stats().stragglers, 0);
+    EXPECT_EQ(stragglers, 0);
+}
+
+// ------------------------------------------------------- keyed draws
+
+TEST(FaultPlan, RemovingOneRequestLeavesOthersUnchanged)
+{
+    // Each GET's fault is drawn from its own request key, so dropping
+    // one GET from the workload leaves every other GET's draw — and
+    // duration — exactly as it was.
+    constexpr int kGets = 32;
+    constexpr int kDropped = 3;
+    auto durations = [](int skip) {
+        Simulation sim;
+        net::ObjectStore store(sim); // unbounded: no stream queueing
+        FaultPlan plan(5);
+        plan.add(spec(FaultKind::Straggler, "store", 0, sec(1000), 10.0,
+                      0.5));
+        store.setFaultPlan(&plan, "store");
+        std::vector<Duration> took(kGets, 0);
+        struct T {
+            static Task<void>
+            run(Simulation &sim, net::ObjectStore &s, int i,
+                Duration &out)
+            {
+                co_await sim.delay(sec(i));
+                Time t0 = sim.now();
+                co_await s.get(kMiB,
+                               {static_cast<std::uint64_t>(i), 0});
+                out = sim.now() - t0;
+            }
+        };
+        for (int i = 0; i < kGets; ++i)
+            if (i != skip)
+                sim.spawn(T::run(sim, store, i,
+                                 took[static_cast<size_t>(i)]));
+        sim.run();
+        return took;
+    };
+
+    std::vector<Duration> all = durations(-1);
+    std::vector<Duration> dropped = durations(kDropped);
+    // Both outcomes occur, so the comparison below is not vacuous.
+    EXPECT_NE(*std::min_element(all.begin(), all.end()),
+              *std::max_element(all.begin(), all.end()));
+    for (int i = 0; i < kGets; ++i) {
+        if (i == kDropped)
+            continue;
+        EXPECT_EQ(dropped[static_cast<size_t>(i)],
+                  all[static_cast<size_t>(i)])
+            << "GET " << i;
+    }
+}
+
+TEST(FaultPlan, KeyedRollRateWithinFourSigma)
+{
+    // Over distinct request keys, a window fires at its probability.
+    constexpr int kKeys = 100000;
+    for (double p : {0.01, 0.3, 0.9}) {
+        FaultPlan plan(31);
+        plan.add(spec(FaultKind::RequestError, "store", 0, sec(1), 1.0,
+                      p));
+        std::int64_t fired = 0;
+        for (int k = 0; k < kKeys; ++k)
+            if (plan.roll(FaultKind::RequestError, "store", 0,
+                          static_cast<std::uint64_t>(k)) != nullptr)
+                ++fired;
+        const double n = kKeys;
+        EXPECT_NEAR(static_cast<double>(fired), n * p,
+                    4 * std::sqrt(n * p * (1 - p)))
+            << "p=" << p;
+    }
 }
 
 // ------------------------------------------------------ hedged requests
@@ -321,7 +397,6 @@ TEST(ChaosCrash, WorkerCrashRetriesAndCompletes)
         c.installFaultPlan(nullptr);
     });
 
-    EXPECT_EQ(plan.stats().workerCrashes, 1);
     const auto &st = c.stats("helloworld");
     EXPECT_EQ(st.crashRetries, 1);
     EXPECT_EQ(st.coldStarts, 1);
@@ -356,7 +431,8 @@ TEST(ChaosCrash, ExhaustedRetriesFailExactlyOnce)
     });
 
     const auto &st = c.stats("helloworld");
-    EXPECT_EQ(plan.stats().workerCrashes, 3); // initial + 2 retries
+    // initial + 2 retries
+    EXPECT_EQ(c.worker(0).orchestrator().stats("helloworld").crashes, 3);
     EXPECT_EQ(st.crashRetries, 2);
     EXPECT_EQ(st.failedInvocations, 1);
     EXPECT_EQ(st.coldStarts, 0);
@@ -382,7 +458,7 @@ TEST(ChaosStaging, OutageStallsButStagesOnce)
     });
     c.installFaultPlan(nullptr);
 
-    EXPECT_GE(plan.stats().stagingStalls, 1);
+    EXPECT_GE(c.snapshotRegistry()->stagingStalls(), 1);
     EXPECT_EQ(c.fleetStats().snapshotBuilds, 1);
     EXPECT_EQ(c.sharedObjectStore()->stats().puts, 1);
     EXPECT_TRUE(c.snapshotRegistry()->isStaged("pyaes"));
@@ -395,7 +471,7 @@ TEST(ChaosStaging, MidStageCrashRollsBackAndConverges)
     // Chunked (DedupReap) staging crashed mid-pass must roll its chunk
     // references back and retry; the converged index must match a
     // crash-free staging exactly.
-    auto stage_once = [](FaultPlan *plan) {
+    auto stage_once = [](const FaultPlan *plan) {
         auto sim = std::make_unique<Simulation>();
         cluster::ClusterConfig cfg;
         cfg.workers = 2;
@@ -424,9 +500,10 @@ TEST(ChaosStaging, MidStageCrashRollsBackAndConverges)
                   5.0, 0.01));
     auto [sim_f, faulted] = stage_once(&plan);
 
-    EXPECT_GE(plan.stats().workerCrashes, 1);
     auto *creg = clean->snapshotRegistry();
     auto *freg = faulted->snapshotRegistry();
+    EXPECT_GE(freg->stagingCrashes(), 1);
+    EXPECT_EQ(creg->stagingCrashes(), 0);
     for (const char *fn : {"helloworld", "pyaes"}) {
         const cluster::StagedArtifact &a = creg->artifact(fn);
         const cluster::StagedArtifact &b = freg->artifact(fn);
@@ -480,18 +557,24 @@ TEST(ChaosStaging, SingleFlightNeverDoubleStagesUnderStorm)
     });
     c.installFaultPlan(nullptr);
 
-    EXPECT_GT(plan.stats().stormHits, 0);
+    EXPECT_GT(c.sharedObjectStore()->stats().stormHits, 0);
     EXPECT_EQ(c.fleetStats().snapshotBuilds, 2);
     EXPECT_EQ(c.sharedObjectStore()->stats().puts, 2);
 }
 
 // ------------------------------------------------- whole-workload runs
 
-/** A whole-workload run: the fleet result and its per-function sums. */
+/**
+ * A whole-workload run: the fleet result, its per-function sums, and
+ * the faults its hooks delivered — store stragglers over the shared
+ * and every worker's store, cold-start crashes over every worker.
+ */
 struct AzureRun
 {
     cluster::FleetStats fleet;
     cluster::FunctionSums rows;
+    std::int64_t stragglers = 0;
+    std::int64_t crashes = 0;
 };
 
 /**
@@ -516,8 +599,15 @@ runAzure(cluster::ClusterConfig ccfg, cluster::AzureWorkloadConfig wcfg,
         (void)co_await w.run();
         c.installFaultPlan(nullptr);
     });
-    return AzureRun{c.fleetStats(),
-                    cluster::sumFunctionStats(c, w.functionNames())};
+    AzureRun r{c.fleetStats(),
+               cluster::sumFunctionStats(c, w.functionNames())};
+    r.stragglers = r.fleet.store.stragglers;
+    for (int i = 0; i < c.workerCount(); ++i) {
+        r.stragglers += c.worker(i).objectStore().stats().stragglers;
+        for (const std::string &fn : w.functionNames())
+            r.crashes += c.worker(i).orchestrator().stats(fn).crashes;
+    }
+    return r;
 }
 
 AzureRun
@@ -578,23 +668,24 @@ TEST(ChaosWorkload, SameSeedSamePlanBitIdentical)
     };
 
     FaultPlan a(42), b(42), d(43);
-    cluster::FleetStats ra = runAzure(ccfg, shortMix(), &a, arm).fleet;
-    cluster::FleetStats rb = runAzure(ccfg, shortMix(), &b, arm).fleet;
-    cluster::FleetStats rd = runAzure(ccfg, shortMix(), &d, arm).fleet;
+    AzureRun ra = runAzure(ccfg, shortMix(), &a, arm);
+    AzureRun rb = runAzure(ccfg, shortMix(), &b, arm);
+    AzureRun rd = runAzure(ccfg, shortMix(), &d, arm);
 
     // Same (seed, plan, workload): bit-identical histories.
-    ASSERT_EQ(ra.e2eLatencyMs.values().size(),
-              rb.e2eLatencyMs.values().size());
-    for (size_t i = 0; i < ra.e2eLatencyMs.values().size(); ++i)
-        EXPECT_EQ(ra.e2eLatencyMs.values()[i],
-                  rb.e2eLatencyMs.values()[i]);
-    EXPECT_EQ(a.stats().stragglers, b.stats().stragglers);
-    EXPECT_EQ(a.stats().workerCrashes, b.stats().workerCrashes);
+    ASSERT_EQ(ra.fleet.e2eLatencyMs.values().size(),
+              rb.fleet.e2eLatencyMs.values().size());
+    for (size_t i = 0; i < ra.fleet.e2eLatencyMs.values().size(); ++i)
+        EXPECT_EQ(ra.fleet.e2eLatencyMs.values()[i],
+                  rb.fleet.e2eLatencyMs.values()[i]);
+    EXPECT_GT(ra.stragglers, 0);
+    EXPECT_EQ(ra.stragglers, rb.stragglers);
+    EXPECT_EQ(ra.crashes, rb.crashes);
 
-    // A different plan seed redraws the Bernoulli streams.
-    bool differs =
-        ra.e2eLatencyMs.values() != rd.e2eLatencyMs.values() ||
-        a.stats().stragglers != d.stats().stragglers;
+    // A different plan seed redraws every request's faults.
+    bool differs = ra.fleet.e2eLatencyMs.values() !=
+                       rd.fleet.e2eLatencyMs.values() ||
+                   ra.stragglers != rd.stragglers;
     EXPECT_TRUE(differs);
 }
 
@@ -680,7 +771,7 @@ TEST(ChaosWorkload, FleetStatsAccountsEveryCompletionOnce)
                    80.0, 0.5));
     };
     AzureRun r = runAzure(ccfg, shortMix(), &plan, crashes);
-    EXPECT_GT(plan.stats().workerCrashes, 0);
+    EXPECT_GT(r.crashes, 0);
     EXPECT_GT(r.fleet.failedInvocations, 0);
     EXPECT_GT(r.fleet.coldStarts + r.fleet.warmHits, 0);
     cluster::expectCompletionIdentity(r.fleet, r.rows);
@@ -690,9 +781,9 @@ TEST(ChaosWorkload, FleetStatsAccountsEveryCompletionOnce)
     cluster::ParallelFleetConfig pcfg;
     pcfg.workers = 3;
     pcfg.workload = shortMix();
-    pcfg.faultSeed = 104;
-    pcfg.storeFaults.push_back(spec(FaultKind::Straggler, "store/*", 0,
-                                    sec(600), 8.0, 0.3));
+    pcfg.faults = FaultPlan(104);
+    pcfg.faults.add(spec(FaultKind::Straggler, "store/*", 0, sec(600),
+                         8.0, 0.3));
     cluster::ParallelFleet fleet(pcfg);
     cluster::FleetStats fs = fleet.run();
     EXPECT_GT(fs.invocations, 0);
@@ -775,15 +866,16 @@ TEST(ChaosWorkload, OutageOverFlashCrowdWithPreWarmsExactlyOnce)
     // A pre-warm hit is a warm hit served off a pre-warmed instance.
     EXPECT_LE(fs.preWarmHits, rows.warmHits);
     // The outage genuinely stalled requests during the crowd.
-    EXPECT_GE(plan.stats().outageStalls, 1);
+    EXPECT_GE(fs.store.outageStalls, 1);
 }
 
 // ------------------------------------------------------ parallel fleet
 
 TEST(ChaosParallel, StoreFaultDigestStableAcrossThreads)
 {
-    // Per-domain fault plans keep the parallel kernel deterministic:
-    // the same faulted fleet is bit-identical for any simThreads.
+    // One plan shared by every domain, with draws keyed by request,
+    // keeps the parallel kernel deterministic: the same faulted fleet
+    // is bit-identical for any simThreads.
     auto run_fleet = [](int threads, bool faults) {
         cluster::ParallelFleetConfig cfg;
         cfg.workers = 3;
@@ -793,13 +885,11 @@ TEST(ChaosParallel, StoreFaultDigestStableAcrossThreads)
         cfg.workload.maxInterarrival = sec(20);
         cfg.workload.horizon = sec(90);
         if (faults) {
-            cfg.faultSeed = 77;
-            cfg.storeFaults.push_back(spec(FaultKind::Straggler,
-                                           "store/*", 0, sec(600), 8.0,
-                                           0.3));
-            cfg.storeFaults.push_back(spec(FaultKind::LatencyStorm,
-                                           "store/*", sec(20), sec(40),
-                                           3.0));
+            cfg.faults = FaultPlan(77);
+            cfg.faults.add(spec(FaultKind::Straggler, "store/*", 0,
+                                sec(600), 8.0, 0.3));
+            cfg.faults.add(spec(FaultKind::LatencyStorm, "store/*",
+                                sec(20), sec(40), 3.0));
         }
         cluster::ParallelFleet fleet(cfg);
         return fleet.run().digest();
@@ -808,6 +898,7 @@ TEST(ChaosParallel, StoreFaultDigestStableAcrossThreads)
     std::uint64_t d1 = run_fleet(1, true);
     EXPECT_EQ(run_fleet(2, true), d1);
     EXPECT_EQ(run_fleet(4, true), d1);
+    EXPECT_EQ(run_fleet(8, true), d1);
     // And the faults actually changed the simulated history.
     EXPECT_NE(run_fleet(1, false), d1);
 }
@@ -830,10 +921,9 @@ TEST(ChaosParallel, StagingCrashesRollBackAcrossThreads)
         cfg.workload.maxInterarrival = sec(20);
         cfg.workload.horizon = sec(90);
         if (crashes) {
-            cfg.faultSeed = 9;
-            cfg.storeFaults.push_back(spec(FaultKind::WorkerCrash,
-                                           "staging/*", 0, sec(120),
-                                           5.0, 0.01));
+            cfg.faults = FaultPlan(9);
+            cfg.faults.add(spec(FaultKind::WorkerCrash, "staging/*", 0,
+                                sec(120), 5.0, 0.01));
         }
         cluster::ParallelFleet fleet(cfg);
         return fleet.run();
@@ -851,6 +941,7 @@ TEST(ChaosParallel, StagingCrashesRollBackAcrossThreads)
     // Deterministic for any thread count.
     EXPECT_EQ(run_fleet(2, true).digest(), r.digest());
     EXPECT_EQ(run_fleet(4, true).digest(), r.digest());
+    EXPECT_EQ(run_fleet(8, true).digest(), r.digest());
     // The crashes fired: the simulated history moved.
     EXPECT_NE(r.digest(), clean.digest());
     // Every invocation completed.

@@ -353,9 +353,13 @@ TEST(GoldenTrace, RemotePresetsMatchCheckedInBaseline)
 
 // -------------------------------------------------- fleet digests
 
-/** Same configuration as test_parallel's shared-fleet scenarios. */
+/**
+ * Same configuration as test_parallel's shared-fleet scenarios. With
+ * @p faults, one plan injects store stragglers and request errors on
+ * every store and WorkerCrash aborts on the registry's staging passes.
+ */
 cluster::ParallelFleetResult
-runSharedFleet(ColdStartMode mode, int shards, bool traffic)
+runSharedFleet(ColdStartMode mode, int shards, bool traffic, bool faults)
 {
     cluster::ParallelFleetConfig cfg;
     cfg.workers = 4;
@@ -366,6 +370,21 @@ runSharedFleet(ColdStartMode mode, int shards, bool traffic)
     cfg.chunkPlacement = net::ChunkPlacementPolicy::OverlapAware;
     cfg.routingPolicy = cluster::RoutingPolicyKind::LocalityHash;
     cfg.keepAlive = sec(30);
+    if (faults) {
+        cfg.faults = sim::FaultPlan(31);
+        auto add = [&](sim::FaultKind kind, const char *target,
+                       Duration end, double magnitude, double p) {
+            sim::FaultSpec s;
+            s.kind = kind;
+            s.target = target;
+            s.windows.push_back(sim::FaultWindow{0, end, magnitude, p});
+            cfg.faults.add(s);
+        };
+        add(sim::FaultKind::Straggler, "store/*", sec(600), 8.0, 0.3);
+        add(sim::FaultKind::RequestError, "store/*", sec(600), 1.0, 0.2);
+        add(sim::FaultKind::WorkerCrash, "staging/*", sec(120), 5.0,
+            0.01);
+    }
     if (traffic) {
         cluster::TrafficConfig tc;
         tc.functions = 8;
@@ -396,14 +415,16 @@ std::string
 renderFleetDigests()
 {
     std::ostringstream out;
-    const std::tuple<const char *, ColdStartMode, int, bool> runs[] = {
-        {"SharedTiered", ColdStartMode::TieredReap, 4, false},
-        {"SharedDedup", ColdStartMode::DedupReap, 4, false},
-        {"TrafficDriven", ColdStartMode::TieredReap, 2, true},
-    };
-    for (const auto &[label, mode, shards, traffic] : runs) {
+    const std::tuple<const char *, ColdStartMode, int, bool, bool>
+        runs[] = {
+            {"SharedTiered", ColdStartMode::TieredReap, 4, false, false},
+            {"SharedDedup", ColdStartMode::DedupReap, 4, false, false},
+            {"TrafficDriven", ColdStartMode::TieredReap, 2, true, false},
+            {"StoreFaults", ColdStartMode::DedupReap, 2, false, true},
+        };
+    for (const auto &[label, mode, shards, traffic, faults] : runs) {
         cluster::ParallelFleetResult r =
-            runSharedFleet(mode, shards, traffic);
+            runSharedFleet(mode, shards, traffic, faults);
         char digest[32], outcome[32];
         std::snprintf(digest, sizeof digest, "%016llx",
                       static_cast<unsigned long long>(r.digest()));
@@ -508,7 +529,7 @@ renderClusterStaging(ColdStartMode mode, bool crashes)
     if (crashes)
         c.installFaultPlan(nullptr);
     out << " t=" << sim.now()
-        << " crashes=" << plan.stats().workerCrashes << "\n";
+        << " crashes=" << c.snapshotRegistry()->stagingCrashes() << "\n";
     return out.str();
 }
 
