@@ -157,12 +157,11 @@ SnapshotRegistry::stage(const std::string &name, const StagedBuild &build)
         // always exits).
         const std::uint64_t request = sim::faultRequestKey(
             {name_key, static_cast<std::uint64_t>(sim.now())});
-        for (int attempt = 0;; ++attempt) {
-            const sim::FaultWindow *w =
-                faults->roll(sim::FaultKind::StagingOutage, fault_key,
-                             sim.now(), request, attempt);
-            if (w == nullptr)
-                break;
+        for (int attempt = 0;
+             const sim::FaultWindow *w =
+                 faults->roll(sim::FaultKind::StagingOutage, fault_key,
+                              sim.now(), request, attempt);
+             ++attempt) {
             ++_stagingStalls;
             co_await sim.delay(w->end - sim.now());
         }
@@ -181,15 +180,13 @@ SnapshotRegistry::stage(const std::string &name, const StagedBuild &build)
     // A WorkerCrash rolled mid-pass aborts the staging attempt: the
     // lost work is paid in simulated time and the pass retries. Each
     // chunk draws by (function, pass start, position in the pass).
-    Time pass_start = 0;
+    std::uint64_t pass_key = 0;
     auto crash = [&](std::int64_t position) -> Duration {
         if (faults == nullptr)
             return 0;
-        const sim::FaultWindow *w = faults->roll(
-            sim::FaultKind::WorkerCrash, fault_key, sim.now(),
-            sim::faultRequestKey(
-                {name_key, static_cast<std::uint64_t>(pass_start)}),
-            static_cast<int>(position));
+        const sim::FaultWindow *w =
+            faults->roll(sim::FaultKind::WorkerCrash, fault_key,
+                         sim.now(), pass_key, static_cast<int>(position));
         if (w == nullptr)
             return 0;
         ++_stagingCrashes;
@@ -198,7 +195,8 @@ SnapshotRegistry::stage(const std::string &name, const StagedBuild &build)
     // Crash windows are finite and every crash advances time, so the
     // loop terminates and the function still stages exactly once.
     while (true) {
-        pass_start = sim.now();
+        pass_key = sim::faultRequestKey(
+            {name_key, static_cast<std::uint64_t>(sim.now())});
         if (build.manifests) {
             // Chunked staging: upload only chunks no earlier function
             // staged. Duplicate chunks — the shared runtime pages

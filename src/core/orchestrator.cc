@@ -241,8 +241,12 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
                 sim::FaultKind::WorkerCrash, faultTag, sim.now(),
                 request)) {
             ++st.stats.crashes;
+            // The instance stays claimed while the work is lost, so no
+            // idle sweep or capacity eviction retires it meanwhile.
+            inst.busy = true;
             co_await sim.delay(
                 std::max<Duration>(usec(1), msec(w->magnitude)));
+            inst.busy = false;
             // Open the ready gate after teardown so an invoke waiting
             // on this pre-warm wakes, fails to re-locate the instance,
             // and falls through to its own cold start.

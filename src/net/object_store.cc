@@ -88,12 +88,11 @@ ObjectStore::transfer(Op op, PlacementKey key, Bytes offset, Bytes bytes)
         // waiting out the outage in simulated time), then proceeds.
         // Back-to-back windows are waited out in turn; windows are
         // finite, so the loop always exits.
-        for (int attempt = 0;; ++attempt) {
-            const sim::FaultWindow *w =
-                faults->roll(sim::FaultKind::StoreOutage, faultTag,
-                             sim.now(), request, attempt);
-            if (w == nullptr)
-                break;
+        for (int attempt = 0;
+             const sim::FaultWindow *w =
+                 faults->roll(sim::FaultKind::StoreOutage, faultTag,
+                              sim.now(), request, attempt);
+             ++attempt) {
             Duration stall = w->end - sim.now();
             ++_stats.outageStalls;
             _stats.outageStallTime += stall;

@@ -4,20 +4,6 @@
 
 namespace vhive::sim {
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::StoreOutage: return "store-outage";
-      case FaultKind::LatencyStorm: return "latency-storm";
-      case FaultKind::Straggler: return "straggler";
-      case FaultKind::RequestError: return "request-error";
-      case FaultKind::StagingOutage: return "staging-outage";
-      case FaultKind::WorkerCrash: return "worker-crash";
-    }
-    return "?";
-}
-
 namespace {
 
 /** Spec-target match: exact, "*", or trailing-'*' prefix. */

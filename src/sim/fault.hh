@@ -89,9 +89,6 @@ enum class FaultKind
     WorkerCrash,
 };
 
-/** Human-readable kind name. */
-const char *faultKindName(FaultKind kind);
-
 /** One scheduled fault window in simulated time. */
 struct FaultWindow
 {

@@ -408,6 +408,41 @@ TEST(ChaosCrash, WorkerCrashRetriesAndCompletes)
               1);
 }
 
+TEST(ChaosCrash, CrashingColdStartIsNotReapedAsIdle)
+{
+    // A cold start paying a crash's lost work holds its instance: the
+    // keep-alive janitor sweeping meanwhile must not retire it as
+    // idle, or the crash path's own teardown finds no instance.
+    Simulation sim;
+    cluster::ClusterConfig cfg = tieredConfig(1);
+    cfg.keepAlive = sec(1);
+    cfg.scalePeriod = sec(1);
+    cluster::Cluster c(sim, cfg);
+    c.deploy(func::profileByName("helloworld"));
+
+    FaultPlan plan(12);
+    runScenario(sim, [&]() -> Task<void> {
+        co_await c.prepareAllSnapshots();
+        (void)co_await c.invoke("helloworld");
+        c.startAutoscaler();
+        co_await sim.delay(sec(5)); // the janitor reaps the instance
+        Time base = sim.now();
+        plan.add(spec(FaultKind::WorkerCrash, "worker/0", base,
+                      base + sec(1), 3000.0));
+        c.installFaultPlan(&plan);
+        (void)co_await c.invoke("helloworld");
+        c.installFaultPlan(nullptr);
+        c.stopAutoscaler();
+    });
+
+    const auto &st = c.stats("helloworld");
+    EXPECT_EQ(c.worker(0).orchestrator().stats("helloworld").crashes,
+              1);
+    EXPECT_EQ(st.crashRetries, 1);
+    EXPECT_EQ(st.failedInvocations, 0);
+    EXPECT_EQ(st.coldStarts, 2);
+}
+
 TEST(ChaosCrash, ExhaustedRetriesFailExactlyOnce)
 {
     Simulation sim;
